@@ -1,10 +1,93 @@
-"""Shared numerical checks used by the verify subcommand and the test suite."""
+"""Shared numerical checks used by the verify subcommand and the test suite.
+
+Each returns its worst deviation; callers choose the samples and the bound.
+"""
 
 from __future__ import annotations
 
-from . import decoy, keyrate, relay
+from itertools import product
+from typing import Iterable, Mapping, Sequence
 
-__all__ = ["fig2_zero_crossings", "decoy_cutoff_loss"]
+import numpy as np
+
+from . import decoy, keyrate, qubit, relay
+
+__all__ = [
+    "FIG2_TARGETS", "FIG2_TOLERANCE", "twirl_deviations", "rotated_basis_deviation",
+    "holevo_gap", "relabeling_deviation", "montecarlo_max_z", "fig2_zero_crossings",
+    "fig2_crossing_deviation", "poisson_oracle_deviation", "fraction_identity_residual",
+    "decoy_cutoff_loss",
+]
+
+# Per-link error rates where the Fig. 2 qubit-model curves cross zero.
+FIG2_TARGETS = {"conventional": 0.1100, "str1": 0.0584, "str2": 0.0398}
+FIG2_TOLERANCE = 0.0005
+
+BASIS_PAIRS = list(product((0, 1), repeat=2))
+
+
+def twirl_deviations(rng: np.random.Generator, samples: int) -> tuple[float, ...]:
+    """Largest Bell-basis off-diagonal element, idempotence error and basis
+    error-rate change of the twirl over random 16x16 states."""
+    basis = qubit.tensored_bell_basis_matrix()
+    worst_off = worst_idem = worst_inv = 0.0
+    for _ in range(samples):
+        rho = qubit.random_density_matrix(16, rng)
+        tw = qubit.twirl(rho)
+        diag = basis.conj().T @ tw @ basis
+        worst_off = max(worst_off, float(np.abs(diag - np.diag(np.diag(diag))).max()))
+        worst_idem = max(worst_idem, float(np.abs(qubit.twirl(tw) - tw).max()))
+        for u1, u2 in BASIS_PAIRS:
+            e_rho, e_tw = (qubit.basis_error_rate(m, u1, u2) for m in (rho, tw))
+            worst_inv = max(worst_inv, abs(e_rho - e_tw))
+    return worst_off, worst_idem, worst_inv
+
+
+def rotated_basis_deviation() -> float:
+    """Largest deviation of a rotated Bell basis from orthonormality."""
+    bases = [np.column_stack(qubit.rotated_bell_basis(u1, u2)) for u1, u2 in BASIS_PAIRS]
+    return max(float(np.abs(v.conj().T @ v - np.eye(4)).max()) for v in bases)
+
+
+def holevo_gap(rng: np.random.Generator, samples: int) -> float:
+    """Largest Holevo oracle minus entropic bound over random Bell-diagonal
+    states and all basis pairs (-inf without samples)."""
+    worst = -np.inf
+    for _ in range(samples):
+        alpha = qubit.random_bell_diagonal(rng)
+        for u1, u2 in BASIS_PAIRS:
+            gap = qubit.holevo_oracle(alpha, u1, u2) - qubit.holevo_bound(alpha, u1, u2)
+            worst = max(worst, gap)
+    return worst
+
+
+def relabeling_deviation(rng: np.random.Generator, samples: int) -> float:
+    """Largest change of the conditioned end-user state under (u1, u2, a, b)
+    -> (~u1, ~u2, b, a) over random Bell-diagonal states."""
+    worst = 0.0
+    for _ in range(samples):
+        alpha = qubit.random_bell_diagonal(rng)
+        for (u1, u2), (a, b) in product(BASIS_PAIRS, repeat=2):
+            p, rho = qubit.conditional_end_user_state(alpha, u1, u2, a, b)
+            p2, rho2 = qubit.conditional_end_user_state(alpha, u1 ^ 1, u2 ^ 1, b, a)
+            worst = max(worst, abs(p - p2), float(np.abs(rho - rho2).max()))
+    return worst
+
+
+def montecarlo_max_z(
+    cases: Iterable[tuple[int, float]], rounds: int, seed: int
+) -> float:
+    """Largest |z| of a Monte Carlo basis-vector error rate against the
+    compound error model; case (nodes, flip) runs at seed ``seed + nodes``."""
+    worst = 0.0
+    for nodes, flip in cases:
+        cfg = relay.ChainConfig(nodes, rounds, flip_prob=flip, seed=seed + nodes)
+        table, _ = relay.run_protocol(cfg)
+        expected = keyrate.compound_error([flip] * cfg.num_links)
+        for u, (_, samples) in table.counts.items():
+            sigma = (expected * (1 - expected) / samples) ** 0.5
+            worst = max(worst, abs(table.rate(u) - expected) / sigma)
+    return worst
 
 
 def _bisect_root(fn, lo: float, hi: float, tol: float = 1e-7) -> float:
@@ -27,12 +110,7 @@ def fig2_zero_crossings() -> dict[str, float]:
         return keyrate.conventional_relay_rate(e, f_ec=1.0).unclamped
 
     def str_rate(e_link: float, nodes: int) -> float:
-        links = nodes + 1
-        e_total = relay.compound_error(e_link, links)
-        table = {u: e_total for u in keyrate._all_basis_vectors(links)}
-        return keyrate.str_rate_qubit(
-            keyrate.RateInputs(error_rates=table), num_nodes=nodes
-        ).unclamped
+        return keyrate.uniform_str_rate(e_link, nodes).unclamped
 
     return {
         "conventional": _bisect_root(conventional, 1e-6, 0.25),
@@ -41,27 +119,31 @@ def fig2_zero_crossings() -> dict[str, float]:
     }
 
 
-def decoy_cutoff_loss(
-    mode: str,
-    num_links: int,
-    f_ec: float = 1.2,
-    intrinsic_error: float = 0.0185,
-    dark_count_prob: float = 6e-6,
-    max_loss_db: float = 80.0,
-    step_db: float = 1.0,
-) -> float:
-    """Smallest per-link loss (on a step_db grid) with zero optimized rate."""
-    loss = 0.0
-    while loss <= max_loss_db:
-        links = [
-            decoy.LinkPhysics(
-                loss_db=loss,
-                dark_count_prob=dark_count_prob,
-                intrinsic_error=intrinsic_error,
-            )
-        ] * num_links
-        _, report = decoy.optimize_intensity(links, f_ec=f_ec, mode=mode)
+def fig2_crossing_deviation(crossings: Mapping[str, float]) -> float:
+    """Largest distance of a zero crossing from its target."""
+    return max(abs(crossings[name] - e) for name, e in FIG2_TARGETS.items())
+
+
+def poisson_oracle_deviation(links: Iterable[decoy.LinkPhysics]) -> float:
+    """Largest gain or QBER gap between the closed forms and the truncated
+    Poisson sum."""
+    pairs = ((decoy.link_statistics(p), decoy.poisson_sum_statistics(p)) for p in links)
+    gaps = (max(abs(c.gain - o.gain), abs(c.qber - o.qber)) for c, o in pairs)
+    return max(gaps, default=0.0)
+
+
+def fraction_identity_residual(chains: Iterable[Sequence[decoy.LinkPhysics]]) -> float:
+    """Largest |f_v + f_s_vs + f_m - 1| over the chains."""
+    fractions = map(decoy.decoy_fractions, chains)
+    return max((abs(fr.f_v + fr.f_s_vs + fr.f_m - 1.0) for fr in fractions), default=0.0)
+
+
+def decoy_cutoff_loss(mode: str, num_links: int) -> float:
+    """Smallest per-link loss, on a 1 dB grid up to 80 dB, with zero optimized
+    rate for the default link physics and f_EC = 1.2."""
+    for loss in range(81):
+        links = [decoy.LinkPhysics(loss_db=float(loss))] * num_links
+        _, report = decoy.optimize_intensity(links, f_ec=1.2, mode=mode)
         if report.rate <= 0.0:
-            return loss
-        loss += step_db
+            return float(loss)
     return float("inf")

@@ -16,6 +16,7 @@ resolved configuration for reproducibility.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Any, Iterable, Sequence
@@ -23,7 +24,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from . import decoy, keyrate, qubit, relay
+from . import acceptance_checks as checks
+from . import decoy, keyrate, relay
 
 __all__ = ["main", "emit_csv", "parse_grid", "run_verification"]
 
@@ -85,17 +87,13 @@ def _load_config(path: str | None) -> dict[str, Any]:
 
 
 def _cmd_qubit_rate(args: argparse.Namespace) -> int:
-    links = args.nodes + 1
-    e_total = relay.compound_error(args.e_link, links)
-    table = {u: e_total for u in keyrate._all_basis_vectors(links)}
-    inputs = keyrate.RateInputs(error_rates=table, p_z=args.p_z, f_ec=args.f_ec)
-    report = keyrate.str_rate_qubit(inputs, num_nodes=args.nodes)
+    report = keyrate.uniform_str_rate(args.e_link, args.nodes, args.p_z, args.f_ec)
     _print_config(
         "qubit-rate",
         {
             "nodes": args.nodes,
             "e_link": args.e_link,
-            "e_end_to_end": e_total,
+            "e_end_to_end": keyrate.compound_error([args.e_link] * (args.nodes + 1)),
             "f_ec": args.f_ec,
             "p_z": args.p_z,
         },
@@ -150,7 +148,6 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
         "tagged_term",
     ]
     rows = []
-    mode = "conventional" if args.scenario == "conventional" else "str"
     for loss in grid:
         links = [
             decoy.LinkPhysics(
@@ -160,25 +157,23 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
                 intrinsic_error=args.e_det,
                 mu=mu_fixed if mu_fixed is not None else 0.5,
             )
-        ] * max(num_links, 2 if mode == "conventional" else num_links)
+        ] * num_links
         if mu_fixed is None:
             mu, report = decoy.optimize_intensity(
                 links,
                 f_ec=args.f_ec,
                 p_z=args.p_z,
-                mode=mode,
+                mode=args.scenario,
                 conservative=args.conservative,
             )
+        elif args.scenario == "conventional":
+            mu = mu_fixed
+            report = decoy.conventional_decoy_rate(links, f_ec=args.f_ec, p_z=args.p_z)
         else:
             mu = mu_fixed
-            if mode == "conventional":
-                report = decoy.conventional_decoy_rate(
-                    links, f_ec=args.f_ec, p_z=args.p_z
-                )
-            else:
-                report = decoy.decoy_rate(
-                    links, f_ec=args.f_ec, p_z=args.p_z, conservative=args.conservative
-                )
+            report = decoy.decoy_rate(
+                links, f_ec=args.f_ec, p_z=args.p_z, conservative=args.conservative
+            )
         rows.append(
             [
                 loss,
@@ -219,16 +214,15 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     )
     table, survivors = relay.run_protocol(cfg, workers=args.workers)
     print(f"survivors per link: {survivors}")
-    analytic = relay.compound_error(cfg.flip_prob, cfg.num_links)
+    analytic = keyrate.compound_error([cfg.flip_prob] * cfg.num_links)
     header = ["basis_vector", "errors", "samples", "rate", "analytic_rate"]
     rows = []
     for u in sorted(table.counts):
         errors, samples = table.counts[u]
-        rows.append(
-            ["".join(str(b) for b in u), errors, samples, table.rate(u), analytic]
-        )
+        label = "".join(str(b) for b in u)
+        rows.append([label, errors, samples, table.rate(u), analytic])
         print(
-            f"u={''.join(str(b) for b in u)}: {errors}/{samples} "
+            f"u={label}: {errors}/{samples} "
             f"rate={table.rate(u):.6g} (analytic {analytic:.6g})"
         )
     if args.output:
@@ -238,130 +232,41 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def run_verification(trials: int = 100, seed: int = 2024) -> list[tuple[str, bool, str]]:
-    """Numerical verification of the module invariants.
+    """Run the :mod:`strqkd.acceptance_checks` suites on one random stream.
 
-    Returns (name, passed, detail) per suite; used by the ``verify``
-    subcommand and exercised end-to-end by the test suite.
+    Returns (name, passed, detail) per suite; a suite passes when its worst
+    deviation is at most its bound.
     """
     rng = np.random.default_rng(seed)
-    results: list[tuple[str, bool, str]] = []
-
-    def record(name: str, passed: bool, detail: str) -> None:
-        results.append((name, passed, detail))
-
-    # Twirl: Bell-basis diagonality, idempotence, error-rate invariance.
-    basis = qubit.tensored_bell_basis_matrix()
-    worst_off = worst_idem = worst_inv = 0.0
-    for _ in range(min(trials, 50)):
-        rho = qubit.random_density_matrix(16, rng)
-        tw = qubit.twirl(rho)
-        diag = basis.conj().T @ tw @ basis
-        worst_off = max(worst_off, float(np.abs(diag - np.diag(np.diag(diag))).max()))
-        worst_idem = max(worst_idem, float(np.abs(qubit.twirl(tw) - tw).max()))
-        for u1 in (0, 1):
-            for u2 in (0, 1):
-                delta = abs(
-                    qubit.basis_error_rate(rho, u1, u2)
-                    - qubit.basis_error_rate(tw, u1, u2)
-                )
-                worst_inv = max(worst_inv, delta)
-    record("twirl-diagonality", worst_off < 1e-12, f"max off-diagonal {worst_off:.3g}")
-    record("twirl-idempotence", worst_idem < 1e-12, f"max deviation {worst_idem:.3g}")
-    record("twirl-error-invariance", worst_inv < 1e-10, f"max delta {worst_inv:.3g}")
-
-    # Rotated Bell bases are orthonormal and complete.
-    worst_ortho = 0.0
-    for u1 in (0, 1):
-        for u2 in (0, 1):
-            vecs = np.column_stack(qubit.rotated_bell_basis(u1, u2))
-            worst_ortho = max(
-                worst_ortho, float(np.abs(vecs.conj().T @ vecs - np.eye(4)).max())
-            )
-    record("rotated-bases-orthonormal", worst_ortho < 1e-12, f"max {worst_ortho:.3g}")
-
-    # Holevo oracle never exceeds the entropy bound.
-    worst_gap = -np.inf
-    for _ in range(trials):
-        alpha = qubit.random_bell_diagonal(rng)
-        for u1 in (0, 1):
-            for u2 in (0, 1):
-                gap = qubit.holevo_oracle(alpha, u1, u2) - qubit.holevo_bound(
-                    alpha, u1, u2
-                )
-                worst_gap = max(worst_gap, gap)
-    record("holevo-bound", worst_gap < 1e-9, f"max chi - bound = {worst_gap:.3g}")
-
-    # Relabeling symmetry: the conditioned end-user state at (u1, u2, a, b)
-    # equals the one at the complementary bases with (a, b) swapped.
-    worst_sym = 0.0
-    for _ in range(min(trials, 20)):
-        alpha = qubit.random_bell_diagonal(rng)
-        for u1 in (0, 1):
-            for u2 in (0, 1):
-                for a in (0, 1):
-                    for b in (0, 1):
-                        p, rho = qubit.conditional_end_user_state(alpha, u1, u2, a, b)
-                        p2, rho2 = qubit.conditional_end_user_state(
-                            alpha, u1 ^ 1, u2 ^ 1, b, a
-                        )
-                        worst_sym = max(
-                            worst_sym, abs(p - p2), float(np.abs(rho - rho2).max())
-                        )
-    record("announcement-relabeling", worst_sym < 1e-10, f"max delta {worst_sym:.3g}")
-
-    # Monte Carlo error rates against the analytic compound model.
-    mc_ok = True
-    mc_detail = []
-    for nodes, flip in ((1, 0.05), (2, 0.01)):
-        cfg = relay.ChainConfig(
-            num_nodes=nodes, rounds=200_000, flip_prob=flip, seed=seed + nodes
-        )
-        table, _ = relay.run_protocol(cfg)
-        expected = relay.compound_error(flip, cfg.num_links)
-        for u in table.counts:
-            _, samples = table.counts[u]
-            sigma = (expected * (1 - expected) / samples) ** 0.5
-            z = abs(table.rate(u) - expected) / sigma
-            if z > 4.0:
-                mc_ok = False
-                mc_detail.append(f"u={u} z={z:.2f}")
-    record("montecarlo-vs-analytic", mc_ok, "; ".join(mc_detail) or "within 4 sigma")
-
-    # Qubit rate curves: zero crossings and ordering.
-    from .acceptance_checks import fig2_zero_crossings
-
-    crossings = fig2_zero_crossings()
-    fig2_ok = (
-        abs(crossings["conventional"] - 0.1100) < 0.0005
-        and abs(crossings["str1"] - 0.0584) < 0.0005
-        and abs(crossings["str2"] - 0.0398) < 0.0005
+    off_diag, idem, inv = checks.twirl_deviations(rng, min(trials, 50))
+    holevo = checks.holevo_gap(rng, trials)
+    relabel = checks.relabeling_deviation(rng, min(trials, 20))
+    max_z = checks.montecarlo_max_z([(1, 0.05), (2, 0.01)], 200_000, seed)
+    crossings = checks.fig2_zero_crossings()
+    grid = itertools.product((0.0, 10.0, 20.0), (0.05, 0.3, 1.0), (0.0, 6e-6, 1e-4))
+    oracle = checks.poisson_oracle_deviation(
+        decoy.LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
+        for loss, mu, dark in grid
     )
-    record(
-        "fig2-zero-crossings",
-        fig2_ok,
-        ", ".join(f"{k}={v:.4f}" for k, v in crossings.items()),
-    )
-
-    # Decoy closed forms against the truncated Poisson sum.
-    worst_decoy = 0.0
-    for loss in (0.0, 10.0, 20.0):
-        for mu in (0.05, 0.3, 1.0):
-            for dark in (0.0, 6e-6, 1e-4):
-                phys = decoy.LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
-                closed = decoy.link_statistics(phys)
-                oracle = decoy.poisson_sum_statistics(phys)
-                worst_decoy = max(
-                    worst_decoy,
-                    abs(closed.gain - oracle.gain),
-                    abs(closed.qber - oracle.qber),
-                )
-    record("decoy-poisson-oracle", worst_decoy < 1e-9, f"max delta {worst_decoy:.3g}")
-
-    fr = decoy.decoy_fractions([decoy.LinkPhysics(loss_db=5.0, mu=0.2)] * 2)
-    ident = abs(fr.f_v + fr.f_s_vs + fr.f_m - 1.0)
-    record("decoy-fraction-identity", ident == 0.0, f"residual {ident:.3g}")
-
-    return results
+    chain = [decoy.LinkPhysics(loss_db=5.0, mu=0.2)] * 2
+    suites = [  # (name, worst deviation, bound, detail format)
+        ("twirl-diagonality", off_diag, 1e-12, "max off-diagonal {:.3g}"),
+        ("twirl-idempotence", idem, 1e-12, "max deviation {:.3g}"),
+        ("twirl-error-invariance", inv, 1e-10, "max delta {:.3g}"),
+        ("rotated-bases-orthonormal", checks.rotated_basis_deviation(), 1e-12,
+         "max {:.3g}"),
+        ("holevo-bound", holevo, 1e-9, "max chi - bound = {:.3g}"),
+        ("announcement-relabeling", relabel, 1e-10, "max delta {:.3g}"),
+        ("montecarlo-vs-analytic", max_z, 4.0,
+         "within 4 sigma" if max_z <= 4.0 else "max |z| = {:.2f}"),
+        ("fig2-zero-crossings", checks.fig2_crossing_deviation(crossings),
+         checks.FIG2_TOLERANCE, ", ".join(f"{k}={v:.4f}" for k, v in crossings.items())),
+        ("decoy-poisson-oracle", oracle, 1e-9, "max delta {:.3g}"),
+        ("decoy-fraction-identity", checks.fraction_identity_residual([chain]), 0.0,
+         "residual {:.3g}"),
+    ]
+    return [(name, value <= bound, fmt.format(value))
+            for name, value, bound, fmt in suites]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -376,7 +281,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Subparser(argparse.ArgumentParser):
+    """Subcommand parser that records its options by destination name."""
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+        self.options.clear()  # -h/--help is not a configurable option
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Subparser]]:
     parser = argparse.ArgumentParser(
         prog="strqkd",
         description="Simplified trusted relay QKD simulation and key-rate toolkit",
@@ -385,7 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"strqkd {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Subparser
+    )
 
     p = sub.add_parser("qubit-rate", help="STR qubit rate for one scenario")
     p.add_argument("--nodes", type=int, default=1)
@@ -430,26 +351,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def _apply_config(argv: Sequence[str] | None, commands: dict[str, _Subparser]) -> None:
+    """Make the --config values the defaults of the chosen subcommand, so
+    explicit flags win.  A value is read as if given as a flag; a key that
+    is not an option of the subcommand exits with status 2."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("command", nargs="?")
+    known, _ = pre.parse_known_args(argv)
+    config = {k.replace("-", "_"): v for k, v in _load_config(known.config).items()}
+    if not config or known.command not in commands:
+        return
+    subparser = commands[known.command]
+    unknown = sorted(set(config) - set(subparser.options))
+    if unknown:
+        subparser.exit(2, f"error: {known.command} has no option {', '.join(unknown)}\n")
+    for dest, value in config.items():
+        action = subparser.options[dest]
+        action.required = False
+        if value is not None and action.nargs != 0:
+            value = str(value)  # read as if given as a flag
+        subparser.set_defaults(**{dest: value})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    _apply_config(argv, commands)
     args = parser.parse_args(argv)
-    config = _load_config(args.config)
-    # Config-file values fill in for flags left at their parser defaults.
-    defaults: dict[str, Any] = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for subparser in action.choices.values():
-                for sub_action in subparser._actions:
-                    defaults[sub_action.dest] = sub_action.default
-        else:
-            defaults[action.dest] = action.default
-    for key, value in config.items():
-        dest = key.replace("-", "_")
-        if hasattr(args, dest) and getattr(args, dest) == defaults.get(dest):
-            setattr(args, dest, value)
     try:
         return args.func(args)
     except ValueError as exc:

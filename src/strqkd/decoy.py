@@ -3,8 +3,11 @@
 Each link is a Poissonian source into a lossy channel with a threshold
 detector: dark counts, finite detector efficiency, and an intrinsic optical
 error rate.  Closed-form gains/QBERs come with a truncated Poisson-sum
-counterpart used for cross-checking.  The tagged-signal accounting grants
-Eve full information on any detected event in which some link emitted a
+counterpart used for cross-checking.  The vacuum and single-photon yields
+and error rates enter the rates exactly, as known quantities: this is the
+infinite-decoy limit of Lo, Ma and Chen (PRL 94, 230504, 2005), not a
+finite-decoy estimate.  The tagged-signal accounting follows GLLP: Eve gets
+full information on any detected event in which some link emitted a
 multi-photon pulse (vacuum in the first link excepted), which is subtracted
 outright from the key rate; per-loss intensity optimization reproduces the
 rate-vs-loss sweeps.
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .keyrate import KeyRateReport, binary_entropy
+from .keyrate import KeyRateReport, binary_entropy, compound_error
 
 __all__ = [
     "LinkPhysics",
@@ -116,16 +119,19 @@ def _error_yield_n(phys: LinkPhysics, y0: float, eta: float, n: int) -> float:
 
 
 def link_statistics(phys: LinkPhysics) -> LinkStatistics:
-    """Closed-form gain, QBER, and n in {0, 1} yields/errors for one link."""
+    """Closed-form gain, QBER, and n in {0, 1} yields/errors for one link;
+    ValueError when the gain or single-photon yield rounds to zero."""
     eta = phys.transmittance
     if eta <= 0.0:
         raise ValueError("link transmittance must be positive")
     y0 = 1.0 - (1.0 - phys.dark_count_prob) ** 2
     mu = phys.mu
     y1 = _yield_n(y0, eta, 1)
-    e1 = _error_yield_n(phys, y0, eta, 1) / y1
     vac = math.exp(-mu * eta)
     gain = 1.0 - (1.0 - y0) * vac
+    if gain <= 0.0 or y1 <= 0.0:
+        raise ValueError(f"link with loss {phys.loss_db} dB has zero gain")
+    e1 = _error_yield_n(phys, y0, eta, 1) / y1
     qber = (E_DARK * y0 * vac + phys.intrinsic_error * (1.0 - vac)) / gain
     return LinkStatistics(gain=gain, qber=qber, y0=y0, y1=y1, e1=e1)
 
@@ -163,21 +169,11 @@ def _conditional_photon_fractions(phys: LinkPhysics) -> tuple[float, float, floa
     return c0, c1, stats.e1
 
 
-def _compound(errors: Sequence[float]) -> float:
-    prod = 1.0
-    for e in errors:
-        prod *= 1.0 - 2.0 * e
-    return 0.5 * (1.0 - prod)
-
-
 def decoy_fractions(links: Sequence[LinkPhysics]) -> DecoyFractions:
     """Tagged-fraction accounting for a chain of links."""
     if not links:
         raise ValueError("need at least one link")
     cond = [_conditional_photon_fractions(p) for p in links]
-    for p, (c0, c1, _) in zip(links, cond):
-        if link_statistics(p).gain <= 0.0:
-            raise ValueError(f"link with loss {p.loss_db} dB has zero gain")
     c0_first, c1_first, e1_first = cond[0]
     f_v = c0_first
     f_s_s = c1_first
@@ -189,15 +185,15 @@ def decoy_fractions(links: Sequence[LinkPhysics]) -> DecoyFractions:
         f_s_vs *= c0 + c1
         errors_ss.append(e1)
         # Within the vacuum-or-single class, a vacuum detection is a dark
-        # count and contributes error 1/2.
-        errors_svs.append((c0 * E_DARK + c1 * e1) / (c0 + c1))
+        # count and contributes error 1/2; so does an empty class (f_s_vs = 0).
+        errors_svs.append((c0 * E_DARK + c1 * e1) / (c0 + c1) if c0 + c1 else E_DARK)
     return DecoyFractions(
         f_v=f_v,
         f_s_s=f_s_s,
         f_s_vs=f_s_vs,
         f_m=1.0 - f_v - f_s_vs,
-        e_s_s=_compound(errors_ss),
-        e_s_vs=_compound(errors_svs),
+        e_s_s=compound_error(errors_ss),
+        e_s_vs=compound_error(errors_svs),
     )
 
 
@@ -222,7 +218,7 @@ def decoy_rate(
     """
     stats = [link_statistics(p) for p in links]
     fractions = decoy_fractions(links)
-    e_total = _compound([s.qber for s in stats])
+    e_total = compound_error([s.qber for s in stats])
     if conservative:
         f_single, e_single = fractions.f_s_s, fractions.e_s_s
         f_tagged = 1.0 - fractions.f_v - fractions.f_s_s
@@ -256,7 +252,7 @@ def conventional_decoy_rate(
     """
     if isinstance(links, LinkPhysics):
         links = [links]
-    worst: KeyRateReport | None = None
+    reports = []
     for phys in links:
         stats = link_statistics(phys)
         _, c1, e1 = _conditional_photon_fractions(phys)
@@ -268,10 +264,8 @@ def conventional_decoy_rate(
         )
         if per_clock:
             report = report.scaled(stats.gain * _sift_factor(p_z))
-        if worst is None or report.unclamped < worst.unclamped:
-            worst = report
-    assert worst is not None
-    return worst
+        reports.append(report)
+    return min(reports, key=lambda r: r.unclamped)
 
 
 def _rate_at_mu(

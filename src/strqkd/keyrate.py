@@ -17,7 +17,10 @@ __all__ = [
     "KeyRateReport",
     "RateInputs",
     "binary_entropy",
+    "compound_error",
+    "basis_vectors",
     "str_rate_qubit",
+    "uniform_str_rate",
     "node_focused_rate",
     "conventional_relay_rate",
     "fig2_curves",
@@ -180,22 +183,39 @@ def conventional_relay_rate(
         e_links = [float(e_links)]
     if not e_links:
         raise ValueError("need at least one link")
-    worst: KeyRateReport | None = None
+    reports = []
     for e in e_links:
         if not 0.0 <= e <= 0.5:
             raise ValueError(f"per-link error rate must lie in [0, 1/2], got {e}")
         h_e = binary_entropy(e)
-        report = KeyRateReport(entropy_term=1.0, leak_term=f_ec * h_e, holevo_term=h_e)
-        if worst is None or report.unclamped < worst.unclamped:
-            worst = report
-    assert worst is not None
-    return worst
+        reports.append(
+            KeyRateReport(entropy_term=1.0, leak_term=f_ec * h_e, holevo_term=h_e)
+        )
+    return min(reports, key=lambda r: r.unclamped)
 
 
-def _compound_error(e_link: float, links: int) -> float:
-    # Probability of an odd number of independent flips; mirrors
-    # relay.compound_error, duplicated to keep this module dependency-free.
-    return 0.5 * (1.0 - (1.0 - 2.0 * e_link) ** links)
+def compound_error(per_link_errors: Iterable[float]) -> float:
+    """Probability of an odd number of independent per-link flips,
+    (1 - prod_i (1 - 2 e_i)) / 2.  Unchecked: decoy rates may pass 1/2."""
+    prod = 1.0
+    for e in per_link_errors:
+        prod *= 1.0 - 2.0 * e
+    return 0.5 * (1.0 - prod)
+
+
+def uniform_str_rate(
+    e_link: float, num_nodes: int, p_z: float = 0.5, f_ec: float = 1.0
+) -> KeyRateReport:
+    """STR rate when every link has error rate ``e_link``: all basis-vector
+    error rates are the compound error of the ``num_nodes + 1`` links."""
+    if not 0.0 <= e_link <= 0.5:
+        raise ValueError(f"e_link must lie in [0, 1/2], got {e_link}")
+    if num_nodes < 0:
+        raise ValueError(f"num_nodes must be >= 0, got {num_nodes}")
+    links = num_nodes + 1
+    table = dict.fromkeys(basis_vectors(links), compound_error([e_link] * links))
+    inputs = RateInputs(error_rates=table, p_z=p_z, f_ec=f_ec)
+    return str_rate_qubit(inputs, num_nodes=num_nodes)
 
 
 def fig2_curves(
@@ -218,19 +238,16 @@ def fig2_curves(
                 row["rate_conventional"] = report.rate
                 row["unclamped_conventional"] = report.unclamped
             else:
-                e_total = _compound_error(e_link, m + 1)
-                table = {
-                    u: e_total
-                    for u in _all_basis_vectors(m + 1)
-                }
-                report = str_rate_qubit(RateInputs(error_rates=table), num_nodes=m)
+                report = uniform_str_rate(e_link, m)
                 row[f"rate_str{m}"] = report.rate
                 row[f"unclamped_str{m}"] = report.unclamped
         rows.append(row)
     return rows
 
 
-def _all_basis_vectors(links: int) -> list[tuple[int, ...]]:
+def basis_vectors(links: int) -> list[tuple[int, ...]]:
+    """All 2^links basis vectors (0 = Z, 1 = X per link); the one at index
+    i spells i in binary, first link most significant."""
     return [
         tuple((idx >> k) & 1 for k in range(links - 1, -1, -1))
         for idx in range(1 << links)

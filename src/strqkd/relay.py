@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .keyrate import basis_vectors
+
 __all__ = [
     "ChainConfig",
     "SiftedLinkData",
@@ -29,7 +31,6 @@ __all__ = [
     "run_quantum_phase",
     "pair_and_announce",
     "correct_and_estimate",
-    "compound_error",
     "run_protocol",
 ]
 
@@ -68,13 +69,12 @@ class ChainConfig:
 class SiftedLinkData:
     """Post-sifting events of one link, in round order."""
 
-    round_index: np.ndarray  # int64
     basis: np.ndarray  # uint8, 0 = Z / 1 = X
     sent: np.ndarray  # uint8
     received: np.ndarray  # uint8
 
     def __len__(self) -> int:
-        return len(self.round_index)
+        return len(self.basis)
 
 
 @dataclass
@@ -82,34 +82,30 @@ class PairedData:
     """Index-aligned events across all links after pairing.
 
     ``bases`` has one column per link; ``parities`` one column per node.
-    ``empty`` flags a chain where some link had no survivors.
+    All arrays are empty when some link had no survivors.
     """
 
     alice_bits: np.ndarray
     bob_bits: np.ndarray
     bases: np.ndarray  # shape (n, links)
     parities: np.ndarray  # shape (n, nodes)
-    empty: bool = False
 
 
 @dataclass
 class ErrorRateTable:
-    """Error and sample counts per basis vector u = (u_1, ..., u_{m+1})."""
+    """Error and sample counts per basis vector u = (u_1, ..., u_{m+1}).
+
+    The rate of a basis vector without samples is nan.
+    """
 
     counts: dict[tuple[int, ...], tuple[int, int]] = field(default_factory=dict)
 
     def rate(self, u: tuple[int, ...]) -> float:
         errors, total = self.counts[u]
-        return errors / total if total else 0.0
-
-    def rates(self) -> dict[tuple[int, ...], float]:
-        return {u: self.rate(u) for u in sorted(self.counts)}
+        return errors / total if total else float("nan")
 
     def total_errors(self) -> int:
         return sum(e for e, _ in self.counts.values())
-
-    def total_samples(self) -> int:
-        return sum(n for _, n in self.counts.values())
 
 
 def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
@@ -129,7 +125,6 @@ def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
     received = sender_bit ^ flipped.astype(np.uint8)
     idx = np.nonzero(keep)[0]
     return SiftedLinkData(
-        round_index=(start + idx).astype(np.int64),
         basis=sender_basis[idx],
         sent=sender_bit[idx],
         received=received[idx],
@@ -138,6 +133,8 @@ def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
 
 def run_quantum_phase(cfg: ChainConfig, workers: int = 1) -> list[SiftedLinkData]:
     """Simulate point-to-point data creation and sifting for every link."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     num_blocks = (cfg.rounds + BLOCK_SIZE - 1) // BLOCK_SIZE
     tasks = [(link, block) for link in range(cfg.num_links) for block in range(num_blocks)]
     if workers > 1:
@@ -150,7 +147,6 @@ def run_quantum_phase(cfg: ChainConfig, workers: int = 1) -> list[SiftedLinkData
         chunk = pieces[link * num_blocks : (link + 1) * num_blocks]
         links.append(
             SiftedLinkData(
-                round_index=np.concatenate([c.round_index for c in chunk]),
                 basis=np.concatenate([c.basis for c in chunk]),
                 sent=np.concatenate([c.sent for c in chunk]),
                 received=np.concatenate([c.received for c in chunk]),
@@ -168,14 +164,6 @@ def pair_and_announce(links: list[SiftedLinkData]) -> PairedData:
     if not links:
         raise ValueError("need at least one link")
     n = min(len(link) for link in links)
-    if n == 0:
-        return PairedData(
-            alice_bits=np.empty(0, dtype=np.uint8),
-            bob_bits=np.empty(0, dtype=np.uint8),
-            bases=np.empty((0, len(links)), dtype=np.uint8),
-            parities=np.empty((0, len(links) - 1), dtype=np.uint8),
-            empty=True,
-        )
     bases = np.column_stack([link.basis[:n] for link in links])
     parities = np.column_stack(
         [links[j].received[:n] ^ links[j + 1].sent[:n] for j in range(len(links) - 1)]
@@ -191,11 +179,6 @@ def pair_and_announce(links: list[SiftedLinkData]) -> PairedData:
 def correct_and_estimate(paired: PairedData) -> ErrorRateTable:
     """Apply parity corrections and bin disagreements by basis vector."""
     links = paired.bases.shape[1]
-    table = ErrorRateTable(
-        counts={_u_vector(i, links): (0, 0) for i in range(1 << links)}
-    )
-    if paired.empty or len(paired.alice_bits) == 0:
-        return table
     corrected = paired.bob_bits.copy()
     for j in range(paired.parities.shape[1]):
         corrected ^= paired.parities[:, j]
@@ -204,23 +187,12 @@ def correct_and_estimate(paired: PairedData) -> ErrorRateTable:
     codes = paired.bases.astype(np.int64) @ weights
     total_per = np.bincount(codes, minlength=1 << links)
     error_per = np.bincount(codes, weights=errors.astype(np.int64), minlength=1 << links)
-    for i in range(1 << links):
-        table.counts[_u_vector(i, links)] = (int(error_per[i]), int(total_per[i]))
-    return table
-
-
-def _u_vector(code: int, links: int) -> tuple[int, ...]:
-    return tuple((code >> k) & 1 for k in range(links - 1, -1, -1))
-
-
-def compound_error(e_link: float, links: int) -> float:
-    """Probability of an odd number of independent per-link flips:
-    (1 - (1 - 2 e_link)^links) / 2."""
-    if not 0.0 <= e_link <= 0.5:
-        raise ValueError(f"e_link must lie in [0, 1/2], got {e_link}")
-    if links < 1:
-        raise ValueError(f"links must be >= 1, got {links}")
-    return 0.5 * (1.0 - (1.0 - 2.0 * e_link) ** links)
+    return ErrorRateTable(
+        counts={
+            u: (int(error_per[i]), int(total_per[i]))
+            for i, u in enumerate(basis_vectors(links))
+        }
+    )
 
 
 def run_protocol(cfg: ChainConfig, workers: int = 1) -> tuple[ErrorRateTable, list[int]]:

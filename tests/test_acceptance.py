@@ -5,14 +5,22 @@ summary lines.
 """
 
 import itertools
-import math
 import time
 
 import numpy as np
-import pytest
 
 from strqkd import cli, decoy, keyrate, qubit, relay
-from strqkd.acceptance_checks import decoy_cutoff_loss, fig2_zero_crossings
+from strqkd.acceptance_checks import (
+    FIG2_TOLERANCE,
+    decoy_cutoff_loss,
+    fig2_crossing_deviation,
+    fig2_zero_crossings,
+    fraction_identity_residual,
+    holevo_gap,
+    montecarlo_max_z,
+    poisson_oracle_deviation,
+    twirl_deviations,
+)
 from strqkd.decoy import LinkPhysics
 
 FIG3B = dict(detector_efficiency=0.5, dark_count_prob=6e-6, intrinsic_error=0.0185)
@@ -25,14 +33,8 @@ def report(name, passed, detail):
 
 
 def test_criterion_1_twirl_diagonalization():
-    rng = np.random.default_rng(101)
-    basis = qubit.tensored_bell_basis_matrix()
     start = time.monotonic()
-    worst = 0.0
-    for _ in range(100):
-        rho = qubit.random_density_matrix(16, rng)
-        diag = basis.conj().T @ qubit.twirl(rho) @ basis
-        worst = max(worst, float(np.abs(diag - np.diag(np.diag(diag))).max()))
+    worst, _, _ = twirl_deviations(np.random.default_rng(101), 100)
     elapsed = time.monotonic() - start
     report(
         "1 twirl diagonalization",
@@ -42,33 +44,13 @@ def test_criterion_1_twirl_diagonalization():
 
 
 def test_criterion_2_twirl_invariance():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(100):
-        rho = qubit.random_density_matrix(16, rng)
-        tw = qubit.twirl(rho)
-        for u1, u2 in itertools.product((0, 1), repeat=2):
-            worst = max(
-                worst,
-                abs(
-                    qubit.basis_error_rate(rho, u1, u2)
-                    - qubit.basis_error_rate(tw, u1, u2)
-                ),
-            )
+    _, _, worst = twirl_deviations(np.random.default_rng(102), 100)
     report("2 twirl error-rate invariance", worst < 1e-10, f"max delta {worst:.3g}")
 
 
 def test_criterion_3_holevo_bound():
-    rng = np.random.default_rng(103)
     start = time.monotonic()
-    worst_gap = -np.inf
-    for _ in range(1000):
-        alpha = qubit.random_bell_diagonal(rng)
-        for u1, u2 in itertools.product((0, 1), repeat=2):
-            gap = qubit.holevo_oracle(alpha, u1, u2) - qubit.holevo_bound(
-                alpha, u1, u2
-            )
-            worst_gap = max(worst_gap, gap)
+    worst_gap = holevo_gap(np.random.default_rng(103), 1000)
     # Rank-deficient family saturating the bound: weight w on a phase flip
     # in the first link, evaluated for the Z/Z basis combination.
     best_equality_gap = np.inf
@@ -114,11 +96,7 @@ def test_criterion_4_rotated_bell_basis():
 
 def test_criterion_5_fig2_thresholds():
     crossings = fig2_zero_crossings()
-    ok_cross = (
-        abs(crossings["conventional"] - 0.1100) < 0.0005
-        and abs(crossings["str1"] - 0.0584) < 0.0005
-        and abs(crossings["str2"] - 0.0398) < 0.0005
-    )
+    ok_cross = fig2_crossing_deviation(crossings) < FIG2_TOLERANCE
     grid = [0.002 * i for i in range(61)]
     ok_order = all(
         row["rate_conventional"] >= row["rate_str1"] - 1e-12
@@ -134,18 +112,9 @@ def test_criterion_5_fig2_thresholds():
 
 
 def test_criterion_6_monte_carlo_consistency():
-    worst_z = 0.0
-    for nodes in (1, 2):
-        for flip in (0.01, 0.05):
-            cfg = relay.ChainConfig(
-                num_nodes=nodes, rounds=1_000_000, flip_prob=flip, seed=600 + nodes
-            )
-            table, _ = relay.run_protocol(cfg)
-            expected = relay.compound_error(flip, nodes + 1)
-            for u in table.counts:
-                _, samples = table.counts[u]
-                sigma = math.sqrt(expected * (1 - expected) / samples)
-                worst_z = max(worst_z, abs(table.rate(u) - expected) / sigma)
+    worst_z = montecarlo_max_z(
+        itertools.product((1, 2), (0.01, 0.05)), rounds=1_000_000, seed=600
+    )
     cfg0 = relay.ChainConfig(num_nodes=1, rounds=200_000, flip_prob=0.0, seed=606)
     paired = relay.pair_and_announce(relay.run_quantum_phase(cfg0))
     corrected = paired.bob_bits ^ paired.parities[:, 0]
@@ -205,21 +174,14 @@ def test_criterion_7_decoy_model():
 
 
 def test_criterion_8_fraction_identities():
-    worst = 0.0
-    exact = True
-    for loss in (0.0, 10.0, 25.0):
-        for mu in (0.05, 0.3, 1.0):
-            for dark in (0.0, 6e-6, 1e-4):
-                phys = LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
-                closed = decoy.link_statistics(phys)
-                oracle = decoy.poisson_sum_statistics(phys, n_max=30)
-                worst = max(
-                    worst,
-                    abs(closed.gain - oracle.gain),
-                    abs(closed.qber - oracle.qber),
-                )
-                fr = decoy.decoy_fractions([phys, phys])
-                exact = exact and (fr.f_v + fr.f_s_vs + fr.f_m == 1.0)
+    links = [
+        LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
+        for loss, mu, dark in itertools.product(
+            (0.0, 10.0, 25.0), (0.05, 0.3, 1.0), (0.0, 6e-6, 1e-4)
+        )
+    ]
+    worst = poisson_oracle_deviation(links)
+    exact = fraction_identity_residual([phys, phys] for phys in links) == 0.0
     report(
         "8 fraction identities and Poisson oracle",
         exact and worst < 1e-9,

@@ -2,8 +2,11 @@
 handling, determinism."""
 
 import json
+import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strqkd import cli
 
@@ -116,6 +119,14 @@ class TestMonteCarlo:
         assert cli.main(base + ["--output", str(out2), "--workers", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_basis_vector_without_samples_has_nan_rate(self, capsys):
+        assert cli.main(
+            ["montecarlo", "--rounds", "1000", "--detect", "1e-9", "--nodes", "0"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "u=0: 0/0 rate=nan" in out
+        assert "u=1: 0/0 rate=nan" in out
+
     def test_summary_printed(self, capsys):
         assert cli.main(
             ["montecarlo", "--rounds", "20000", "--seed", "1", "--nodes", "1"]
@@ -137,6 +148,39 @@ class TestConfigFile:
         assert "nodes = 2" in out  # from config
         assert "e_link = 0.03" in out  # flag wins
 
+    def test_explicit_flag_equal_to_default_wins(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nodes": 3}))
+        code = cli.main(
+            ["--config", str(config), "qubit-rate", "--e-link", "0.03", "--nodes", "1"]
+        )
+        assert code == 0
+        assert "nodes = 1" in capsys.readouterr().out
+
+    def test_config_satisfies_required_option(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"e_link": 0.02}))
+        assert cli.main(["--config", str(config), "qubit-rate"]) == 0
+        assert "e_link = 0.02" in capsys.readouterr().out
+
+    def test_config_value_read_as_flag(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nodes": 1, "e_link": "0:0.1:0.05"}))
+        out = tmp_path / "fig2.csv"
+        code = cli.main(["--config", str(config), "fig2-sweep", "--output", str(out)])
+        assert code == 0
+        assert read_lines(out)[0] == "e_link,rate_str1"
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nodse": 2}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(config), "qubit-rate", "--e-link", "0.03"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "nodse" in err
+
     def test_bad_config_rejected(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text("not json")
@@ -150,3 +194,88 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert "suites passed" in out
+
+
+
+def exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Grids stay a few points long; every other value is any finite float, passed
+# as --flag=value so that negative values reach the program.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def grids(start):
+    return st.builds(
+        lambda a, step, n: f"{a!r}:{a + n * step!r}:{step!r}",
+        start,
+        st.floats(min_value=1e-6, max_value=100.0),
+        st.integers(min_value=0, max_value=2),
+    )
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["fig2-sweep", "--nodes", "0,-1"], 2),
+            (["decoy-sweep", "--loss-db", "300:400:100", "--dark", "0"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "800"], 0),
+            (["decoy-sweep", "--loss-db", "0:2:2", "--mu", "0.3", "--e-det", "0.5"], 0),
+            (["montecarlo", "--rounds", "1000", "--workers", "0"], 2),
+            (["montecarlo", "--rounds", "1000", "--workers", "-3"], 2),
+        ],
+    )
+    def test_exit_code(self, argv, code, capsys):
+        assert cli.main(argv + ["--output", os.devnull]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @given(nodes=st.integers(-3, 5), e_link=FINITE, f_ec=FINITE, p_z=FINITE)
+    @settings(max_examples=60, deadline=None)
+    def test_qubit_rate_exits_0_or_2(self, nodes, e_link, f_ec, p_z):
+        argv = ["qubit-rate", f"--nodes={nodes}", f"--e-link={e_link!r}",
+                f"--f-ec={f_ec!r}", f"--p-z={p_z!r}"]
+        assert exit_code(argv) in (0, 2)
+
+    @given(
+        e_link=grids(st.floats(-1.0, 1.0)),
+        nodes=st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    )
+    @example(e_link="0:0.12:0.04", nodes=[0, -1])
+    @settings(max_examples=60, deadline=None)
+    def test_fig2_sweep_exits_0_or_2(self, e_link, nodes):
+        argv = ["fig2-sweep", f"--e-link={e_link}",
+                "--nodes=" + ",".join(map(str, nodes)), f"--output={os.devnull}"]
+        assert exit_code(argv) in (0, 2)
+
+    @given(
+        loss_db=grids(st.floats(-10.0, 400.0)),
+        nodes=st.integers(-2, 4),
+        scenario=st.sampled_from(["str", "conventional"]),
+        mu=FINITE,
+        f_ec=FINITE,
+        p_z=FINITE,
+        eta_det=FINITE,
+        dark=FINITE,
+        e_det=FINITE,
+        conservative=st.booleans(),
+    )
+    @example(loss_db="0:10:5", nodes=1, scenario="str", mu=0.3, f_ec=1.2, p_z=0.5,
+             eta_det=0.5, dark=6e-6, e_det=0.5, conservative=False)
+    @settings(max_examples=100, deadline=None)
+    def test_fixed_mu_decoy_sweep_exits_0_or_2(
+        self, loss_db, nodes, scenario, mu, f_ec, p_z, eta_det, dark, e_det, conservative
+    ):
+        argv = ["decoy-sweep", f"--loss-db={loss_db}", f"--nodes={nodes}",
+                f"--scenario={scenario}", f"--mu={mu!r}", f"--f-ec={f_ec!r}",
+                f"--p-z={p_z!r}", f"--eta-det={eta_det!r}", f"--dark={dark!r}",
+                f"--e-det={e_det!r}", f"--output={os.devnull}"]
+        if conservative:
+            argv.append("--conservative")
+        assert exit_code(argv) in (0, 2)

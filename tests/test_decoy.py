@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from strqkd import decoy, keyrate
+from strqkd.acceptance_checks import fraction_identity_residual, poisson_oracle_deviation
 from strqkd.decoy import LinkPhysics
 
 FIG3B = dict(detector_efficiency=0.5, dark_count_prob=6e-6, intrinsic_error=0.0185)
@@ -33,10 +34,12 @@ class TestLinkStatistics:
     @pytest.mark.parametrize("dark", [0.0, 6e-6, 1e-4])
     def test_closed_forms_match_poisson_oracle(self, loss, mu, dark):
         phys = LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
-        closed = decoy.link_statistics(phys)
-        oracle = decoy.poisson_sum_statistics(phys, n_max=30)
-        assert closed.gain == pytest.approx(oracle.gain, abs=1e-9)
-        assert closed.qber == pytest.approx(oracle.qber, abs=1e-9)
+        assert poisson_oracle_deviation([phys]) <= 1e-9
+
+    def test_zero_gain_rejected_before_dividing(self):
+        # Without dark counts the gain rounds to zero at 300 dB.
+        with pytest.raises(ValueError, match="zero gain"):
+            decoy.link_statistics(LinkPhysics(loss_db=300.0, dark_count_prob=0.0))
 
     def test_invalid_physics_rejected(self):
         with pytest.raises(ValueError):
@@ -63,10 +66,15 @@ class TestDecoyFractions:
         assert fractions.f_s_vs == pytest.approx(expected, abs=1e-12)
 
     def test_identity_exact(self):
-        for loss in (0.0, 10.0, 25.0):
-            links = [LinkPhysics(loss_db=loss, mu=0.4, **FIG3B)] * 3
-            fractions = decoy.decoy_fractions(links)
-            assert fractions.f_v + fractions.f_s_vs + fractions.f_m == 1.0
+        chains = [[LinkPhysics(loss_db=loss, mu=0.4, **FIG3B)] * 3 for loss in (0.0, 10.0, 25.0)]
+        assert fraction_identity_residual(chains) == 0.0
+
+    def test_empty_vacuum_or_single_class(self):
+        # At mu = 800 no later link detects a vacuum or single-photon
+        # emission: the class has zero weight and no error rate to divide out.
+        fractions = decoy.decoy_fractions([LinkPhysics(loss_db=0.0, mu=800.0)] * 2)
+        assert fractions.f_s_vs == 0.0
+        assert fractions.e_s_vs == 0.5
 
     def test_single_not_larger_than_vacuum_or_single(self):
         for mu in (0.05, 0.3, 1.0):
@@ -112,8 +120,8 @@ class TestDecoyRate:
         for loss in (0.0, 5.0, 15.0):
             links = [LinkPhysics(loss_db=loss, mu=0.3, **FIG3B)] * 2
             stats = [decoy.link_statistics(p) for p in links]
-            e_total = decoy._compound([s.qber for s in stats])
-            table = {u: e_total for u in keyrate._all_basis_vectors(2)}
+            e_total = keyrate.compound_error([s.qber for s in stats])
+            table = dict.fromkeys(keyrate.basis_vectors(2), e_total)
             qubit_report = keyrate.str_rate_qubit(
                 keyrate.RateInputs(error_rates=table, f_ec=1.2), num_nodes=1
             )

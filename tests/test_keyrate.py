@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strqkd import keyrate, relay
-from strqkd.acceptance_checks import fig2_zero_crossings
+from strqkd import keyrate
+from strqkd.acceptance_checks import (
+    FIG2_TARGETS,
+    FIG2_TOLERANCE,
+    fig2_crossing_deviation,
+    fig2_zero_crossings,
+)
 from strqkd.keyrate import KeyRateReport, RateInputs
 
 
 def uniform_table(e, links):
-    return {u: e for u in keyrate._all_basis_vectors(links)}
+    return dict.fromkeys(keyrate.basis_vectors(links), e)
 
 
 class TestBinaryEntropy:
@@ -84,11 +89,13 @@ class TestStrRateQubit:
                 lo = mid
             else:
                 hi = mid
-        assert 0.5 * (lo + hi) == pytest.approx(0.1100, abs=0.0005)
+        assert 0.5 * (lo + hi) == pytest.approx(
+            FIG2_TARGETS["conventional"], abs=FIG2_TOLERANCE
+        )
 
     def test_compound_link_error_near_crossing(self):
-        e_total = relay.compound_error(0.0584, 2)
-        assert e_total == pytest.approx(0.110, abs=5e-4)
+        e_total = keyrate.compound_error([FIG2_TARGETS["str1"]] * 2)
+        assert e_total == pytest.approx(FIG2_TARGETS["conventional"], abs=FIG2_TOLERANCE)
         report = keyrate.str_rate_qubit(
             RateInputs(error_rates=uniform_table(e_total, 2)), num_nodes=1
         )
@@ -187,10 +194,7 @@ class TestFig2Curves:
         assert row["rate_str2"] == pytest.approx(1.0)
 
     def test_zero_crossings(self):
-        crossings = fig2_zero_crossings()
-        assert crossings["conventional"] == pytest.approx(0.1100, abs=0.0005)
-        assert crossings["str1"] == pytest.approx(0.0584, abs=0.0005)
-        assert crossings["str2"] == pytest.approx(0.0398, abs=0.0005)
+        assert fig2_crossing_deviation(fig2_zero_crossings()) <= FIG2_TOLERANCE
 
     def test_ordering_on_grid(self):
         grid = [0.002 * i for i in range(1, 60)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strqkd import relay
+from strqkd import keyrate, relay
 
 
 def binomial_z(observed_rate, expected, samples):
@@ -58,13 +58,11 @@ class TestPairing:
     def test_truncates_to_shortest_link(self):
         links = [
             relay.SiftedLinkData(
-                round_index=np.arange(100),
                 basis=np.zeros(100, dtype=np.uint8),
                 sent=np.zeros(100, dtype=np.uint8),
                 received=np.zeros(100, dtype=np.uint8),
             ),
             relay.SiftedLinkData(
-                round_index=np.arange(80),
                 basis=np.zeros(80, dtype=np.uint8),
                 sent=np.zeros(80, dtype=np.uint8),
                 received=np.zeros(80, dtype=np.uint8),
@@ -72,22 +70,23 @@ class TestPairing:
         ]
         paired = relay.pair_and_announce(links)
         assert len(paired.alice_bits) == 80
-        assert not paired.empty
 
     def test_empty_link_flagged(self):
         empty = relay.SiftedLinkData(
-            round_index=np.empty(0, dtype=np.int64),
             basis=np.empty(0, dtype=np.uint8),
             sent=np.empty(0, dtype=np.uint8),
             received=np.empty(0, dtype=np.uint8),
         )
         paired = relay.pair_and_announce([empty, empty])
-        assert paired.empty
+        assert len(paired.alice_bits) == 0
+        assert paired.bases.shape == (0, 2)
+        assert paired.parities.shape == (0, 1)
+        table = relay.correct_and_estimate(paired)
+        assert table.counts == {u: (0, 0) for u in keyrate.basis_vectors(2)}
 
     def test_equal_node_bits_give_zero_parity(self):
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
         link = relay.SiftedLinkData(
-            round_index=np.arange(4),
             basis=np.zeros(4, dtype=np.uint8),
             sent=bits,
             received=bits,
@@ -117,7 +116,7 @@ class TestCorrectionAndEstimation:
             num_nodes=nodes, rounds=400_000, flip_prob=flip, seed=100 + nodes
         )
         table, _ = relay.run_protocol(cfg)
-        expected = relay.compound_error(flip, nodes + 1)
+        expected = keyrate.compound_error([flip] * (nodes + 1))
         assert len(table.counts) == 1 << (nodes + 1)
         for u in table.counts:
             _, samples = table.counts[u]
@@ -157,8 +156,8 @@ class TestDeterminism:
 
 class TestCompoundError:
     def test_zero_and_fixed_point(self):
-        assert relay.compound_error(0.0, 5) == 0.0
-        assert relay.compound_error(0.5, 3) == pytest.approx(0.5)
+        assert keyrate.compound_error([0.0] * 5) == 0.0
+        assert keyrate.compound_error([0.5] * 3) == pytest.approx(0.5)
 
     def test_two_links_exhaustive(self):
         # Oracle: enumerate all flip patterns of two independent links.
@@ -170,7 +169,7 @@ class TestCompoundError:
             if f1 ^ f2
         )
         assert expected == pytest.approx(0.095)
-        assert relay.compound_error(w, 2) == pytest.approx(expected, abs=1e-15)
+        assert keyrate.compound_error([w, w]) == pytest.approx(expected, abs=1e-15)
 
     @given(
         e=st.floats(min_value=0.0, max_value=0.5),
@@ -178,12 +177,13 @@ class TestCompoundError:
     )
     @settings(max_examples=200, deadline=None)
     def test_stays_in_range_and_monotone_in_links(self, e, links):
-        value = relay.compound_error(e, links)
+        value = keyrate.compound_error([e] * links)
         assert 0.0 <= value <= 0.5
-        assert value <= relay.compound_error(e, links + 1) + 1e-12
+        assert value <= keyrate.compound_error([e] * (links + 1)) + 1e-12
 
     def test_rejects_out_of_range(self):
+        # The [0, 1/2] check sits where a user's per-link rate enters.
         with pytest.raises(ValueError):
-            relay.compound_error(0.6, 2)
+            keyrate.uniform_str_rate(0.6, 1)
         with pytest.raises(ValueError):
-            relay.compound_error(0.1, 0)
+            keyrate.uniform_str_rate(0.1, -1)
