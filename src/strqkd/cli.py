@@ -18,8 +18,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -30,16 +31,29 @@ from . import decoy, keyrate, relay
 __all__ = ["main", "emit_csv", "parse_grid", "run_verification"]
 
 
+# Longest grid parse_grid builds; far above any sweep the paper draws.
+MAX_GRID_POINTS = 1_000_000
+
+
+def _fail(message: str) -> NoReturn:
+    """Print a one-line error and exit with status 2 (bad input)."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def parse_grid(spec: str) -> list[float]:
-    """Parse a start:stop:step grid string (stop inclusive up to rounding)."""
+    """Parse a start:stop:step grid string (stop inclusive up to rounding);
+    exit with status 2 on a malformed, non-finite or too long grid."""
     try:
         start, stop, step = (float(part) for part in spec.split(":"))
     except ValueError:
-        raise SystemExit(f"error: grid must be start:stop:step, got {spec!r}")
-    if step <= 0 or stop < start:
-        raise SystemExit(f"error: invalid grid {spec!r}")
-    count = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(count)]
+        _fail(f"grid must be start:stop:step, got {spec!r}")
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        _fail(f"invalid grid {spec!r}")
+    steps = (stop - start) / step  # inf when the quotient overflows
+    if steps > MAX_GRID_POINTS - 1:
+        _fail(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(round(steps)) + 1)]
 
 
 def _format_value(value: Any) -> str:
@@ -56,7 +70,7 @@ def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) ->
             for row in rows:
                 fh.write(",".join(_format_value(v) for v in row) + "\n")
     except OSError as exc:
-        raise SystemExit(f"error: cannot write {path}: {exc}")
+        _fail(f"cannot write {path}: {exc}")
 
 
 def _print_config(name: str, config: dict[str, Any]) -> None:
@@ -80,9 +94,9 @@ def _load_config(path: str | None) -> dict[str, Any]:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read config {path}: {exc}")
+        _fail(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
-        raise SystemExit(f"error: config {path} must be a JSON object")
+        _fail(f"config {path} must be a JSON object")
     return data
 
 

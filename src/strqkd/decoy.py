@@ -24,7 +24,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .keyrate import KeyRateReport, binary_entropy, compound_error
+from .keyrate import (
+    KeyRateReport,
+    binary_entropy,
+    check_protocol_parameters,
+    compound_error,
+)
 
 __all__ = [
     "LinkPhysics",
@@ -86,6 +91,8 @@ class LinkStatistics:
     y0: float  # dark-count yield
     y1: float  # single-photon yield
     e1: float  # single-photon error rate
+    c0: float  # share of detected events from a vacuum emission
+    c1: float  # share of detected events from a single-photon emission
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,15 @@ def link_statistics(phys: LinkPhysics) -> LinkStatistics:
         raise ValueError(f"link with loss {phys.loss_db} dB has zero gain")
     e1 = _error_yield_n(phys, y0, eta, 1) / y1
     qber = (E_DARK * y0 * vac + phys.intrinsic_error * (1.0 - vac)) / gain
-    return LinkStatistics(gain=gain, qber=qber, y0=y0, y1=y1, e1=e1)
+    return LinkStatistics(
+        gain=gain,
+        qber=qber,
+        y0=y0,
+        y1=y1,
+        e1=e1,
+        c0=math.exp(-mu) * y0 / gain,
+        c1=mu * math.exp(-mu) * y1 / gain,
+    )
 
 
 def poisson_sum_statistics(phys: LinkPhysics, n_max: int = 30) -> LinkStatistics:
@@ -156,37 +171,33 @@ def poisson_sum_statistics(phys: LinkPhysics, n_max: int = 30) -> LinkStatistics
         y0=y0,
         y1=y1,
         e1=_error_yield_n(phys, y0, eta, 1) / y1,
+        c0=math.exp(-mu) * y0 / gain,
+        c1=mu * math.exp(-mu) * y1 / gain,
     )
-
-
-def _conditional_photon_fractions(phys: LinkPhysics) -> tuple[float, float, float]:
-    """(c0, c1, e1): probability that a detected event came from a vacuum /
-    single-photon emission, and the single-photon error rate."""
-    stats = link_statistics(phys)
-    mu = phys.mu
-    c0 = math.exp(-mu) * stats.y0 / stats.gain
-    c1 = mu * math.exp(-mu) * stats.y1 / stats.gain
-    return c0, c1, stats.e1
 
 
 def decoy_fractions(links: Sequence[LinkPhysics]) -> DecoyFractions:
     """Tagged-fraction accounting for a chain of links."""
-    if not links:
+    return _fractions([link_statistics(p) for p in links])
+
+
+def _fractions(stats: Sequence[LinkStatistics]) -> DecoyFractions:
+    if not stats:
         raise ValueError("need at least one link")
-    cond = [_conditional_photon_fractions(p) for p in links]
-    c0_first, c1_first, e1_first = cond[0]
-    f_v = c0_first
-    f_s_s = c1_first
-    f_s_vs = c1_first
-    errors_ss = [e1_first]
-    errors_svs = [e1_first]
-    for c0, c1, e1 in cond[1:]:
-        f_s_s *= c1
-        f_s_vs *= c0 + c1
-        errors_ss.append(e1)
+    first = stats[0]
+    f_v = first.c0
+    f_s_s = first.c1
+    f_s_vs = first.c1
+    errors_ss = [first.e1]
+    errors_svs = [first.e1]
+    for s in stats[1:]:
+        f_s_s *= s.c1
+        f_s_vs *= s.c0 + s.c1
+        errors_ss.append(s.e1)
         # Within the vacuum-or-single class, a vacuum detection is a dark
         # count and contributes error 1/2; so does an empty class (f_s_vs = 0).
-        errors_svs.append((c0 * E_DARK + c1 * e1) / (c0 + c1) if c0 + c1 else E_DARK)
+        vs = s.c0 + s.c1
+        errors_svs.append((s.c0 * E_DARK + s.c1 * s.e1) / vs if vs else E_DARK)
     return DecoyFractions(
         f_v=f_v,
         f_s_s=f_s_s,
@@ -216,8 +227,9 @@ def decoy_rate(
     mode), and f_m the tagged fraction.  ``per_clock`` rescales by the
     all-links coincidence gain and the per-link sifting factors.
     """
+    check_protocol_parameters(p_z, f_ec)
     stats = [link_statistics(p) for p in links]
-    fractions = decoy_fractions(links)
+    fractions = _fractions(stats)
     e_total = compound_error([s.qber for s in stats])
     if conservative:
         f_single, e_single = fractions.f_s_s, fractions.e_s_s
@@ -250,16 +262,16 @@ def conventional_decoy_rate(
     Per link and clock cycle: Q sift [c1 (1 - h(e1)) - f_EC h(E)] with c1
     the single-photon detected fraction; a chain takes its worst link.
     """
+    check_protocol_parameters(p_z, f_ec)
     if isinstance(links, LinkPhysics):
         links = [links]
     reports = []
     for phys in links:
         stats = link_statistics(phys)
-        _, c1, e1 = _conditional_photon_fractions(phys)
         report = KeyRateReport(
-            entropy_term=c1,
+            entropy_term=stats.c1,
             leak_term=f_ec * binary_entropy(stats.qber),
-            holevo_term=c1 * binary_entropy(e1),
+            holevo_term=stats.c1 * binary_entropy(stats.e1),
             tagged_term=0.0,
         )
         if per_clock:

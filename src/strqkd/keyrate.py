@@ -17,6 +17,7 @@ __all__ = [
     "KeyRateReport",
     "RateInputs",
     "binary_entropy",
+    "check_protocol_parameters",
     "compound_error",
     "basis_vectors",
     "str_rate_qubit",
@@ -73,6 +74,15 @@ class KeyRateReport:
         )
 
 
+def check_protocol_parameters(p_z: float, f_ec: float) -> None:
+    """Raise ValueError unless the Z-basis probability ``p_z`` lies in
+    (0, 1) and the error-correction efficiency ``f_ec`` is at least 1."""
+    if not 0.0 < p_z < 1.0:
+        raise ValueError(f"p_z must lie in (0, 1), got {p_z}")
+    if not f_ec >= 1.0:  # also rejects nan
+        raise ValueError(f"f_ec must be >= 1, got {f_ec}")
+
+
 @dataclass(frozen=True)
 class RateInputs:
     """Inputs for the STR qubit rate.
@@ -90,10 +100,7 @@ class RateInputs:
     key_entropy: float | Mapping[tuple[int, ...], float] = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_z < 1.0:
-            raise ValueError(f"p_z must lie in (0, 1), got {self.p_z}")
-        if self.f_ec < 1.0:
-            raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
+        check_protocol_parameters(self.p_z, self.f_ec)
         for u, e in self.error_rates.items():
             if not 0.0 <= e <= 1.0:
                 raise ValueError(f"error rate for {u} out of [0, 1]: {e}")

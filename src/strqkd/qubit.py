@@ -7,6 +7,14 @@ state onto the Bell-diagonal family, basis-dependent error-rate functionals,
 and a numerical Holevo oracle that certifies the entropic bound used by the
 key-rate formulas.
 
+The security quantities of a Bell-diagonal state all come from one kernel,
+``_branches``: the canonical purification projected onto each of the node's
+four rotated-Bell outcomes (a, b) at once.  The announcement statistics and
+the conditioned end-user states are contractions of that array.  The Holevo
+oracle never forms Eve's 16x16 states: the purified state is pure on
+(A, B, E) for each announcement, also once Alice's bit is fixed, so Eve's
+state has the nonzero spectrum of the branch's Gram matrix on (A, B).
+
 Qubit ordering throughout is (A, T, T', B): Alice's half of the first link,
 the node's receive and send halves, Bob's half of the second link.  All
 functions are pure; logs are base 2.
@@ -14,6 +22,7 @@ functions are pure; logs are base 2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -25,7 +34,6 @@ __all__ = [
     "X_BASIS",
     "pauli",
     "bell_vector",
-    "bell_state",
     "bb84_vector",
     "bb84_projector",
     "rotated_bell_basis",
@@ -35,19 +43,17 @@ __all__ = [
     "basis_error_rate",
     "von_neumann_entropy",
     "bell_announcement_stats",
+    "conditional_end_user_state",
     "holevo_oracle",
     "holevo_bound",
     "random_density_matrix",
     "random_bell_diagonal",
-    "check_density_matrix",
 ]
 
 Z_BASIS = 0
 X_BASIS = 1
 
-# Tolerances for density-matrix validation and eigenvalue clamping.
-TRACE_TOL = 1e-10
-HERMITICITY_TOL = 1e-10
+# Eigenvalues down to -PSD_TOL are round-off and count as zero.
 PSD_TOL = 1e-10
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -67,12 +73,6 @@ def bell_vector(a: int, b: int) -> np.ndarray:
     for k in (0, 1):
         out[2 * (k ^ b) + k] = (-1.0) ** (a * k)
     return out / np.sqrt(2.0)
-
-
-def bell_state(a: int, b: int) -> np.ndarray:
-    """Rank-1 projector onto |Phi_{a,b}>."""
-    v = bell_vector(a, b)
-    return np.outer(v, v.conj())
 
 
 def bb84_vector(u: int, x: int) -> np.ndarray:
@@ -105,22 +105,7 @@ def rotated_bell_basis(u1: int, u2: int) -> list[np.ndarray]:
 
 
 def _multi_kron(*mats: np.ndarray) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def _twirl_unitaries() -> list[np.ndarray]:
-    units = []
-    for r, s, rp, sp in itertools.product((0, 1), repeat=4):
-        u_first = pauli(r, s)
-        u_second = pauli(rp, sp)
-        units.append(_multi_kron(u_first, u_first, u_second, u_second))
-    return units
-
-
-_TWIRL_UNITARIES = _twirl_unitaries()
+    return functools.reduce(np.kron, mats)
 
 
 def tensored_bell_basis_matrix() -> np.ndarray:
@@ -132,6 +117,33 @@ def tensored_bell_basis_matrix() -> np.ndarray:
 
 _BELL_BASIS_16 = tensored_bell_basis_matrix()
 
+# Correlated Pauli pairs U_{r,s} x U_{r,s} x U_{r',s'} x U_{r',s'}.
+_TWIRL_UNITARIES = np.array(
+    [
+        _multi_kron(pauli(r, s), pauli(r, s), pauli(rp, sp), pauli(rp, sp))
+        for r, s, rp, sp in itertools.product((0, 1), repeat=4)
+    ]
+)
+
+# _BB84_BRA[u][x] = <phi^u_x|.
+_BB84_BRA = np.array([[bb84_vector(u, x).conj() for x in (0, 1)] for u in (0, 1)])
+
+# _ROTATED_BELL_BRA[u1, u2, a, b] = the (a, b) rotated-Bell bra on (T, T').
+_ROTATED_BELL_BRA = np.array(
+    [[rotated_bell_basis(u1, u2) for u2 in (0, 1)] for u1 in (0, 1)]
+).conj().reshape(2, 2, 2, 2, 2, 2)
+
+# _ODD[b, x, y]: Alice's bit x and Bob's bit y disagree after his b-correction.
+_ODD = np.indices((2, 2, 2)).sum(axis=0) % 2
+
+# Error outcomes (x, t, t', y) of basis_error_rate, in lex order.
+_ODD_16 = np.indices((2,) * 4).sum(axis=0).reshape(16) % 2 == 1
+
+# _KEY_PROJECTORS[u, x] projects (A, B) onto Alice's bit x in basis u.
+_KEY_PROJECTORS = np.array(
+    [[np.kron(bb84_projector(u, x), np.eye(2)) for x in (0, 1)] for u in (0, 1)]
+)
+
 
 def twirl(rho: np.ndarray) -> np.ndarray:
     """Average rho over correlated Pauli conjugations in both links.
@@ -141,10 +153,8 @@ def twirl(rho: np.ndarray) -> np.ndarray:
     """
     if rho.shape != (16, 16):
         raise ValueError(f"twirl expects a 16x16 matrix, got shape {rho.shape}")
-    out = np.zeros_like(rho, dtype=complex)
-    for u in _TWIRL_UNITARIES:
-        out += u @ rho @ u.conj().T
-    return out / len(_TWIRL_UNITARIES)
+    u = _TWIRL_UNITARIES
+    return (u @ rho @ u.conj().transpose(0, 2, 1)).mean(axis=0)
 
 
 def _as_alpha(alpha) -> np.ndarray:
@@ -168,18 +178,6 @@ def bell_diagonal_to_density(alpha) -> np.ndarray:
     return (_BELL_BASIS_16 * arr) @ _BELL_BASIS_16.conj().T
 
 
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is a valid density matrix."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace must be 1, got {np.trace(rho)}")
-    if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-
-
 def basis_error_rate(rho: np.ndarray, u1: int, u2: int) -> float:
     """Error rate between Alice's bit and Bob's parity-corrected bit.
 
@@ -189,18 +187,18 @@ def basis_error_rate(rho: np.ndarray, u1: int, u2: int) -> float:
     """
     if rho.shape != (16, 16):
         raise ValueError(f"expected a 16x16 matrix, got shape {rho.shape}")
-    total = 0.0
-    for x, t, tp, y in itertools.product((0, 1), repeat=4):
-        if (x ^ t ^ tp ^ y) != 1:
-            continue
-        v = _multi_kron(
-            bb84_vector(u1, x),
-            bb84_vector(u1, t),
-            bb84_vector(u2, tp),
-            bb84_vector(u2, y),
-        )
-        total += float(np.real(v.conj() @ rho @ v))
-    return min(max(total, 0.0), 1.0)
+    bra = _multi_kron(_BB84_BRA[u1], _BB84_BRA[u1], _BB84_BRA[u2], _BB84_BRA[u2])
+    outcome_probs = np.real(((bra @ rho) * bra.conj()).sum(axis=1))
+    return min(max(float(outcome_probs[_ODD_16].sum()), 0.0), 1.0)
+
+
+def _entropy(eigvals: np.ndarray) -> float:
+    # -sum_i lambda_i log2 lambda_i with 0 log 0 = 0; eigenvalues in
+    # [-PSD_TOL, 0) are round-off, anything more negative is rejected.
+    if eigvals.min() < -PSD_TOL:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {eigvals.min()}")
+    nonzero = eigvals[eigvals > 0.0]
+    return float(-(nonzero * np.log2(nonzero)).sum())
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -209,26 +207,17 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything more negative
     is rejected.
     """
-    eigvals = np.linalg.eigvalsh(rho)
-    if eigvals.min() < -PSD_TOL:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {eigvals.min()}")
-    eigvals = np.clip(eigvals, 0.0, None)
-    nonzero = eigvals[eigvals > 0.0]
-    return float(-(nonzero * np.log2(nonzero)).sum())
+    return _entropy(np.linalg.eigvalsh(rho))
 
 
-def _entropy_of_eigvals(eigvals: np.ndarray) -> float:
-    eigvals = np.clip(eigvals, 0.0, None)
-    nonzero = eigvals[eigvals > 1e-300]
-    return float(-(nonzero * np.log2(nonzero)).sum())
-
-
-def _purification_tensor(alpha) -> np.ndarray:
-    # |Psi> = sum_i sqrt(lambda_i) |i>_{ATB} |i>_E with E of dimension 16;
-    # for a Bell-diagonal state the eigenvectors are the tensored Bell basis.
-    arr = _as_alpha(alpha)
-    m = _BELL_BASIS_16 * np.sqrt(arr)
-    return m.reshape(2, 2, 2, 2, 16)  # axes: A, T, T', B, E
+def _branches(alpha, u1: int, u2: int) -> np.ndarray:
+    # Unnormalised (A, B, E) state left by each rotated-Bell announcement,
+    # axes (a, b, A, B, E), from the canonical purification
+    # |Psi> = sum_i sqrt(alpha_i) |i>_{ATT'B} |i>_E; the eigenvectors i are
+    # the tensored Bell basis.  Each squared norm, the announcement
+    # probability, is 1/4, since the node's two qubits are maximally mixed.
+    psi = (_BELL_BASIS_16 * np.sqrt(_as_alpha(alpha))).reshape(2, 2, 2, 2, 16)
+    return np.einsum("abtu,AtuBe->abABe", _ROTATED_BELL_BRA[u1, u2], psi)
 
 
 def bell_announcement_stats(alpha, u1: int, u2: int):
@@ -240,31 +229,12 @@ def bell_announcement_stats(alpha, u1: int, u2: int):
     error rate between Alice's bit (basis u1) and Bob's b-corrected bit
     (basis u2).
     """
-    psi = _purification_tensor(alpha)
-    basis = rotated_bell_basis(u1, u2)
-    p = np.zeros((2, 2))
-    e = np.zeros((2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            beta = basis[2 * a + b].reshape(2, 2)
-            cond = np.einsum("tu,atube->abe", beta.conj(), psi)
-            prob = float(np.real(np.einsum("abe,abe->", cond, cond.conj())))
-            p[a, b] = prob
-            if prob <= 0.0:
-                continue
-            err = 0.0
-            for x, y in itertools.product((0, 1), repeat=2):
-                if (x ^ y ^ b) != 1:
-                    continue
-                amp = np.einsum(
-                    "a,b,abe->e",
-                    bb84_vector(u1, x).conj(),
-                    bb84_vector(u2, y).conj(),
-                    cond,
-                )
-                err += float(np.real(amp.conj() @ amp))
-            e[a, b] = err / prob
-    return p, e
+    amps = np.einsum(
+        "xA,yB,abABe->abxye", _BB84_BRA[u1], _BB84_BRA[u2], _branches(alpha, u1, u2)
+    )
+    joint = (np.abs(amps) ** 2).sum(axis=-1)  # a, b, x, y
+    p = joint.sum(axis=(2, 3))
+    return p, (joint * _ODD).sum(axis=(2, 3)) / p
 
 
 def conditional_end_user_state(
@@ -277,13 +247,8 @@ def conditional_end_user_state(
     symmetry: the result at (u1, u2, a, b) equals the one at the
     complementary bases with (a, b) swapped.
     """
-    psi = _purification_tensor(alpha)
-    beta = rotated_bell_basis(u1, u2)[2 * a + b].reshape(2, 2)
-    cond = np.einsum("tu,atube->abe", beta.conj(), psi)
-    p_ab = float(np.real(np.einsum("abe,abe->", cond, cond.conj())))
-    if p_ab <= 0.0:
-        return 0.0, np.zeros((4, 4), dtype=complex)
-    flat = cond.reshape(4, 16)
+    flat = _branches(alpha, u1, u2)[a, b].reshape(4, 16)
+    p_ab = float(np.real(np.vdot(flat, flat)))
     return p_ab, (flat @ flat.conj().T) / p_ab
 
 
@@ -293,45 +258,20 @@ def holevo_oracle(alpha, u1: int, u2: int) -> float:
     Eve holds the purifying register of the canonical purification plus the
     classical announcement register carrying the full rotated-Bell outcome
     (a, b); X is Alice's key bit from measuring her qubit in basis u1.
+    chi = S(E, ab) - sum_x p_x S(E, ab | x), each a classical-quantum
+    entropy over the announcement blocks.
     """
-    psi = _purification_tensor(alpha)
-    basis = rotated_bell_basis(u1, u2)
-
-    # Joint weights q[x][(a,b)] and (unnormalized) Eve blocks per branch.
-    branch: list[dict[tuple[int, int], tuple[float, np.ndarray]]] = [{}, {}]
-    uncond: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            beta = basis[2 * a + b].reshape(2, 2)
-            cond = np.einsum("tu,atube->abe", beta.conj(), psi)  # A, B, E
-            p_ab = float(np.real(np.einsum("abe,abe->", cond, cond.conj())))
-            if p_ab <= 1e-15:
-                continue
-            flat = cond.reshape(4, 16)
-            uncond[(a, b)] = (p_ab, flat.T @ flat.conj())
-            for x in (0, 1):
-                amp = np.einsum("a,abe->be", bb84_vector(u1, x).conj(), cond)
-                q = float(np.real(np.einsum("be,be->", amp, amp.conj())))
-                if q <= 1e-15:
-                    continue
-                branch[x][(a, b)] = (q, amp.T @ amp.conj())
-
-    def _cq_entropy(blocks: dict) -> float:
-        # Entropy of sum_ab p_ab rho_ab x |ab><ab|  =  H({p}) + sum p S(rho).
-        total = sum(p for p, _ in blocks.values())
-        out = 0.0
-        for p, rho_unnorm in blocks.values():
-            w = p / total
-            out += -w * np.log2(w)
-            out += w * _entropy_of_eigvals(np.linalg.eigvalsh(rho_unnorm / p))
-        return out
-
-    p_x = [sum(p for p, _ in branch[x].values()) for x in (0, 1)]
-    chi = _cq_entropy(uncond)
-    for x in (0, 1):
-        if p_x[x] > 0.0:
-            chi -= p_x[x] * _cq_entropy(branch[x])
-    return max(0.0, chi)
+    # Row 0: the branches; rows 1, 2: the branches with Alice's qubit
+    # projected onto her bit x = 0, 1.  Each branch is pure on (A, B, E), so
+    # Eve's block shares its nonzero spectrum with the branch's 4x4 Gram
+    # matrix on (A, B); in rows 1, 2 that is the spectrum of the 2x2 Gram
+    # matrix on B.
+    flat = _branches(alpha, u1, u2).reshape(1, 2, 2, 4, 16)
+    amps = np.concatenate([flat, _KEY_PROJECTORS[u1][:, None, None] @ flat])
+    eig = np.linalg.eigvalsh(amps @ amps.conj().swapaxes(-1, -2)).reshape(3, 16)
+    weight = eig.sum(axis=1)  # total, p_0, p_1
+    s_all, s_0, s_1 = (_entropy(lam / w) for lam, w in zip(eig, weight))
+    return max(0.0, s_all - weight[1] * s_0 - weight[2] * s_1)
 
 
 def holevo_bound(alpha, u1: int, u2: int) -> float:
@@ -344,10 +284,8 @@ def holevo_bound(alpha, u1: int, u2: int) -> float:
     p, _ = bell_announcement_stats(alpha, u1, u2)
     _, e_comp = bell_announcement_stats(alpha, u1 ^ 1, u2 ^ 1)
     total = 0.0
-    for a in (0, 1):
-        for b in (0, 1):
-            if p[a, b] > 0.0:
-                total += p[a, b] * binary_entropy(min(max(e_comp[b, a], 0.0), 1.0))
+    for a, b in itertools.product((0, 1), repeat=2):
+        total += p[a, b] * binary_entropy(min(max(e_comp[b, a], 0.0), 1.0))
     return total
 
 

@@ -23,10 +23,26 @@ class TestParseGrid:
         assert cli.parse_grid("2:2:1") == [2.0]
 
     def test_rejects_malformed(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             cli.parse_grid("0-1-2")
-        with pytest.raises(SystemExit):
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
             cli.parse_grid("1:0:0.1")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        # The last three would hold more than MAX_GRID_POINTS points; they are
+        # rejected before any point is built.
+        ["nan:1:1", "0:inf:1", "0:1:nan", "0:1e308:1e-308", "0:1:1e-300",
+         f"0:{cli.MAX_GRID_POINTS}:1"],
+    )
+    def test_rejects_non_finite_and_oversized(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_grid(spec)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEmitCsv:
@@ -56,8 +72,9 @@ class TestEmitCsv:
         assert raw.endswith(b"\n")
 
     def test_unwritable_path(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             cli.emit_csv(str(tmp_path / "no" / "dir.csv"), ["x"], [])
+        assert exc.value.code == 2
 
 
 class TestQubitRate:
@@ -184,8 +201,20 @@ class TestConfigFile:
     def test_bad_config_rejected(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text("not json")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["--config", str(config), "qubit-rate", "--e-link", "0.03"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("content", [None, "[1, 2]"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        config = tmp_path / "cfg.json"
+        if content is not None:
+            config.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(config), "fig2-sweep"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -228,10 +257,18 @@ class TestBoundary:
             (["decoy-sweep", "--loss-db", "0:2:2", "--mu", "0.3", "--e-det", "0.5"], 0),
             (["montecarlo", "--rounds", "1000", "--workers", "0"], 2),
             (["montecarlo", "--rounds", "1000", "--workers", "-3"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--p-z", "5"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--p-z", "0"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--f-ec", "0.9"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--scenario", "conventional",
+              "--f-ec", "0.9"], 2),
+            (["fig2-sweep", "--e-link", "0:1e308:1e-308"], 2),
+            (["fig2-sweep", "--e-link", "1:0:1"], 2),
+            (["fig2-sweep", "--e-link", "0:1:1e-300"], 2),
         ],
     )
     def test_exit_code(self, argv, code, capsys):
-        assert cli.main(argv + ["--output", os.devnull]) == code
+        assert exit_code(argv + ["--output", os.devnull]) == code
         err = capsys.readouterr().err
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1

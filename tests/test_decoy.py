@@ -5,6 +5,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strqkd import decoy, keyrate
 from strqkd.acceptance_checks import fraction_identity_residual, poisson_oracle_deviation
@@ -142,6 +144,31 @@ class TestDecoyRate:
         assert decoy.decoy_rate(worse_loss).rate <= r0
         assert decoy.decoy_rate(worse_dark).rate <= r0
         assert decoy.decoy_rate(worse_err).rate <= r0
+
+    @given(
+        loss1=st.floats(0.0, 80.0),
+        loss2=st.floats(0.0, 80.0),
+        mu=st.floats(0.01, 1.0),
+        num_links=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_increasing_in_loss(self, loss1, loss2, mu, num_links):
+        lo, hi = (
+            decoy.decoy_rate([LinkPhysics(loss_db=loss, mu=mu, **FIG3B)] * num_links)
+            for loss in sorted((loss1, loss2))
+        )
+        # Round-off allowance relative to the per-clock scale of the terms.
+        assert hi.rate <= lo.rate + 1e-12 * lo.entropy_term
+
+    @pytest.mark.parametrize("kwargs", [dict(p_z=0.0), dict(p_z=5.0), dict(f_ec=0.9)])
+    def test_rejects_invalid_protocol_parameters(self, kwargs):
+        links = [LinkPhysics(loss_db=5.0, mu=0.3, **FIG3B)] * 2
+        with pytest.raises(ValueError):
+            decoy.decoy_rate(links, **kwargs)
+        with pytest.raises(ValueError):
+            decoy.conventional_decoy_rate(links, **kwargs)
+        with pytest.raises(ValueError):
+            decoy.optimize_intensity(links, **kwargs)
 
 
 class TestConventionalDecoyRate:

@@ -201,3 +201,24 @@ class TestFig2Curves:
         for row in keyrate.fig2_curves(grid):
             assert row["rate_conventional"] >= row["rate_str1"] - 1e-12
             assert row["rate_str1"] >= row["rate_str2"] - 1e-12
+
+
+class TestMonotonicity:
+    # Rates are O(1) here; 1e-12 allows round-off only.  Near e = 1/2 the
+    # STR-2 and STR-3 curves are flat to below double precision, and
+    # neighbouring grid points there differ by up to ~2e-15 in either sign.
+    ERROR_RATE = st.floats(min_value=0.0, max_value=0.5)
+
+    @given(e1=ERROR_RATE, e2=ERROR_RATE, nodes=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_str_rate_non_increasing_in_link_error(self, e1, e2, nodes):
+        lo, hi = sorted((e1, e2))
+        worse = keyrate.uniform_str_rate(hi, nodes).unclamped
+        assert worse <= keyrate.uniform_str_rate(lo, nodes).unclamped + 1e-12
+
+    @given(e1=ERROR_RATE, e2=ERROR_RATE)
+    @settings(max_examples=60, deadline=None)
+    def test_conventional_rate_non_increasing_in_link_error(self, e1, e2):
+        lo, hi = sorted((e1, e2))
+        worse = keyrate.conventional_relay_rate(hi).unclamped
+        assert worse <= keyrate.conventional_relay_rate(lo).unclamped + 1e-12

@@ -250,7 +250,68 @@ class TestVonNeumannEntropy:
             qubit.von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
+def reference_holevo(alpha, u1, u2):
+    """chi(X : E, ab) from Eve's explicit 16x16 blocks: conditioned on each
+    announcement (a, b), and also on Alice's bit x."""
+    psi = qubit.tensored_bell_basis_matrix() * np.sqrt(alpha)
+    psi = psi.reshape(2, 2, 2, 2, 16)  # A, T, T', B, E
+    blocks = {None: [], 0: [], 1: []}
+    for a, b in itertools.product((0, 1), repeat=2):
+        beta = qubit.rotated_bell_basis(u1, u2)[2 * a + b].reshape(2, 2)
+        cond = np.einsum("tu,atube->abe", beta.conj(), psi)
+        amp = cond.reshape(4, 16)
+        blocks[None].append(amp.T @ amp.conj())
+        for x in (0, 1):
+            amp = np.einsum("a,abe->be", qubit.bb84_vector(u1, x).conj(), cond)
+            blocks[x].append(amp.T @ amp.conj())
+
+    def weight_and_entropy(mats):
+        # Entropy of the block-diagonal state sum_ab rho_ab x |ab><ab|.
+        eig = np.clip(np.concatenate([np.linalg.eigvalsh(m) for m in mats]), 0.0, None)
+        weight = eig.sum()
+        eig = eig[eig > 0.0] / weight
+        return weight, float(-(eig * np.log2(eig)).sum())
+
+    _, chi = weight_and_entropy(blocks[None])
+    for x in (0, 1):
+        p_x, s_x = weight_and_entropy(blocks[x])
+        chi -= p_x * s_x
+    return max(0.0, chi)
+
+
 class TestHolevoOracle:
+    def test_matches_explicit_eve_blocks(self):
+        rng = np.random.default_rng(3)
+        alphas = [qubit.random_bell_diagonal(rng) for _ in range(30)]
+        rank_two = np.zeros(16)
+        rank_two[[0, 8]] = (0.9, 0.1)
+        alphas += [rank_two, np.ones(16) / 16]
+        for alpha in alphas:
+            for u1, u2 in itertools.product((0, 1), repeat=2):
+                chi = qubit.holevo_oracle(alpha, u1, u2)
+                assert abs(chi - reference_holevo(alpha, u1, u2)) < 1e-12
+
+    def test_announcement_stats_match_conditional_states(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            alpha = qubit.random_bell_diagonal(rng)
+            for u1, u2 in itertools.product((0, 1), repeat=2):
+                p, e = qubit.bell_announcement_stats(alpha, u1, u2)
+                assert p.sum() == pytest.approx(1.0, abs=1e-12)
+                # The node's qubits are maximally mixed: uniform announcements.
+                assert np.abs(p - 0.25).max() < 1e-12
+                for a, b in itertools.product((0, 1), repeat=2):
+                    p_ab, rho = qubit.conditional_end_user_state(alpha, u1, u2, a, b)
+                    assert p[a, b] == pytest.approx(p_ab, abs=1e-12)
+                    # Errors: Alice's x and Bob's y with x + y + b odd.
+                    err = 0.0
+                    for x, y in itertools.product((0, 1), repeat=2):
+                        if x ^ y ^ b:
+                            v = kron(qubit.bb84_vector(u1, x), qubit.bb84_vector(u2, y))
+                            err += np.real(np.vdot(v, rho @ v))
+                    assert e[a, b] == pytest.approx(err, abs=1e-12)
+
+
     def test_pure_bell_pairs_decoupled(self):
         alpha = np.zeros(16)
         alpha[0] = 1.0
