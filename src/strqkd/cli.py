@@ -231,14 +231,11 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     analytic = keyrate.compound_error([cfg.flip_prob] * cfg.num_links)
     header = ["basis_vector", "errors", "samples", "rate", "analytic_rate"]
     rows = []
-    for u in sorted(table.counts):
-        errors, samples = table.counts[u]
-        label = "".join(str(b) for b in u)
-        rows.append([label, errors, samples, table.rate(u), analytic])
-        print(
-            f"u={label}: {errors}/{samples} "
-            f"rate={table.rate(u):.6g} (analytic {analytic:.6g})"
-        )
+    columns = (table.errors.tolist(), table.samples.tolist(), table.rates.tolist())
+    for code, (errors, samples, rate) in enumerate(zip(*columns)):
+        label = keyrate.basis_label(code, cfg.num_links)
+        rows.append([label, errors, samples, rate, analytic])
+        print(f"u={label}: {errors}/{samples} rate={rate:.6g} (analytic {analytic:.6g})")
     if args.output:
         emit_csv(args.output, header, rows)
         print(f"wrote {len(rows)} rows to {args.output}")

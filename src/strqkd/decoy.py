@@ -46,6 +46,10 @@ __all__ = [
 E_DARK = 0.5  # error rate of a dark-count click
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
+# optimize_intensity: points of the log-spaced coarse scan, and the width of
+# the bracket at which golden-section refinement stops.
+GRID_POINTS = 200
+MU_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class LinkPhysics:
     mu: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.loss_db < 0.0:
+        if not self.loss_db >= 0.0:  # also rejects nan
             raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError(
@@ -73,8 +77,8 @@ class LinkPhysics:
             raise ValueError(
                 f"intrinsic_error must lie in [0, 1/2], got {self.intrinsic_error}"
             )
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
     @property
     def transmittance(self) -> float:
@@ -301,8 +305,6 @@ def optimize_intensity(
     mu_bounds: tuple[float, float] = (1e-4, 2.0),
     mode: str = "str",
     conservative: bool = False,
-    grid_points: int = 200,
-    mu_tol: float = 1e-4,
 ) -> tuple[float, KeyRateReport]:
     """Optimize a single source intensity shared by all links.
 
@@ -319,14 +321,14 @@ def optimize_intensity(
     def objective(mu: float) -> float:
         return _rate_at_mu(links, mu, f_ec, p_z, conservative, mode).unclamped
 
-    grid = [lo * (hi / lo) ** (i / (grid_points - 1)) for i in range(grid_points)]
+    grid = [lo * (hi / lo) ** (i / (GRID_POINTS - 1)) for i in range(GRID_POINTS)]
     values = [objective(mu) for mu in grid]
-    best = max(range(grid_points), key=lambda i: values[i])
+    best = max(range(GRID_POINTS), key=lambda i: values[i])
     if values[best] <= 0.0:
         return lo, _rate_at_mu(links, lo, f_ec, p_z, conservative, mode)
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_points - 1)]
-    mu_star = _golden_section_max(objective, a, b, mu_tol)
+    b = grid[min(best + 1, GRID_POINTS - 1)]
+    mu_star = _golden_section_max(objective, a, b, MU_TOL)
     return mu_star, _rate_at_mu(links, mu_star, f_ec, p_z, conservative, mode)
 
 

@@ -10,16 +10,17 @@ comparison curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 __all__ = [
     "KeyRateReport",
     "RateInputs",
+    "MAX_NODES",
     "binary_entropy",
     "check_protocol_parameters",
     "compound_error",
-    "basis_vectors",
+    "basis_label",
     "str_rate_qubit",
     "uniform_str_rate",
     "node_focused_rate",
@@ -87,51 +88,42 @@ def check_protocol_parameters(p_z: float, f_ec: float) -> None:
 class RateInputs:
     """Inputs for the STR qubit rate.
 
-    ``error_rates`` maps each basis vector u = (u_1, ..., u_{m+1}) (0 = Z,
-    1 = X, one entry per link) to the observed error rate between Alice's
-    raw key and Bob's corrected raw key.  ``key_entropy`` is the Shannon
-    entropy of Alice's key data per basis combination; the default of one
-    bit corresponds to uniformly random signal bits.
+    ``error_rates[code]`` is the observed error rate between Alice's raw key
+    and Bob's corrected raw key for the basis vector spelled by ``code`` (see
+    :func:`basis_label`); code ``2^links - 1 - code`` is its complement.  Key
+    bits are uniformly random, one bit of entropy per signal.
     """
 
-    error_rates: Mapping[tuple[int, ...], float]
+    error_rates: Sequence[float]
     p_z: float = 0.5
     f_ec: float = 1.0
-    key_entropy: float | Mapping[tuple[int, ...], float] = 1.0
 
     def __post_init__(self) -> None:
         check_protocol_parameters(self.p_z, self.f_ec)
-        for u, e in self.error_rates.items():
+        for code, e in enumerate(self.error_rates):
             if not 0.0 <= e <= 1.0:
-                raise ValueError(f"error rate for {u} out of [0, 1]: {e}")
-
-    def entropy_for(self, u: tuple[int, ...]) -> float:
-        if isinstance(self.key_entropy, Mapping):
-            return self.key_entropy[u]
-        return float(self.key_entropy)
+                raise ValueError(f"error rate of basis vector {code} not in [0, 1]: {e}")
 
 
-def _link_basis_weight(p_z: float, u: int) -> float:
-    # Probability that a sifted event in one link used basis u: both parties
-    # chose u, renormalized over the two matching combinations.
+def _basis_weights(p_z: float, links: int) -> list[float]:
+    # Probability p_u of each basis vector, indexed by code.  Per link, a
+    # sifted event used basis Z or X when both parties chose it, renormalized
+    # over the two matching combinations; the links multiply left to right.
     match = p_z * p_z + (1.0 - p_z) * (1.0 - p_z)
     w_z = p_z * p_z / match
-    return w_z if u == 0 else 1.0 - w_z
-
-
-def _basis_vector_weight(p_z: float, u: tuple[int, ...]) -> float:
-    w = 1.0
-    for ui in u:
-        w *= _link_basis_weight(p_z, ui)
-    return w
+    link_weights = (w_z, 1.0 - w_z)
+    weights = [1.0]
+    for _ in range(links):
+        weights = [w * w_link for w in weights for w_link in link_weights]
+    return weights
 
 
 def str_rate_qubit(inputs: RateInputs, num_nodes: int) -> KeyRateReport:
     """STR key rate for a chain with ``num_nodes`` intermediate nodes.
 
     rate = sum_u p_u H(K^u) - f_EC sum_u p_u h(e^u) - sum_u p_~u h(e^u),
-    where ~u complements every link's basis choice and p_u is the product of
-    per-link basis weights.
+    where ~u complements every link's basis choice, p_u is the product of
+    per-link basis weights and H(K^u) is one bit.
     """
     links = num_nodes + 1
     expected = 1 << links
@@ -140,17 +132,14 @@ def str_rate_qubit(inputs: RateInputs, num_nodes: int) -> KeyRateReport:
             f"error-rate table must have {expected} entries for "
             f"{num_nodes} node(s), got {len(inputs.error_rates)}"
         )
+    weights = _basis_weights(inputs.p_z, links)
     entropy = leak = holevo = 0.0
-    for u, e in inputs.error_rates.items():
-        if len(u) != links:
-            raise ValueError(f"basis vector {u} has wrong length, expected {links}")
-        p_u = _basis_vector_weight(inputs.p_z, u)
-        u_comp = tuple(ui ^ 1 for ui in u)
-        p_comp = _basis_vector_weight(inputs.p_z, u_comp)
+    for code, e in enumerate(inputs.error_rates):
+        p_u = weights[code]
         h_e = binary_entropy(e)
-        entropy += p_u * inputs.entropy_for(u)
+        entropy += p_u
         leak += inputs.f_ec * p_u * h_e
-        holevo += p_comp * h_e
+        holevo += weights[-1 - code] * h_e
     return KeyRateReport(entropy_term=entropy, leak_term=leak, holevo_term=holevo)
 
 
@@ -217,10 +206,10 @@ def uniform_str_rate(
     error rates are the compound error of the ``num_nodes + 1`` links."""
     if not 0.0 <= e_link <= 0.5:
         raise ValueError(f"e_link must lie in [0, 1/2], got {e_link}")
-    if num_nodes < 0:
-        raise ValueError(f"num_nodes must be >= 0, got {num_nodes}")
+    if not 0 <= num_nodes <= MAX_NODES:
+        raise ValueError(f"num_nodes must lie in [0, {MAX_NODES}], got {num_nodes}")
     links = num_nodes + 1
-    table = dict.fromkeys(basis_vectors(links), compound_error([e_link] * links))
+    table = [compound_error([e_link] * links)] * (1 << links)
     inputs = RateInputs(error_rates=table, p_z=p_z, f_ec=f_ec)
     return str_rate_qubit(inputs, num_nodes=num_nodes)
 
@@ -252,10 +241,12 @@ def fig2_curves(
     return rows
 
 
-def basis_vectors(links: int) -> list[tuple[int, ...]]:
-    """All 2^links basis vectors (0 = Z, 1 = X per link); the one at index
-    i spells i in binary, first link most significant."""
-    return [
-        tuple((idx >> k) & 1 for k in range(links - 1, -1, -1))
-        for idx in range(1 << links)
-    ]
+# Largest node count for which a 2^(nodes + 1)-entry basis-vector table is
+# built; each node doubles the table, and the paper's chains have at most two.
+MAX_NODES = 16
+
+
+def basis_label(code: int, links: int) -> str:
+    """Basis vector of ``code`` as one digit per link (0 = Z, 1 = X): code i
+    spells i in binary, first link most significant."""
+    return format(code, f"0{links}b")

@@ -17,11 +17,11 @@ scenario seed, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .keyrate import basis_vectors
+from .keyrate import MAX_NODES
 
 __all__ = [
     "ChainConfig",
@@ -49,8 +49,10 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 0:
-            raise ValueError(f"num_nodes must be >= 0, got {self.num_nodes}")
+        if not 0 <= self.num_nodes <= MAX_NODES:
+            raise ValueError(
+                f"num_nodes must lie in [0, {MAX_NODES}], got {self.num_nodes}"
+            )
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not 0.0 <= self.flip_prob <= 0.5:
@@ -93,19 +95,19 @@ class PairedData:
 
 @dataclass
 class ErrorRateTable:
-    """Error and sample counts per basis vector u = (u_1, ..., u_{m+1}).
+    """Error and sample counts per basis vector, indexed by code: code i
+    spells the links' bases in binary (0 = Z, 1 = X), first link most
+    significant, as :func:`strqkd.keyrate.basis_label` prints it."""
 
-    The rate of a basis vector without samples is nan.
-    """
+    errors: np.ndarray  # int64
+    samples: np.ndarray  # int64
 
-    counts: dict[tuple[int, ...], tuple[int, int]] = field(default_factory=dict)
-
-    def rate(self, u: tuple[int, ...]) -> float:
-        errors, total = self.counts[u]
-        return errors / total if total else float("nan")
-
-    def total_errors(self) -> int:
-        return sum(e for e, _ in self.counts.values())
+    @property
+    def rates(self) -> np.ndarray:
+        """Error rate per code; nan for a basis vector without samples."""
+        observed = self.samples > 0
+        rates = np.full(len(self.samples), np.nan)
+        return np.divide(self.errors, self.samples, out=rates, where=observed)
 
 
 def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
@@ -185,13 +187,10 @@ def correct_and_estimate(paired: PairedData) -> ErrorRateTable:
     errors = paired.alice_bits != corrected
     weights = (1 << np.arange(links - 1, -1, -1)).astype(np.int64)
     codes = paired.bases.astype(np.int64) @ weights
-    total_per = np.bincount(codes, minlength=1 << links)
-    error_per = np.bincount(codes, weights=errors.astype(np.int64), minlength=1 << links)
+    size = 1 << links
     return ErrorRateTable(
-        counts={
-            u: (int(error_per[i]), int(total_per[i]))
-            for i, u in enumerate(basis_vectors(links))
-        }
+        errors=np.bincount(codes, weights=errors, minlength=size).astype(np.int64),
+        samples=np.bincount(codes, minlength=size),
     )
 
 

@@ -122,7 +122,7 @@ def test_criterion_6_monte_carlo_consistency():
     table0 = relay.correct_and_estimate(paired)
     report(
         "6 Monte Carlo vs analytic",
-        worst_z < 3.0 and noiseless_ok and table0.total_errors() == 0,
+        worst_z < 3.0 and noiseless_ok and not table0.errors.any(),
         f"max |z| = {worst_z:.2f} (3 sigma limit), noiseless exact: "
         f"{bool(noiseless_ok)}",
     )

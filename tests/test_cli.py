@@ -265,6 +265,10 @@ class TestBoundary:
             (["fig2-sweep", "--e-link", "0:1e308:1e-308"], 2),
             (["fig2-sweep", "--e-link", "1:0:1"], 2),
             (["fig2-sweep", "--e-link", "0:1:1e-300"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "nan"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "inf"], 2),
+            (["fig2-sweep", "--e-link", "0:0.1:0.1", "--nodes", "0,17"], 2),
+            (["montecarlo", "--rounds", "1000", "--nodes", "17"], 2),
         ],
     )
     def test_exit_code(self, argv, code, capsys):
@@ -272,6 +276,12 @@ class TestBoundary:
         err = capsys.readouterr().err
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_qubit_rate_node_count_bounded(self, capsys):
+        # qubit-rate takes no --output, so it is not a test_exit_code row.
+        assert exit_code(["qubit-rate", "--nodes", "17", "--e-link", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: num_nodes") and err.count("\n") == 1
 
     @given(nodes=st.integers(-3, 5), e_link=FINITE, f_ec=FINITE, p_z=FINITE)
     @settings(max_examples=60, deadline=None)

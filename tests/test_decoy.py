@@ -50,6 +50,9 @@ class TestLinkStatistics:
             LinkPhysics(loss_db=0.0, detector_efficiency=0.0)
         with pytest.raises(ValueError):
             LinkPhysics(loss_db=0.0, mu=0.0)
+        for kwargs in ({"loss_db": math.nan}, {"mu": math.nan}, {"mu": math.inf}):
+            with pytest.raises(ValueError):
+                LinkPhysics(**({"loss_db": 0.0} | kwargs))
 
 
 class TestDecoyFractions:
@@ -123,7 +126,7 @@ class TestDecoyRate:
             links = [LinkPhysics(loss_db=loss, mu=0.3, **FIG3B)] * 2
             stats = [decoy.link_statistics(p) for p in links]
             e_total = keyrate.compound_error([s.qber for s in stats])
-            table = dict.fromkeys(keyrate.basis_vectors(2), e_total)
+            table = [e_total] * 4
             qubit_report = keyrate.str_rate_qubit(
                 keyrate.RateInputs(error_rates=table, f_ec=1.2), num_nodes=1
             )

@@ -17,7 +17,7 @@ from strqkd.keyrate import KeyRateReport, RateInputs
 
 
 def uniform_table(e, links):
-    return dict.fromkeys(keyrate.basis_vectors(links), e)
+    return [e] * (1 << links)
 
 
 class TestBinaryEntropy:
@@ -115,27 +115,43 @@ class TestStrRateQubit:
 
     def test_complement_symmetry_with_uniform_bases(self):
         # With uniform bases the Holevo term is invariant under complementing
-        # every basis choice in the table.
-        rng_rates = {
-            (0, 0): 0.01,
-            (0, 1): 0.07,
-            (1, 0): 0.03,
-            (1, 1): 0.09,
-        }
-        flipped = {tuple(b ^ 1 for b in u): e for u, e in rng_rates.items()}
+        # every basis choice in the table, i.e. reading it backwards.
+        rng_rates = [0.01, 0.07, 0.03, 0.09]
+        flipped = rng_rates[::-1]
         r1 = keyrate.str_rate_qubit(RateInputs(error_rates=rng_rates), num_nodes=1)
         r2 = keyrate.str_rate_qubit(RateInputs(error_rates=flipped), num_nodes=1)
         assert r1.holevo_term == pytest.approx(r2.holevo_term, abs=1e-12)
         assert r1.leak_term == pytest.approx(r2.leak_term, abs=1e-12)
 
     def test_monotone_in_each_error_rate(self):
-        base = dict(uniform_table(0.03, 2))
+        base = uniform_table(0.03, 2)
         r0 = keyrate.str_rate_qubit(RateInputs(error_rates=base), num_nodes=1)
-        for u in base:
-            bumped = dict(base)
-            bumped[u] = 0.05
+        for code in range(len(base)):
+            bumped = list(base)
+            bumped[code] = 0.05
             r1 = keyrate.str_rate_qubit(RateInputs(error_rates=bumped), num_nodes=1)
             assert r1.unclamped < r0.unclamped
+
+    @pytest.mark.parametrize("code", range(4))
+    def test_holevo_term_charged_at_complement(self, code):
+        # One nonzero error rate at ``code``: the leak is weighted by p_code,
+        # the Holevo term by p of the complement.  p_z != 1/2 makes the link
+        # weights unequal, so a wrong pairing moves the Holevo term.
+        p_z, f_ec, e = 0.3, 1.2, 0.07
+        w_z = p_z**2 / (p_z**2 + (1 - p_z) ** 2)
+
+        def weight(c):
+            first, second = c >> 1, c & 1  # first link is the high bit
+            return (w_z, 1 - w_z)[first] * (w_z, 1 - w_z)[second]
+
+        rates = [0.0] * 4
+        rates[code] = e
+        report = keyrate.str_rate_qubit(
+            RateInputs(error_rates=rates, p_z=p_z, f_ec=f_ec), num_nodes=1
+        )
+        h = keyrate.binary_entropy(e)
+        assert report.leak_term == pytest.approx(f_ec * weight(code) * h, rel=1e-12)
+        assert report.holevo_term == pytest.approx(weight(3 - code) * h, rel=1e-12)
 
     def test_table_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strqkd import keyrate, relay
+from strqkd.acceptance_checks import montecarlo_max_z
 
 
 def binomial_z(observed_rate, expected, samples):
@@ -52,6 +53,8 @@ class TestQuantumPhase:
             relay.ChainConfig(num_nodes=0, rounds=0, flip_prob=0.0)
         with pytest.raises(ValueError):
             relay.ChainConfig(num_nodes=0, rounds=10, flip_prob=0.7)
+        with pytest.raises(ValueError, match="num_nodes"):
+            relay.ChainConfig(num_nodes=keyrate.MAX_NODES + 1, rounds=10, flip_prob=0.0)
 
 
 class TestPairing:
@@ -82,7 +85,7 @@ class TestPairing:
         assert paired.bases.shape == (0, 2)
         assert paired.parities.shape == (0, 1)
         table = relay.correct_and_estimate(paired)
-        assert table.counts == {u: (0, 0) for u in keyrate.basis_vectors(2)}
+        assert table.errors.tolist() == table.samples.tolist() == [0, 0, 0, 0]
 
     def test_equal_node_bits_give_zero_parity(self):
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
@@ -104,11 +107,32 @@ class TestPairing:
 
 
 class TestCorrectionAndEstimation:
+    def test_code_spells_link_bases_first_link_most_significant(self):
+        # Every paired event used X on the first link and Z on the second:
+        # basis vector "10", code 2.  The third event's parity corrects Bob's
+        # bit; the last one stays wrong.
+        paired = relay.PairedData(
+            alice_bits=np.array([0, 1, 1, 0, 1], dtype=np.uint8),
+            bob_bits=np.array([0, 1, 0, 0, 0], dtype=np.uint8),
+            bases=np.tile(np.array([1, 0], dtype=np.uint8), (5, 1)),
+            parities=np.array([[0], [0], [1], [0], [0]], dtype=np.uint8),
+        )
+        table = relay.correct_and_estimate(paired)
+        assert keyrate.basis_label(2, 2) == "10"
+        assert table.samples.tolist() == [0, 0, 5, 0]
+        assert table.errors.tolist() == [0, 0, 1, 0]
+        assert np.isnan(table.rates[[0, 1, 3]]).all() and table.rates[2] == 0.2
+
     def test_noiseless_all_rates_zero(self):
         cfg = relay.ChainConfig(num_nodes=1, rounds=50_000, flip_prob=0.0, seed=6)
         table, _ = relay.run_protocol(cfg)
-        assert len(table.counts) == 4
-        assert table.total_errors() == 0
+        assert len(table.samples) == 4
+        assert not table.errors.any()
+
+    def test_unobserved_basis_vector_makes_max_z_nan(self):
+        # Three rounds cannot fill four basis vectors; the check must fail,
+        # not read the empty one as zero error or divide by zero.
+        assert math.isnan(montecarlo_max_z([(1, 0.05)], rounds=3, seed=1))
 
     @pytest.mark.parametrize("nodes,flip", [(1, 0.05), (2, 0.05)])
     def test_rates_match_compound_model(self, nodes, flip):
@@ -117,24 +141,22 @@ class TestCorrectionAndEstimation:
         )
         table, _ = relay.run_protocol(cfg)
         expected = keyrate.compound_error([flip] * (nodes + 1))
-        assert len(table.counts) == 1 << (nodes + 1)
-        for u in table.counts:
-            _, samples = table.counts[u]
-            assert binomial_z(table.rate(u), expected, samples) < 3
+        assert len(table.samples) == 1 << (nodes + 1)
+        for rate, samples in zip(table.rates, table.samples):
+            assert binomial_z(rate, expected, samples) < 3
 
     def test_single_node_table_shape(self):
         cfg = relay.ChainConfig(num_nodes=1, rounds=1000, flip_prob=0.0, seed=7)
         table, survivors = relay.run_protocol(cfg)
-        assert sorted(table.counts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert len(table.errors) == len(table.samples) == 4
         assert len(survivors) == 2
 
     def test_m0_degenerates_to_bb84(self):
         cfg = relay.ChainConfig(num_nodes=0, rounds=200_000, flip_prob=0.03, seed=8)
         table, _ = relay.run_protocol(cfg)
-        assert sorted(table.counts) == [(0,), (1,)]
-        for u in table.counts:
-            _, samples = table.counts[u]
-            assert binomial_z(table.rate(u), 0.03, samples) < 3
+        assert len(table.samples) == 2
+        for rate, samples in zip(table.rates, table.samples):
+            assert binomial_z(rate, 0.03, samples) < 3
 
 
 class TestDeterminism:
@@ -142,7 +164,7 @@ class TestDeterminism:
         cfg = relay.ChainConfig(num_nodes=2, rounds=150_000, flip_prob=0.02, seed=9)
         t1, s1 = relay.run_protocol(cfg)
         t2, s2 = relay.run_protocol(cfg)
-        assert t1.counts == t2.counts
+        assert (t1.errors == t2.errors).all() and (t1.samples == t2.samples).all()
         assert s1 == s2
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
@@ -150,7 +172,8 @@ class TestDeterminism:
         cfg = relay.ChainConfig(num_nodes=1, rounds=150_000, flip_prob=0.05, seed=10)
         base, survivors = relay.run_protocol(cfg, workers=1)
         other, survivors2 = relay.run_protocol(cfg, workers=workers)
-        assert base.counts == other.counts
+        assert (base.errors == other.errors).all()
+        assert (base.samples == other.samples).all()
         assert survivors == survivors2
 
 
@@ -187,3 +210,5 @@ class TestCompoundError:
             keyrate.uniform_str_rate(0.6, 1)
         with pytest.raises(ValueError):
             keyrate.uniform_str_rate(0.1, -1)
+        with pytest.raises(ValueError, match="num_nodes"):
+            keyrate.uniform_str_rate(0.1, keyrate.MAX_NODES + 1)
