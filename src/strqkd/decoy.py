@@ -10,7 +10,10 @@ finite-decoy estimate.  The tagged-signal accounting follows GLLP: Eve gets
 full information on any detected event in which some link emitted a
 multi-photon pulse (vacuum in the first link excepted), which is subtracted
 outright from the key rate; per-loss intensity optimization reproduces the
-rate-vs-loss sweeps.
+rate-vs-loss sweeps.  The coarse intensity scan evaluates every grid point
+at once: the statistics, fractions and rates accept an array of intensities
+in place of one float.  Floats go through ``math``, so the refined optimum
+and every reported value are computed by the scalar formulas.
 
 Dark-count coincidences carry error 1/2 (a dark click is an uncorrelated
 bit); the dark-count error term is weighted by the probability that no
@@ -21,10 +24,13 @@ photon-number-resolved sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .keyrate import (
+    MAX_NODES,
     KeyRateReport,
     binary_entropy,
     check_protocol_parameters,
@@ -88,7 +94,8 @@ class LinkPhysics:
 
 @dataclass(frozen=True)
 class LinkStatistics:
-    """Detected-event statistics of one link."""
+    """Detected-event statistics of one link.  The fields that depend on the
+    intensity are arrays when :func:`link_statistics` got an array of them."""
 
     gain: float  # Q: detection probability per pulse
     qber: float  # E: error rate among detected events
@@ -129,18 +136,42 @@ def _error_yield_n(phys: LinkPhysics, y0: float, eta: float, n: int) -> float:
     return E_DARK * y0 * miss + phys.intrinsic_error * (1.0 - miss)
 
 
-def link_statistics(phys: LinkPhysics) -> LinkStatistics:
-    """Closed-form gain, QBER, and n in {0, 1} yields/errors for one link;
+def _exp(x: float | np.ndarray) -> float | np.ndarray:
+    # numpy's exp differs from math.exp by an ulp on some inputs, so floats
+    # keep math.exp and reported values do not move.
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def _all(cond) -> bool:
+    """Whether ``cond`` holds everywhere; one reduction for an array cond."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else cond
+
+
+def _select(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``; elementwise for an array cond."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def link_statistics(
+    phys: LinkPhysics, mu: float | np.ndarray | None = None
+) -> LinkStatistics:
+    """Closed-form gain, QBER, and n in {0, 1} yields/errors for one link at
+    intensity ``mu`` (default ``phys.mu``; an array gives array statistics);
     ValueError when the gain or single-photon yield rounds to zero."""
     eta = phys.transmittance
     if eta <= 0.0:
         raise ValueError("link transmittance must be positive")
+    if mu is None:
+        mu = phys.mu
+    elif not _all((0.0 < mu) & (mu < math.inf)):
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     y0 = 1.0 - (1.0 - phys.dark_count_prob) ** 2
-    mu = phys.mu
     y1 = _yield_n(y0, eta, 1)
-    vac = math.exp(-mu * eta)
+    vac = _exp(-mu * eta)
     gain = 1.0 - (1.0 - y0) * vac
-    if gain <= 0.0 or y1 <= 0.0:
+    if not _all(gain > 0.0) or y1 <= 0.0:
         raise ValueError(f"link with loss {phys.loss_db} dB has zero gain")
     e1 = _error_yield_n(phys, y0, eta, 1) / y1
     qber = (E_DARK * y0 * vac + phys.intrinsic_error * (1.0 - vac)) / gain
@@ -150,8 +181,8 @@ def link_statistics(phys: LinkPhysics) -> LinkStatistics:
         y0=y0,
         y1=y1,
         e1=e1,
-        c0=math.exp(-mu) * y0 / gain,
-        c1=mu * math.exp(-mu) * y1 / gain,
+        c0=_exp(-mu) * y0 / gain,
+        c1=mu * _exp(-mu) * y1 / gain,
     )
 
 
@@ -186,6 +217,8 @@ def decoy_fractions(links: Sequence[LinkPhysics]) -> DecoyFractions:
 
 
 def _fractions(stats: Sequence[LinkStatistics]) -> DecoyFractions:
+    # No in-place products: a chain of equal links shares one statistics
+    # object, and its arrays must not be scaled through an alias.
     if not stats:
         raise ValueError("need at least one link")
     first = stats[0]
@@ -195,13 +228,16 @@ def _fractions(stats: Sequence[LinkStatistics]) -> DecoyFractions:
     errors_ss = [first.e1]
     errors_svs = [first.e1]
     for s in stats[1:]:
-        f_s_s *= s.c1
-        f_s_vs *= s.c0 + s.c1
+        vs = s.c0 + s.c1
+        f_s_s = f_s_s * s.c1
+        f_s_vs = f_s_vs * vs
         errors_ss.append(s.e1)
         # Within the vacuum-or-single class, a vacuum detection is a dark
         # count and contributes error 1/2; so does an empty class (f_s_vs = 0).
-        vs = s.c0 + s.c1
-        errors_svs.append((s.c0 * E_DARK + s.c1 * s.e1) / vs if vs else E_DARK)
+        filled = vs != 0.0
+        errors_svs.append(
+            _select(filled, (s.c0 * E_DARK + s.c1 * s.e1) / _select(filled, vs, 1.0), E_DARK)
+        )
     return DecoyFractions(
         f_v=f_v,
         f_s_s=f_s_s,
@@ -222,6 +258,7 @@ def decoy_rate(
     p_z: float = 0.5,
     conservative: bool = False,
     per_clock: bool = True,
+    mu: float | np.ndarray | None = None,
 ) -> KeyRateReport:
     """STR decoy-state key rate for a chain of links.
 
@@ -229,10 +266,18 @@ def decoy_rate(
     is the compound all-photon-number QBER, (f_s, e_s) are the untagged
     single-photon quantities (the f_s_s/e_s_s lower bound in conservative
     mode), and f_m the tagged fraction.  ``per_clock`` rescales by the
-    all-links coincidence gain and the per-link sifting factors.
+    all-links coincidence gain and the per-link sifting factors.  ``mu``
+    overrides every link's intensity; an array of them gives array terms.
     """
     check_protocol_parameters(p_z, f_ec)
-    stats = [link_statistics(p) for p in links]
+    if len(links) > MAX_NODES + 1:
+        raise ValueError(
+            f"a chain has at most {MAX_NODES} nodes ({MAX_NODES + 1} links), "
+            f"got {len(links)} links"
+        )
+    # Chains of equal links are the common case: one computation per link.
+    computed = {phys: link_statistics(phys, mu) for phys in dict.fromkeys(links)}
+    stats = [computed[phys] for phys in links]
     fractions = _fractions(stats)
     e_total = compound_error([s.qber for s in stats])
     if conservative:
@@ -250,28 +295,33 @@ def decoy_rate(
     if per_clock:
         scale = 1.0
         for s in stats:
-            scale *= s.gain * _sift_factor(p_z)
+            scale = scale * (s.gain * _sift_factor(p_z))
         report = report.scaled(scale)
     return report
 
 
+_TERMS = ("entropy_term", "leak_term", "holevo_term", "tagged_term")
+
+
 def conventional_decoy_rate(
-    links: Sequence[LinkPhysics] | LinkPhysics,
+    links: Sequence[LinkPhysics],
     f_ec: float = 1.2,
     p_z: float = 0.5,
     per_clock: bool = True,
+    mu: float | np.ndarray | None = None,
 ) -> KeyRateReport:
     """Conventional trusted-relay baseline with tagged-signal analysis.
 
     Per link and clock cycle: Q sift [c1 (1 - h(e1)) - f_EC h(E)] with c1
-    the single-photon detected fraction; a chain takes its worst link.
+    the single-photon detected fraction; a chain takes its worst link (the
+    first of equal ones), elementwise when ``mu`` is an array of intensities.
     """
     check_protocol_parameters(p_z, f_ec)
-    if isinstance(links, LinkPhysics):
-        links = [links]
-    reports = []
-    for phys in links:
-        stats = link_statistics(phys)
+    if not links:
+        raise ValueError("need at least one link")
+    worst = None
+    for phys in dict.fromkeys(links):
+        stats = link_statistics(phys, mu)
         report = KeyRateReport(
             entropy_term=stats.c1,
             leak_term=f_ec * binary_entropy(stats.qber),
@@ -280,22 +330,27 @@ def conventional_decoy_rate(
         )
         if per_clock:
             report = report.scaled(stats.gain * _sift_factor(p_z))
-        reports.append(report)
-    return min(reports, key=lambda r: r.unclamped)
+        if worst is None:
+            worst = report
+        else:
+            lower = report.unclamped < worst.unclamped
+            worst = KeyRateReport(
+                *(_select(lower, getattr(report, t), getattr(worst, t)) for t in _TERMS)
+            )
+    return worst
 
 
 def _rate_at_mu(
     links: Sequence[LinkPhysics],
-    mu: float,
+    mu: float | np.ndarray,
     f_ec: float,
     p_z: float,
     conservative: bool,
     mode: str,
 ) -> KeyRateReport:
-    scaled = [replace(p, mu=mu) for p in links]
     if mode == "conventional":
-        return conventional_decoy_rate(scaled, f_ec=f_ec, p_z=p_z)
-    return decoy_rate(scaled, f_ec=f_ec, p_z=p_z, conservative=conservative)
+        return conventional_decoy_rate(links, f_ec=f_ec, p_z=p_z, mu=mu)
+    return decoy_rate(links, f_ec=f_ec, p_z=p_z, conservative=conservative, mu=mu)
 
 
 def optimize_intensity(
@@ -308,9 +363,10 @@ def optimize_intensity(
 ) -> tuple[float, KeyRateReport]:
     """Optimize a single source intensity shared by all links.
 
-    Coarse log-spaced grid scan followed by golden-section refinement of the
-    bracketing interval.  Returns (mu_star, report); if no positive rate
-    exists anywhere, returns the lower bound with its (zero) rate.
+    Coarse log-spaced grid scan, one array evaluation over all points,
+    followed by golden-section refinement of the bracketing interval on
+    floats.  Returns (mu_star, report); if no positive rate exists anywhere,
+    returns the lower bound with its (zero) rate.
     """
     lo, hi = mu_bounds
     if not 0.0 < lo < hi:
@@ -322,8 +378,8 @@ def optimize_intensity(
         return _rate_at_mu(links, mu, f_ec, p_z, conservative, mode).unclamped
 
     grid = [lo * (hi / lo) ** (i / (GRID_POINTS - 1)) for i in range(GRID_POINTS)]
-    values = [objective(mu) for mu in grid]
-    best = max(range(GRID_POINTS), key=lambda i: values[i])
+    values = _rate_at_mu(links, np.array(grid), f_ec, p_z, conservative, mode).unclamped
+    best = int(np.argmax(values))  # the first maximum, as max() picks it
     if values[best] <= 0.0:
         return lo, _rate_at_mu(links, lo, f_ec, p_z, conservative, mode)
     a = grid[max(best - 1, 0)]

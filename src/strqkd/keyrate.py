@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "KeyRateReport",
     "RateInputs",
@@ -29,16 +31,29 @@ __all__ = [
 ]
 
 
-def binary_entropy(e: float) -> float:
+def binary_entropy(e: float | np.ndarray) -> float | np.ndarray:
     """Binary entropy h(e) = -e log2 e - (1-e) log2(1-e), in bits.
 
-    Endpoints e = 0 and e = 1 return 0.
+    Endpoints e = 0 and e = 1 return 0.  An array is taken elementwise; a
+    float goes through ``math.log2``, whose last bit numpy's may not match.
     """
-    if e < 0.0 or e > 1.0:
-        raise ValueError(f"binary_entropy argument must lie in [0, 1], got {e}")
-    if e == 0.0 or e == 1.0:
-        return 0.0
-    return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
+    if not isinstance(e, np.ndarray):
+        if e < 0.0 or e > 1.0:
+            raise ValueError(f"binary_entropy argument must lie in [0, 1], got {e}")
+        if e == 0.0 or e == 1.0:
+            return 0.0
+        return _entropy_bits(e, math.log2)
+    outside = (e < 0.0) | (e > 1.0)
+    if outside.any():
+        raise ValueError(
+            f"binary_entropy argument must lie in [0, 1], got {e[outside][0]}"
+        )
+    ends = (e == 0.0) | (e == 1.0)
+    return np.where(ends, 0.0, _entropy_bits(np.where(ends, 0.5, e), np.log2))
+
+
+def _entropy_bits(e, log2):
+    return -e * log2(e) - (1.0 - e) * log2(1.0 - e)
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,11 @@ def correct_and_estimate(paired: PairedData) -> ErrorRateTable:
     for j in range(paired.parities.shape[1]):
         corrected ^= paired.parities[:, j]
     errors = paired.alice_bits != corrected
-    weights = (1 << np.arange(links - 1, -1, -1)).astype(np.int64)
-    codes = paired.bases.astype(np.int64) @ weights
+    # Shift in one base column per link: the first link ends most significant.
+    codes = paired.bases[:, 0].astype(np.intp)
+    for j in range(1, links):
+        codes <<= 1
+        codes |= paired.bases[:, j]
     size = 1 << links
     return ErrorRateTable(
         errors=np.bincount(codes, weights=errors, minlength=size).astype(np.int64),

@@ -269,6 +269,8 @@ class TestBoundary:
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "inf"], 2),
             (["fig2-sweep", "--e-link", "0:0.1:0.1", "--nodes", "0,17"], 2),
             (["montecarlo", "--rounds", "1000", "--nodes", "17"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--nodes", "17"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "auto", "--nodes", "17"], 2),
         ],
     )
     def test_exit_code(self, argv, code, capsys):

@@ -4,6 +4,7 @@ rates, and intensity optimization."""
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,6 +164,14 @@ class TestDecoyRate:
         # Round-off allowance relative to the per-clock scale of the terms.
         assert hi.rate <= lo.rate + 1e-12 * lo.entropy_term
 
+    def test_chain_length_bounded(self):
+        links = [LinkPhysics(loss_db=5.0, mu=0.3, **FIG3B)]
+        decoy.decoy_rate(links * (keyrate.MAX_NODES + 1))
+        with pytest.raises(ValueError, match="at most"):
+            decoy.decoy_rate(links * (keyrate.MAX_NODES + 2))
+        with pytest.raises(ValueError, match="at most"):
+            decoy.optimize_intensity(links * (keyrate.MAX_NODES + 2))
+
     @pytest.mark.parametrize("kwargs", [dict(p_z=0.0), dict(p_z=5.0), dict(f_ec=0.9)])
     def test_rejects_invalid_protocol_parameters(self, kwargs):
         links = [LinkPhysics(loss_db=5.0, mu=0.3, **FIG3B)] * 2
@@ -177,13 +186,13 @@ class TestDecoyRate:
 class TestConventionalDecoyRate:
     def test_noise_free_positive_at_high_loss(self):
         link = LinkPhysics(loss_db=40.0, mu=0.1, **NOISELESS)
-        assert decoy.conventional_decoy_rate(link, f_ec=1.0).rate > 0.0
+        assert decoy.conventional_decoy_rate([link], f_ec=1.0).rate > 0.0
 
     def test_useless_single_photons_give_nothing(self):
         # e1 = 1/2 zeroes the single-photon credit.
         link = LinkPhysics(loss_db=0.0, mu=0.3, intrinsic_error=0.5,
                            dark_count_prob=0.0)
-        report = decoy.conventional_decoy_rate(link, f_ec=1.0)
+        report = decoy.conventional_decoy_rate([link], f_ec=1.0)
         assert report.rate == 0.0
 
     def test_beats_str_at_zero_loss(self):
@@ -198,7 +207,7 @@ class TestConventionalDecoyRate:
             LinkPhysics(loss_db=12.0, mu=0.3, **FIG3B),
         ]
         combined = decoy.conventional_decoy_rate(links)
-        worst = decoy.conventional_decoy_rate(links[1])
+        worst = decoy.conventional_decoy_rate([links[1]])
         assert combined.rate == pytest.approx(worst.rate)
 
 
@@ -243,3 +252,104 @@ class TestOptimizeIntensity:
             decoy.optimize_intensity(
                 [LinkPhysics(loss_db=0.0)], mu_bounds=(1.0, 0.5)
             )
+
+    @given(
+        loss=st.floats(0.0, 80.0),
+        delta=st.floats(0.0, 3.0),
+        num_links=st.integers(1, 3),
+        mode=st.sampled_from(["str", "conventional"]),
+        conservative=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_optimized_rate_non_increasing_in_loss(
+        self, loss, delta, num_links, mode, conservative
+    ):
+        lo, hi = (
+            decoy.optimize_intensity(
+                [LinkPhysics(loss_db=x, **FIG3B)] * num_links,
+                mode=mode,
+                conservative=conservative,
+            )[1]
+            for x in (loss, loss + delta)
+        )
+        # The slack of the fixed-mu property in TestDecoyRate.
+        assert hi.rate <= lo.rate + 1e-12 * lo.entropy_term
+
+    @pytest.mark.parametrize(
+        "nodes,loss,mu_star,rate",
+        [
+            # Computed by the scalar optimiser before the grid scan took arrays.
+            (0, 0.0, 0.7344365536167626, 0.05185378133355405),
+            (0, 10.0, 0.6564253577838228, 0.004784656368910394),
+            (0, 25.0, 0.635671556812821, 0.00013004088832661785),
+            (1, 0.0, 0.41382520301193515, 0.0012625320609954416),
+            (1, 10.0, 0.332886721441082, 8.869241079369764e-06),
+            (1, 25.0, 0.2361845666484041, 1.0551900588574653e-09),
+            (2, 0.0, 0.2106479065827639, 9.051280704565574e-06),
+            (2, 10.0, 0.1597635008140615, 4.030479388219778e-09),
+            (2, 25.0, 0.0001, 0.0),
+        ],
+    )
+    def test_pinned_optimum(self, nodes, loss, mu_star, rate):
+        found, report = decoy.optimize_intensity([LinkPhysics(loss_db=loss)] * (nodes + 1))
+        assert found == pytest.approx(mu_star, rel=1e-9)
+        assert report.rate == pytest.approx(rate, rel=1e-9)
+
+
+def _chain(kind, loss, num_links):
+    if kind == "equal":
+        return [LinkPhysics(loss_db=loss, **FIG3B)] * num_links
+    # Unequal links: at low loss each is the worst one somewhere on the grid.
+    mixed = [
+        LinkPhysics(loss_db=loss, dark_count_prob=1e-4),
+        LinkPhysics(loss_db=loss + 2.0, dark_count_prob=0.0),
+        LinkPhysics(loss_db=loss + 1.0, intrinsic_error=0.03),
+    ]
+    return mixed[:num_links]
+
+
+class TestArrayIntensities:
+    @pytest.mark.parametrize("kind", ["equal", "mixed"])
+    @pytest.mark.parametrize("loss", [0.0, 17.0, 60.0])
+    @pytest.mark.parametrize("num_links", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "mode,conservative", [("str", False), ("str", True), ("conventional", False)]
+    )
+    def test_matches_scalar_rate_at_every_grid_point(
+        self, kind, loss, num_links, mode, conservative, request
+    ):
+        links = _chain(kind, loss, num_links)
+        if loss == 60.0 and any(p.dark_count_prob == 0.0 for p in links):
+            # Without dark counts the gain is 1 - exp(-mu eta), which cancels
+            # for mu eta near 1e-11: an ulp of exp moves it by parts in 1e6,
+            # in the scalar formula as much as in the array one.
+            request.applymarker(pytest.mark.xfail(reason="gain cancels without dark counts"))
+
+        def rate(mu):
+            if mode == "conventional":
+                return decoy.conventional_decoy_rate(links, mu=mu)
+            return decoy.decoy_rate(links, conservative=conservative, mu=mu)
+
+        grid = np.geomspace(1e-4, 2.0, decoy.GRID_POINTS)
+        batch = rate(grid)
+        terms = ("entropy_term", "leak_term", "holevo_term", "tagged_term", "unclamped")
+        for i, mu in enumerate(grid.tolist()):
+            scalar = rate(mu)
+            # np.exp and np.log2 may differ from math's by an ulp, which the
+            # cancellations at small mu magnify; so the bound is relative to
+            # the largest term of the scalar report.
+            bound = 1e-9 * max(abs(getattr(scalar, t)) for t in terms)
+            for t in terms:
+                assert getattr(batch, t)[i] == pytest.approx(
+                    getattr(scalar, t), abs=bound
+                ), (t, mu)
+
+    def test_zero_gain_rejected_for_any_point(self):
+        phys = LinkPhysics(loss_db=300.0, dark_count_prob=0.0)
+        with pytest.raises(ValueError, match="zero gain"):
+            decoy.link_statistics(phys, mu=np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf, np.array([0.5, 0.0])])
+    def test_rejects_invalid_mu(self, mu):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            decoy.link_statistics(LinkPhysics(loss_db=0.0), mu=mu)
