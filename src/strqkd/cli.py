@@ -134,6 +134,10 @@ def _cmd_fig2_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
     grid = parse_grid(args.loss_db)
+    # Checked for both scenarios, although a conventional sweep of equal
+    # links computes only one of them.
+    if not 0 <= args.nodes <= keyrate.MAX_NODES:
+        _fail(f"--nodes must lie in [0, {keyrate.MAX_NODES}], got {args.nodes}")
     num_links = 1 if args.scenario == "conventional" else args.nodes + 1
     mu_fixed = None if args.mu == "auto" else float(args.mu)
     _print_config(

@@ -23,6 +23,7 @@ photon-number-resolved sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -142,6 +143,10 @@ def _exp(x: float | np.ndarray) -> float | np.ndarray:
     return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
+def _expm1(x: float | np.ndarray) -> float | np.ndarray:
+    return np.expm1(x) if isinstance(x, np.ndarray) else math.expm1(x)
+
+
 def _all(cond) -> bool:
     """Whether ``cond`` holds everywhere; one reduction for an array cond."""
     return bool(cond.all()) if isinstance(cond, np.ndarray) else cond
@@ -170,11 +175,14 @@ def link_statistics(
     y0 = 1.0 - (1.0 - phys.dark_count_prob) ** 2
     y1 = _yield_n(y0, eta, 1)
     vac = _exp(-mu * eta)
-    gain = 1.0 - (1.0 - y0) * vac
+    # A signal photon is detected with probability 1 - vac; expm1 keeps it
+    # from cancelling at high loss, where the gain rests on it alone if y0 = 0.
+    signal = -_expm1(-mu * eta)
+    gain = y0 + (1.0 - y0) * signal
     if not _all(gain > 0.0) or y1 <= 0.0:
         raise ValueError(f"link with loss {phys.loss_db} dB has zero gain")
     e1 = _error_yield_n(phys, y0, eta, 1) / y1
-    qber = (E_DARK * y0 * vac + phys.intrinsic_error * (1.0 - vac)) / gain
+    qber = (E_DARK * y0 * vac + phys.intrinsic_error * signal) / gain
     return LinkStatistics(
         gain=gain,
         qber=qber,
@@ -353,6 +361,15 @@ def _rate_at_mu(
     return decoy_rate(links, f_ec=f_ec, p_z=p_z, conservative=conservative, mu=mu)
 
 
+@functools.lru_cache(maxsize=8)
+def _mu_grid(lo: float, hi: float) -> np.ndarray:
+    """The coarse scan's log-spaced intensities as a read-only array, built
+    once per pair of bounds."""
+    grid = np.array([lo * (hi / lo) ** (i / (GRID_POINTS - 1)) for i in range(GRID_POINTS)])
+    grid.flags.writeable = False
+    return grid
+
+
 def optimize_intensity(
     links: Sequence[LinkPhysics],
     f_ec: float = 1.2,
@@ -377,13 +394,13 @@ def optimize_intensity(
     def objective(mu: float) -> float:
         return _rate_at_mu(links, mu, f_ec, p_z, conservative, mode).unclamped
 
-    grid = [lo * (hi / lo) ** (i / (GRID_POINTS - 1)) for i in range(GRID_POINTS)]
-    values = _rate_at_mu(links, np.array(grid), f_ec, p_z, conservative, mode).unclamped
+    grid = _mu_grid(lo, hi)
+    values = _rate_at_mu(links, grid, f_ec, p_z, conservative, mode).unclamped
     best = int(np.argmax(values))  # the first maximum, as max() picks it
     if values[best] <= 0.0:
         return lo, _rate_at_mu(links, lo, f_ec, p_z, conservative, mode)
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, GRID_POINTS - 1)]
+    a = float(grid[max(best - 1, 0)])
+    b = float(grid[min(best + 1, GRID_POINTS - 1)])
     mu_star = _golden_section_max(objective, a, b, MU_TOL)
     return mu_star, _rate_at_mu(links, mu_star, f_ec, p_z, conservative, mode)
 

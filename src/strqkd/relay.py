@@ -10,8 +10,20 @@ survival (truncated to the shortest link), nodes announce per-index parities,
 and Bob's corrected key is compared against Alice's to fill the
 2^(m+1)-entry basis-vector error table.
 
+Only the sifted events are sampled.  Rounds are i.i.d. and sifting reads
+neither bit, so a round survives with ``p_keep = detect * (p_z^2 +
+(1 - p_z)^2)`` independently of the others and of its bits.  Each block of
+rounds therefore draws its survivor count from Binomial(block, p_keep), and
+then, for the survivors only, the shared basis (X with probability
+``(1 - p_z)^2 / (p_z^2 + (1 - p_z)^2)``, Z otherwise), a uniform sent bit
+and a flip with probability ``flip_prob``.  Given survival these are
+independent and have exactly these laws, so the sifted stream has the same
+joint law as drawing every round and discarding the unsifted ones, at a
+cost that scales with the survivors instead of the rounds.
+
 Randomness is drawn from per-(link, block) Philox substreams keyed on the
-scenario seed, so results are bit-identical for any worker count.
+scenario seed, in a fixed order within each block, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -116,21 +128,12 @@ def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(link, block)))
     )
-    draws = rng.random((5, n))
-    sender_basis = (draws[0] >= cfg.p_z).astype(np.uint8)
-    sender_bit = (draws[1] < 0.5).astype(np.uint8)
-    receiver_basis = (draws[2] >= cfg.p_z).astype(np.uint8)
-    detected = draws[3] < cfg.detect_prob
-    flipped = draws[4] < cfg.flip_prob
-    # Sifting looks only at bases and detection flags, never at bit values.
-    keep = detected & (sender_basis == receiver_basis)
-    received = sender_bit ^ flipped.astype(np.uint8)
-    idx = np.nonzero(keep)[0]
-    return SiftedLinkData(
-        basis=sender_basis[idx],
-        sent=sender_bit[idx],
-        received=received[idx],
-    )
+    z_weight, x_weight = cfg.p_z**2, (1.0 - cfg.p_z) ** 2
+    kept = int(rng.binomial(n, cfg.detect_prob * (z_weight + x_weight)))
+    basis = (rng.random(kept) < x_weight / (z_weight + x_weight)).astype(np.uint8)
+    sent = np.unpackbits(np.frombuffer(rng.bytes((kept + 7) // 8), np.uint8), count=kept)
+    received = sent ^ (rng.random(kept) < cfg.flip_prob).astype(np.uint8)
+    return SiftedLinkData(basis=basis, sent=sent, received=received)
 
 
 def run_quantum_phase(cfg: ChainConfig, workers: int = 1) -> list[SiftedLinkData]:

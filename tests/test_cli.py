@@ -271,6 +271,13 @@ class TestBoundary:
             (["montecarlo", "--rounds", "1000", "--nodes", "17"], 2),
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--nodes", "17"], 2),
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "auto", "--nodes", "17"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--scenario",
+              "conventional", "--nodes", "17"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "auto", "--scenario",
+              "conventional", "--nodes", "-5"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--nodes", "-5"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--scenario",
+              "conventional", "--nodes", "16"], 0),
         ],
     )
     def test_exit_code(self, argv, code, capsys):

@@ -316,14 +316,9 @@ class TestArrayIntensities:
         "mode,conservative", [("str", False), ("str", True), ("conventional", False)]
     )
     def test_matches_scalar_rate_at_every_grid_point(
-        self, kind, loss, num_links, mode, conservative, request
+        self, kind, loss, num_links, mode, conservative
     ):
         links = _chain(kind, loss, num_links)
-        if loss == 60.0 and any(p.dark_count_prob == 0.0 for p in links):
-            # Without dark counts the gain is 1 - exp(-mu eta), which cancels
-            # for mu eta near 1e-11: an ulp of exp moves it by parts in 1e6,
-            # in the scalar formula as much as in the array one.
-            request.applymarker(pytest.mark.xfail(reason="gain cancels without dark counts"))
 
         def rate(mu):
             if mode == "conventional":

@@ -57,6 +57,46 @@ class TestQuantumPhase:
             relay.ChainConfig(num_nodes=keyrate.MAX_NODES + 1, rounds=10, flip_prob=0.0)
 
 
+class TestSiftedLawAtBiasedBases:
+    # At p_z = 1/2 both bases survive equally often, so a wrong Z/X weight
+    # among survivors would go unseen; p_z = 0.3 tells the weights apart.
+    P_Z, DETECT, FLIP = 0.3, 0.2, 0.07
+
+    @pytest.fixture(scope="class")
+    def links(self):
+        cfg = relay.ChainConfig(
+            num_nodes=1, rounds=300_000, flip_prob=self.FLIP,
+            detect_prob=self.DETECT, p_z=self.P_Z, seed=31,
+        )
+        return cfg.rounds, relay.run_quantum_phase(cfg)
+
+    def test_survivor_fraction_is_p_keep(self, links):
+        rounds, sifted = links
+        p_keep = self.DETECT * (self.P_Z**2 + (1 - self.P_Z) ** 2)
+        assert p_keep == pytest.approx(0.116)
+        for link in sifted:
+            assert binomial_z(len(link) / rounds, p_keep, rounds) < 3
+
+    def test_z_share_among_survivors(self, links):
+        _, sifted = links
+        for link in sifted:
+            z_share = float((link.basis == 0).mean())
+            assert binomial_z(z_share, 0.09 / 0.58, len(link)) < 3
+
+    def test_sent_bits_balanced(self, links):
+        _, sifted = links
+        for link in sifted:
+            assert binomial_z(float(link.sent.mean()), 0.5, len(link)) < 3
+
+    @pytest.mark.parametrize("basis", [0, 1])
+    def test_flip_rate_within_each_basis(self, links, basis):
+        _, sifted = links
+        for link in sifted:
+            chosen = link.basis == basis
+            flips = link.sent[chosen] != link.received[chosen]
+            assert binomial_z(float(flips.mean()), self.FLIP, int(chosen.sum())) < 3
+
+
 class TestPairing:
     def test_truncates_to_shortest_link(self):
         links = [
