@@ -52,26 +52,29 @@ def rotated_basis_deviation() -> float:
 def holevo_gap(rng: np.random.Generator, samples: int) -> float:
     """Largest Holevo oracle minus entropic bound over random Bell-diagonal
     states and all basis pairs (-inf without samples)."""
-    worst = -np.inf
-    for _ in range(samples):
-        alpha = qubit.random_bell_diagonal(rng)
-        for u1, u2 in BASIS_PAIRS:
-            gap = qubit.holevo_oracle(alpha, u1, u2) - qubit.holevo_bound(alpha, u1, u2)
-            worst = max(worst, gap)
-    return worst
+    alphas = qubit.random_bell_diagonal(rng, size=samples)
+    gaps = [
+        qubit.holevo_oracle(alphas, u1, u2) - qubit.holevo_bound(alphas, u1, u2)
+        for u1, u2 in BASIS_PAIRS
+    ]
+    return float(np.max(gaps, initial=-np.inf))
 
 
 def relabeling_deviation(rng: np.random.Generator, samples: int) -> float:
     """Largest change of the conditioned end-user state under (u1, u2, a, b)
     -> (~u1, ~u2, b, a) over random Bell-diagonal states."""
+    alphas = qubit.random_bell_diagonal(rng, size=samples)
+    states = {
+        key: qubit.conditional_end_user_state(alphas, *key)
+        for key in product((0, 1), repeat=4)
+    }
     worst = 0.0
-    for _ in range(samples):
-        alpha = qubit.random_bell_diagonal(rng)
-        for (u1, u2), (a, b) in product(BASIS_PAIRS, repeat=2):
-            p, rho = qubit.conditional_end_user_state(alpha, u1, u2, a, b)
-            p2, rho2 = qubit.conditional_end_user_state(alpha, u1 ^ 1, u2 ^ 1, b, a)
-            worst = max(worst, abs(p - p2), float(np.abs(rho - rho2).max()))
-    return worst
+    for (u1, u2, a, b), (p, rho) in states.items():
+        p2, rho2 = states[u1 ^ 1, u2 ^ 1, b, a]
+        worst = max(
+            worst, np.abs(p - p2).max(initial=0.0), np.abs(rho - rho2).max(initial=0.0)
+        )
+    return float(worst)
 
 
 def montecarlo_max_z(
@@ -108,7 +111,7 @@ def fig2_zero_crossings() -> dict[str, float]:
     """Per-link error rates where the qubit-model curves hit zero."""
 
     def conventional(e: float) -> float:
-        return keyrate.conventional_relay_rate(e, f_ec=1.0).unclamped
+        return keyrate.conventional_relay_rate([e], f_ec=1.0).unclamped
 
     def str_rate(e_link: float, nodes: int) -> float:
         return keyrate.uniform_str_rate(e_link, nodes).unclamped

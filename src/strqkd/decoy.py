@@ -126,15 +126,23 @@ class DecoyFractions:
     e_s_vs: float
 
 
+def _miss_m1(eta: float, n: int) -> float:
+    # (1 - eta)^n - 1, minus the probability that one of n photons is
+    # detected; expm1 keeps it from cancelling at high loss.
+    if eta == 1.0:
+        return -1.0 if n else 0.0
+    return math.expm1(n * math.log1p(-eta))
+
+
 def _yield_n(y0: float, eta: float, n: int) -> float:
-    return 1.0 - (1.0 - y0) * (1.0 - eta) ** n
+    return y0 - (1.0 - y0) * _miss_m1(eta, n)
 
 
 def _error_yield_n(phys: LinkPhysics, y0: float, eta: float, n: int) -> float:
     # e_n * Y_n: dark-count error when no signal photon arrived, intrinsic
     # error when one did.
-    miss = (1.0 - eta) ** n
-    return E_DARK * y0 * miss + phys.intrinsic_error * (1.0 - miss)
+    miss_m1 = _miss_m1(eta, n)
+    return E_DARK * y0 * (1.0 + miss_m1) - phys.intrinsic_error * miss_m1
 
 
 def _exp(x: float | np.ndarray) -> float | np.ndarray:
@@ -179,7 +187,10 @@ def link_statistics(
     # from cancelling at high loss, where the gain rests on it alone if y0 = 0.
     signal = -_expm1(-mu * eta)
     gain = y0 + (1.0 - y0) * signal
-    if not _all(gain > 0.0) or y1 <= 0.0:
+    # A link is dead when its single-photon yield does not register next to
+    # 1 in double precision: without dark counts, beyond about 160 dB at the
+    # default detector efficiency.
+    if not _all(gain > 0.0) or (1.0 - y0) * (1.0 - eta) == 1.0:
         raise ValueError(f"link with loss {phys.loss_db} dB has zero gain")
     e1 = _error_yield_n(phys, y0, eta, 1) / y1
     qber = (E_DARK * y0 * vac + phys.intrinsic_error * signal) / gain
@@ -250,7 +261,9 @@ def _fractions(stats: Sequence[LinkStatistics]) -> DecoyFractions:
         f_v=f_v,
         f_s_s=f_s_s,
         f_s_vs=f_s_vs,
-        f_m=1.0 - f_v - f_s_vs,
+        # The complement of the rounded sum, so f_v + f_s_vs + f_m == 1
+        # holds exactly in floating point, not just up to round-off.
+        f_m=1.0 - (f_v + f_s_vs),
         e_s_s=compound_error(errors_ss),
         e_s_vs=compound_error(errors_svs),
     )

@@ -90,7 +90,7 @@ class KeyRateReport:
         )
 
 
-def check_protocol_parameters(p_z: float, f_ec: float) -> None:
+def check_protocol_parameters(p_z: float, f_ec: float = 1.0) -> None:
     """Raise ValueError unless the Z-basis probability ``p_z`` lies in
     (0, 1) and the error-correction efficiency ``f_ec`` is at least 1."""
     if not 0.0 < p_z < 1.0:
@@ -185,13 +185,9 @@ def node_focused_rate(
     )
 
 
-def conventional_relay_rate(
-    e_links: Sequence[float] | float, f_ec: float = 1.0
-) -> KeyRateReport:
+def conventional_relay_rate(e_links: Sequence[float], f_ec: float = 1.0) -> KeyRateReport:
     """Conventional trusted-relay baseline: standard asymptotic BB84 rate per
     link, the chain limited by its worst link."""
-    if isinstance(e_links, (int, float)):
-        e_links = [float(e_links)]
     if not e_links:
         raise ValueError("need at least one link")
     reports = []
@@ -245,7 +241,7 @@ def fig2_curves(
         row: dict[str, float] = {"e_link": float(e_link)}
         for m in node_counts:
             if m == 0:
-                report = conventional_relay_rate(e_link, f_ec=1.0)
+                report = conventional_relay_rate([e_link], f_ec=1.0)
                 row["rate_conventional"] = report.rate
                 row["unclamped_conventional"] = report.unclamped
             else:

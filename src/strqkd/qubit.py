@@ -7,13 +7,18 @@ state onto the Bell-diagonal family, basis-dependent error-rate functionals,
 and a numerical Holevo oracle that certifies the entropic bound used by the
 key-rate formulas.
 
-The security quantities of a Bell-diagonal state all come from one kernel,
-``_branches``: the canonical purification projected onto each of the node's
-four rotated-Bell outcomes (a, b) at once.  The announcement statistics and
-the conditioned end-user states are contractions of that array.  The Holevo
-oracle never forms Eve's 16x16 states: the purified state is pure on
-(A, B, E) for each announcement, also once Alice's bit is fixed, so Eve's
-state has the nonzero spectrum of the branch's Gram matrix on (A, B).
+The security quantities of a Bell-diagonal state all come from one array,
+``_BRANCH_AMPS``: the node's four rotated-Bell bras (a, b) applied to each
+tensored Bell state.  The announcement statistics and the states left on
+Alice's and Bob's qubits (A, B) are linear in the 16 Bell weights, so each is
+a table built from those amplitudes and contracted with the weights.  The
+Holevo oracle never forms Eve's 16x16 states: the canonical purification is
+pure on (A, B, E) for each announcement, also once Alice's bit is fixed, so
+Eve's state has the nonzero spectrum of the branch's state on (A, B).
+
+Every kernel that takes Bell weights also takes a stack of states, an array
+of shape (..., 16), and returns one result per state; a single 16-vector
+gives floats and (2, 2) arrays.
 
 Qubit ordering throughout is (A, T, T', B): Alice's half of the first link,
 the node's receive and send halves, Bob's half of the second link.  All
@@ -133,16 +138,50 @@ _ROTATED_BELL_BRA = np.array(
     [[rotated_bell_basis(u1, u2) for u2 in (0, 1)] for u1 in (0, 1)]
 ).conj().reshape(2, 2, 2, 2, 2, 2)
 
+# _BRANCH_AMPS[u1, u2, i, a, b, A, B]: the (a, b) rotated-Bell bra applied to
+# the node's qubits (T, T') of tensored Bell state i, leaving a vector on (A, B).
+_BRANCH_AMPS = np.einsum(
+    "UVabtu,AtuBi->UViabAB",
+    _ROTATED_BELL_BRA,
+    _BELL_BASIS_16.reshape(2, 2, 2, 2, 16),
+    order="C",
+)
+
+
+def _outer(amps: np.ndarray) -> np.ndarray:
+    return amps[..., :, None] * amps[..., None, :].conj()
+
+
+# Tables over (u1, u2, i, ...), each linear in the weights alpha_i:
+# _BRANCH_STATES[..., a, b, AB, A'B'], the unnormalised state on (A, B) left
+# by announcement (a, b); _KEYED_STATES[..., x, a, b, B, B'], the state on B
+# once Alice's qubit is also projected onto her key bit x in basis u1; and
+# _SIGNAL_PROBS[..., a, b, x, y], the probability of (a, b) with outcomes x, y
+# of Alice and Bob in bases u1, u2.
+_BRANCH_STATES = _outer(_BRANCH_AMPS.reshape(2, 2, 16, 2, 2, 4))
+_KEYED_STATES = _outer(
+    np.einsum("UxA,UViabAB->UVixabB", _BB84_BRA, _BRANCH_AMPS, order="C")
+)
+_SIGNAL_PROBS = np.abs(np.einsum(
+    "UxA,VyB,UViabAB->UViabxy", _BB84_BRA, _BB84_BRA, _BRANCH_AMPS, order="C"
+)) ** 2
+
+# _ERROR_BRA[u1, u2][(x, t, t', y)]: outcome bras of basis_error_rate.
+_ERROR_BRA = np.array(
+    [[_multi_kron(_BB84_BRA[u1], _BB84_BRA[u1], _BB84_BRA[u2], _BB84_BRA[u2])
+      for u2 in (0, 1)] for u1 in (0, 1)]
+)
+
 # _ODD[b, x, y]: Alice's bit x and Bob's bit y disagree after his b-correction.
 _ODD = np.indices((2, 2, 2)).sum(axis=0) % 2
 
 # Error outcomes (x, t, t', y) of basis_error_rate, in lex order.
 _ODD_16 = np.indices((2,) * 4).sum(axis=0).reshape(16) % 2 == 1
 
-# _KEY_PROJECTORS[u, x] projects (A, B) onto Alice's bit x in basis u.
-_KEY_PROJECTORS = np.array(
-    [[np.kron(bb84_projector(u, x), np.eye(2)) for x in (0, 1)] for u in (0, 1)]
-)
+
+def _unstack(x: np.ndarray) -> float | np.ndarray:
+    """A float for the result of one state, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def twirl(rho: np.ndarray) -> np.ndarray:
@@ -158,13 +197,18 @@ def twirl(rho: np.ndarray) -> np.ndarray:
 
 
 def _as_alpha(alpha) -> np.ndarray:
-    arr = np.asarray(alpha, dtype=float).reshape(-1)
-    if arr.size != 16:
-        raise ValueError(f"Bell-diagonal weights must have 16 entries, got {arr.size}")
-    if arr.min() < -1e-12:
+    # Every row of a (..., 16) stack must be a probability vector; nan fails.
+    arr = np.asarray(alpha, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] != 16:
+        raise ValueError(
+            f"Bell-diagonal weights must have 16 entries per state, got shape {arr.shape}"
+        )
+    if not (arr >= -1e-12).all():
         raise ValueError("Bell-diagonal weights must be non-negative")
-    if abs(arr.sum() - 1.0) > 1e-12:
-        raise ValueError(f"Bell-diagonal weights must sum to 1, got {arr.sum()}")
+    sums = arr.sum(axis=-1, keepdims=True)
+    bad = ~(np.abs(sums - 1.0) <= 1e-12)
+    if bad.any():
+        raise ValueError(f"Bell-diagonal weights must sum to 1, got {sums[bad][0]}")
     return np.clip(arr, 0.0, None)
 
 
@@ -187,18 +231,19 @@ def basis_error_rate(rho: np.ndarray, u1: int, u2: int) -> float:
     """
     if rho.shape != (16, 16):
         raise ValueError(f"expected a 16x16 matrix, got shape {rho.shape}")
-    bra = _multi_kron(_BB84_BRA[u1], _BB84_BRA[u1], _BB84_BRA[u2], _BB84_BRA[u2])
+    bra = _ERROR_BRA[u1, u2]
     outcome_probs = np.real(((bra @ rho) * bra.conj()).sum(axis=1))
     return min(max(float(outcome_probs[_ODD_16].sum()), 0.0), 1.0)
 
 
-def _entropy(eigvals: np.ndarray) -> float:
-    # -sum_i lambda_i log2 lambda_i with 0 log 0 = 0; eigenvalues in
-    # [-PSD_TOL, 0) are round-off, anything more negative is rejected.
-    if eigvals.min() < -PSD_TOL:
+def _entropy(eigvals: np.ndarray) -> np.ndarray:
+    # -sum_i lambda_i log2 lambda_i over the last axis, with 0 log 0 = 0;
+    # eigenvalues in [-PSD_TOL, 0) are round-off, anything more negative is
+    # rejected.
+    if (eigvals < -PSD_TOL).any():
         raise ValueError(f"matrix is not PSD: min eigenvalue {eigvals.min()}")
-    nonzero = eigvals[eigvals > 0.0]
-    return float(-(nonzero * np.log2(nonzero)).sum())
+    logs = np.log2(eigvals, out=np.zeros_like(eigvals), where=eigvals > 0.0)
+    return -(eigvals * logs).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -207,52 +252,49 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything more negative
     is rejected.
     """
-    return _entropy(np.linalg.eigvalsh(rho))
+    return float(_entropy(np.linalg.eigvalsh(rho)))
 
 
-def _branches(alpha, u1: int, u2: int) -> np.ndarray:
-    # Unnormalised (A, B, E) state left by each rotated-Bell announcement,
-    # axes (a, b, A, B, E), from the canonical purification
-    # |Psi> = sum_i sqrt(alpha_i) |i>_{ATT'B} |i>_E; the eigenvectors i are
-    # the tensored Bell basis.  Each squared norm, the announcement
-    # probability, is 1/4, since the node's two qubits are maximally mixed.
-    psi = (_BELL_BASIS_16 * np.sqrt(_as_alpha(alpha))).reshape(2, 2, 2, 2, 16)
-    return np.einsum("abtu,AtuBe->abABe", _ROTATED_BELL_BRA[u1, u2], psi)
+def _per_state(alpha, table: np.ndarray) -> np.ndarray:
+    # Contract the weights of each state, shape (..., 16), with a table whose
+    # first axis is the tensored Bell state i.  The tables come from the
+    # canonical purification |Psi> = sum_i sqrt(alpha_i) |i>_{ATT'B} |i>_E
+    # with the node's qubits projected: each branch state is sum_i alpha_i
+    # |amp_i><amp_i|.  Every announcement has probability 1/4, since the
+    # node's two qubits are maximally mixed.
+    arr = _as_alpha(alpha)
+    return (arr @ table.reshape(16, -1)).reshape(arr.shape[:-1] + table.shape[1:])
 
 
 def bell_announcement_stats(alpha, u1: int, u2: int):
     """Statistics of the node's rotated-Bell measurement on a Bell-diagonal
     state.
 
-    Returns ``(p, e)`` as (2, 2) arrays over the announcement (a, b):
+    Returns ``(p, e)`` as (..., 2, 2) arrays over the announcement (a, b):
     ``p[a, b]`` is the outcome probability, ``e[a, b]`` the conditional
     error rate between Alice's bit (basis u1) and Bob's b-corrected bit
     (basis u2).
     """
-    amps = np.einsum(
-        "xA,yB,abABe->abxye", _BB84_BRA[u1], _BB84_BRA[u2], _branches(alpha, u1, u2)
-    )
-    joint = (np.abs(amps) ** 2).sum(axis=-1)  # a, b, x, y
-    p = joint.sum(axis=(2, 3))
-    return p, (joint * _ODD).sum(axis=(2, 3)) / p
+    joint = _per_state(alpha, _SIGNAL_PROBS[u1, u2])  # ..., a, b, x, y
+    p = joint.sum(axis=(-2, -1))
+    return p, (joint * _ODD).sum(axis=(-2, -1)) / p
 
 
-def conditional_end_user_state(
-    alpha, u1: int, u2: int, a: int, b: int
-) -> tuple[float, np.ndarray]:
+def conditional_end_user_state(alpha, u1: int, u2: int, a: int, b: int):
     """Probability of announcement (a, b) and the conditional state on A, B.
 
     The node projects its two qubits onto the (a, b) element of the rotated
     Bell basis for (u1, u2).  Conditioned states obey the relabeling
     symmetry: the result at (u1, u2, a, b) equals the one at the
-    complementary bases with (a, b) swapped.
+    complementary bases with (a, b) swapped.  A stack of states gives an
+    array of probabilities and a (..., 4, 4) array of states.
     """
-    flat = _branches(alpha, u1, u2)[a, b].reshape(4, 16)
-    p_ab = float(np.real(np.vdot(flat, flat)))
-    return p_ab, (flat @ flat.conj().T) / p_ab
+    state = _per_state(alpha, _BRANCH_STATES[u1, u2, :, a, b])
+    p_ab = np.real(np.trace(state, axis1=-2, axis2=-1))
+    return _unstack(p_ab), state / p_ab[..., None, None]
 
 
-def holevo_oracle(alpha, u1: int, u2: int) -> float:
+def holevo_oracle(alpha, u1: int, u2: int) -> float | np.ndarray:
     """Holevo quantity chi(X : E, announcements) for a Bell-diagonal state.
 
     Eve holds the purifying register of the canonical purification plus the
@@ -261,20 +303,20 @@ def holevo_oracle(alpha, u1: int, u2: int) -> float:
     chi = S(E, ab) - sum_x p_x S(E, ab | x), each a classical-quantum
     entropy over the announcement blocks.
     """
-    # Row 0: the branches; rows 1, 2: the branches with Alice's qubit
-    # projected onto her bit x = 0, 1.  Each branch is pure on (A, B, E), so
-    # Eve's block shares its nonzero spectrum with the branch's 4x4 Gram
-    # matrix on (A, B); in rows 1, 2 that is the spectrum of the 2x2 Gram
-    # matrix on B.
-    flat = _branches(alpha, u1, u2).reshape(1, 2, 2, 4, 16)
-    amps = np.concatenate([flat, _KEY_PROJECTORS[u1][:, None, None] @ flat])
-    eig = np.linalg.eigvalsh(amps @ amps.conj().swapaxes(-1, -2)).reshape(3, 16)
-    weight = eig.sum(axis=1)  # total, p_0, p_1
-    s_all, s_0, s_1 = (_entropy(lam / w) for lam, w in zip(eig, weight))
-    return max(0.0, s_all - weight[1] * s_0 - weight[2] * s_1)
+    # Each branch is pure on (A, B, E), so Eve's block shares its nonzero
+    # spectrum with the branch state on (A, B); once Alice's bit x is fixed,
+    # with the branch state on B.
+    eig = np.linalg.eigvalsh(_per_state(alpha, _BRANCH_STATES[u1, u2]))
+    eig = eig.reshape(eig.shape[:-3] + (16,))
+    eig_x = np.linalg.eigvalsh(_per_state(alpha, _KEYED_STATES[u1, u2]))
+    eig_x = eig_x.reshape(eig_x.shape[:-3] + (8,))  # ..., x, eigenvalue
+    p_x = eig_x.sum(axis=-1)
+    s_all = _entropy(eig / eig.sum(axis=-1, keepdims=True))
+    s_x = _entropy(eig_x / p_x[..., None])
+    return _unstack(np.maximum(0.0, s_all - (p_x * s_x).sum(axis=-1)))
 
 
-def holevo_bound(alpha, u1: int, u2: int) -> float:
+def holevo_bound(alpha, u1: int, u2: int) -> float | np.ndarray:
     """Entropic upper bound certified by the oracle.
 
     The announcement-conditioned states at (u1, u2, a, b) coincide with
@@ -283,10 +325,8 @@ def holevo_bound(alpha, u1: int, u2: int) -> float:
     """
     p, _ = bell_announcement_stats(alpha, u1, u2)
     _, e_comp = bell_announcement_stats(alpha, u1 ^ 1, u2 ^ 1)
-    total = 0.0
-    for a, b in itertools.product((0, 1), repeat=2):
-        total += p[a, b] * binary_entropy(min(max(e_comp[b, a], 0.0), 1.0))
-    return total
+    h = binary_entropy(np.clip(e_comp.swapaxes(-1, -2), 0.0, 1.0))
+    return _unstack((p * h).sum(axis=(-2, -1)))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -296,6 +336,7 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def random_bell_diagonal(rng: np.random.Generator) -> np.ndarray:
-    """Random Bell-diagonal weight vector (flat Dirichlet)."""
-    return rng.dirichlet(np.ones(16))
+def random_bell_diagonal(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Random Bell-diagonal weight vector (flat Dirichlet); a (size, 16)
+    stack if ``size`` is given."""
+    return rng.dirichlet(np.ones(16), size=size)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keyrate import MAX_NODES
+from .keyrate import MAX_NODES, check_protocol_parameters
 
 __all__ = [
     "ChainConfig",
@@ -71,8 +71,7 @@ class ChainConfig:
             raise ValueError(f"flip_prob must lie in [0, 1/2], got {self.flip_prob}")
         if not 0.0 < self.detect_prob <= 1.0:
             raise ValueError(f"detect_prob must lie in (0, 1], got {self.detect_prob}")
-        if not 0.0 <= self.p_z <= 1.0:
-            raise ValueError(f"p_z must lie in [0, 1], got {self.p_z}")
+        check_protocol_parameters(self.p_z)
 
     @property
     def num_links(self) -> int:

@@ -278,6 +278,8 @@ class TestBoundary:
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--nodes", "-5"], 2),
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--scenario",
               "conventional", "--nodes", "16"], 0),
+            (["montecarlo", "--rounds", "1000", "--p-z", "0"], 2),
+            (["montecarlo", "--rounds", "1000", "--p-z", "1"], 2),
         ],
     )
     def test_exit_code(self, argv, code, capsys):

@@ -39,8 +39,17 @@ class TestLinkStatistics:
         phys = LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
         assert poisson_oracle_deviation([phys]) <= 1e-9
 
+    @pytest.mark.parametrize("loss", [60.0, 80.0])
+    def test_single_photon_yield_exact_without_dark_counts(self, loss):
+        # 1 - (1 - eta) cancels at high loss; the yield must not.
+        phys = LinkPhysics(loss_db=loss, dark_count_prob=0.0)
+        stats = decoy.link_statistics(phys)
+        assert abs(stats.y1 / phys.transmittance - 1.0) <= 1e-15
+        assert stats.e1 == phys.intrinsic_error
+
     def test_zero_gain_rejected_before_dividing(self):
-        # Without dark counts the gain rounds to zero at 300 dB.
+        # Without dark counts the link is dead at 300 dB: its single-photon
+        # yield does not register next to 1 in double precision.
         with pytest.raises(ValueError, match="zero gain"):
             decoy.link_statistics(LinkPhysics(loss_db=300.0, dark_count_prob=0.0))
 
@@ -73,6 +82,15 @@ class TestDecoyFractions:
 
     def test_identity_exact(self):
         chains = [[LinkPhysics(loss_db=loss, mu=0.4, **FIG3B)] * 3 for loss in (0.0, 10.0, 25.0)]
+        assert fraction_identity_residual(chains) == 0.0
+
+    def test_identity_exact_over_random_chains(self):
+        rng = np.random.default_rng(0)
+        chains = [
+            [LinkPhysics(loss_db=rng.uniform(0.0, 60.0), dark_count_prob=dark,
+                         mu=rng.uniform(1e-3, 2.0))] * int(rng.integers(1, 4))
+            for dark in rng.choice([0.0, 6e-6, 1e-4], size=2000)
+        ]
         assert fraction_identity_residual(chains) == 0.0
 
     def test_empty_vacuum_or_single_class(self):

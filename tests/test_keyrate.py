@@ -194,11 +194,11 @@ class TestConventionalRelayRate:
         assert keyrate.conventional_relay_rate([0.0, 0.0]).rate == pytest.approx(1.0)
 
     def test_near_zero_at_011(self):
-        assert keyrate.conventional_relay_rate(0.11, f_ec=1.0).rate < 1e-3
+        assert keyrate.conventional_relay_rate([0.11], f_ec=1.0).rate < 1e-3
 
     def test_min_rule(self):
         combined = keyrate.conventional_relay_rate([0.01, 0.05])
-        worst = keyrate.conventional_relay_rate(0.05)
+        worst = keyrate.conventional_relay_rate([0.05])
         assert combined.rate == pytest.approx(worst.rate)
 
 
@@ -236,5 +236,5 @@ class TestMonotonicity:
     @settings(max_examples=60, deadline=None)
     def test_conventional_rate_non_increasing_in_link_error(self, e1, e2):
         lo, hi = sorted((e1, e2))
-        worse = keyrate.conventional_relay_rate(hi).unclamped
-        assert worse <= keyrate.conventional_relay_rate(lo).unclamped + 1e-12
+        worse = keyrate.conventional_relay_rate([hi]).unclamped
+        assert worse <= keyrate.conventional_relay_rate([lo]).unclamped + 1e-12

@@ -357,3 +357,119 @@ class TestHolevoOracle:
                 chi = qubit.holevo_oracle(alpha, u1, u2)
                 e_comp = qubit.basis_error_rate(rho, u1 ^ 1, u2 ^ 1)
                 assert chi <= binary_entropy(min(e_comp, 1.0)) + 1e-9
+
+
+def stack_of_states():
+    """60 random states plus sparse and pure ones (zeros in alpha)."""
+    rng = np.random.default_rng(12)
+    pure = np.eye(16)[[0, 5, 15]]
+    sparse = np.zeros((2, 16))
+    sparse[0, [0, 8]] = (0.9, 0.1)
+    sparse[1, [1, 2, 7]] = (0.5, 0.25, 0.25)
+    return np.concatenate([qubit.random_bell_diagonal(rng, size=60), pure, sparse])
+
+
+class TestStackedStates:
+    ALPHAS = stack_of_states()
+    PAIRS = list(itertools.product((0, 1), repeat=2))
+
+    @pytest.mark.parametrize("u1,u2", PAIRS)
+    def test_holevo_kernels_match_per_state(self, u1, u2):
+        for kernel in (qubit.holevo_oracle, qubit.holevo_bound):
+            stacked = kernel(self.ALPHAS, u1, u2)
+            single = [kernel(alpha, u1, u2) for alpha in self.ALPHAS]
+            assert all(isinstance(value, float) for value in single)
+            assert stacked.shape == (len(self.ALPHAS),)
+            assert np.abs(stacked - single).max() <= 1e-12
+            # Any leading shape: one result per state.
+            grid = kernel(self.ALPHAS.reshape(5, 13, 16), u1, u2)
+            assert np.array_equal(grid, stacked.reshape(5, 13))
+
+    @pytest.mark.parametrize("u1,u2", PAIRS)
+    def test_announcement_stats_match_per_state(self, u1, u2):
+        p, e = qubit.bell_announcement_stats(self.ALPHAS, u1, u2)
+        assert p.shape == e.shape == (len(self.ALPHAS), 2, 2)
+        for alpha, p_row, e_row in zip(self.ALPHAS, p, e):
+            p_one, e_one = qubit.bell_announcement_stats(alpha, u1, u2)
+            assert p_one.shape == e_one.shape == (2, 2)
+            assert np.abs(p_row - p_one).max() <= 1e-12
+            assert np.abs(e_row - e_one).max() <= 1e-12
+
+    @pytest.mark.parametrize("u1,u2", PAIRS)
+    def test_conditional_states_match_per_state(self, u1, u2):
+        for a, b in itertools.product((0, 1), repeat=2):
+            p, rho = qubit.conditional_end_user_state(self.ALPHAS, u1, u2, a, b)
+            assert p.shape == (len(self.ALPHAS),)
+            assert rho.shape == (len(self.ALPHAS), 4, 4)
+            for alpha, p_row, rho_row in zip(self.ALPHAS, p, rho):
+                p_one, rho_one = qubit.conditional_end_user_state(alpha, u1, u2, a, b)
+                assert isinstance(p_one, float)
+                assert abs(p_row - p_one) <= 1e-12
+                assert np.abs(rho_row - rho_one).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            np.full(16, 1 / 8),  # sums to 2
+            np.r_[-0.1, 1.1, np.zeros(14)],  # a negative weight
+            np.r_[np.nan, np.full(15, 1 / 15)],
+        ],
+    )
+    def test_one_invalid_row_rejects_the_stack(self, row):
+        alphas = self.ALPHAS.copy()
+        alphas[17] = row
+        for kernel in (qubit.holevo_oracle, qubit.holevo_bound,
+                       qubit.bell_announcement_stats):
+            with pytest.raises(ValueError, match="Bell-diagonal weights"):
+                kernel(alphas, 0, 1)
+        with pytest.raises(ValueError, match="Bell-diagonal weights"):
+            qubit.conditional_end_user_state(alphas, 0, 1, 1, 0)
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="16 entries"):
+            qubit.holevo_oracle(np.full((3, 8), 1 / 8), 0, 0)
+
+    def test_stacked_draws_equal_single_draws(self):
+        batched, single = np.random.default_rng(13), np.random.default_rng(13)
+        alphas = qubit.random_bell_diagonal(batched, size=6)
+        assert np.array_equal(alphas, [qubit.random_bell_diagonal(single) for _ in range(6)])
+        assert batched.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "check,draw",
+        [
+            (holevo_gap, qubit.random_bell_diagonal),
+            (relabeling_deviation, qubit.random_bell_diagonal),
+            (twirl_deviations, lambda rng: qubit.random_density_matrix(16, rng)),
+        ],
+    )
+    def test_checks_leave_the_rng_as_single_draws_do(self, check, draw):
+        batched, single = np.random.default_rng(14), np.random.default_rng(14)
+        check(batched, 7)
+        for _ in range(7):
+            draw(single)
+        assert batched.bit_generator.state == single.bit_generator.state
+
+    def test_checks_match_a_per_state_loop(self):
+        rng = np.random.default_rng(16)
+        gap = holevo_gap(np.random.default_rng(16), 8)
+        relabel = relabeling_deviation(np.random.default_rng(16), 8)
+        alphas = [qubit.random_bell_diagonal(rng) for _ in range(8)]
+        loop_gap = max(
+            qubit.holevo_oracle(alpha, u1, u2) - qubit.holevo_bound(alpha, u1, u2)
+            for alpha in alphas for u1, u2 in self.PAIRS
+        )
+        loop_relabel = 0.0
+        for alpha, (u1, u2, a, b) in itertools.product(
+            alphas, itertools.product((0, 1), repeat=4)
+        ):
+            p, rho = qubit.conditional_end_user_state(alpha, u1, u2, a, b)
+            p2, rho2 = qubit.conditional_end_user_state(alpha, u1 ^ 1, u2 ^ 1, b, a)
+            loop_relabel = max(loop_relabel, abs(p - p2), np.abs(rho - rho2).max())
+        assert abs(gap - loop_gap) <= 1e-12
+        assert abs(relabel - loop_relabel) <= 1e-15
+
+    def test_empty_stack(self):
+        assert holevo_gap(np.random.default_rng(0), 0) == -np.inf
+        assert relabeling_deviation(np.random.default_rng(0), 0) == 0.0
+        assert twirl_deviations(np.random.default_rng(0), 0) == (0.0, 0.0, 0.0)
