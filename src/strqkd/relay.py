@@ -13,17 +13,28 @@ and Bob's corrected key is compared against Alice's to fill the
 Only the sifted events are sampled.  Rounds are i.i.d. and sifting reads
 neither bit, so a round survives with ``p_keep = detect * (p_z^2 +
 (1 - p_z)^2)`` independently of the others and of its bits.  Each block of
-rounds therefore draws its survivor count from Binomial(block, p_keep), and
-then, for the survivors only, the shared basis (X with probability
-``(1 - p_z)^2 / (p_z^2 + (1 - p_z)^2)``, Z otherwise), a uniform sent bit
-and a flip with probability ``flip_prob``.  Given survival these are
-independent and have exactly these laws, so the sifted stream has the same
-joint law as drawing every round and discarding the unsifted ones, at a
-cost that scales with the survivors instead of the rounds.
+``BLOCK_SIZE = 2^20`` rounds therefore draws its survivor count from
+Binomial(block, p_keep), and then, for the survivors only, the shared basis
+(X with probability ``(1 - p_z)^2 / (p_z^2 + (1 - p_z)^2)``, Z otherwise),
+a uniform sent bit and a flip with probability ``flip_prob``.  Given
+survival these are independent and have exactly these laws, so the sifted
+stream has the same joint law as drawing every round and discarding the
+unsifted ones, at a cost that scales with the survivors instead of the
+rounds.
+
+Each basis and flip decision compares one random byte with the leading
+byte of the binary expansion of its probability, and only the 1 in 256
+bytes that tie with it read further bytes against the rest of the
+expansion (Knuth & Yao, 1976).  The decisions are therefore exactly
+Bernoulli(p), with no rounding of p to a grid, at about one byte each.
 
 Randomness is drawn from per-(link, block) Philox substreams keyed on the
-scenario seed, in a fixed order within each block, so results are
-bit-identical for any worker count.
+scenario seed (Salmon et al., SC'11).  Each block takes its survivor count,
+then one raw draw holding the basis bytes, the packed sent bits and the
+flip bytes in that order, then the bytes that resolve basis ties and then
+flip ties.  Bytes are read from the raw 64-bit words in little-endian
+order on every host, so results are bit-identical for any worker count and
+byte order.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ __all__ = [
     "run_protocol",
 ]
 
-BLOCK_SIZE = 1 << 16
+BLOCK_SIZE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -121,18 +132,51 @@ class ErrorRateTable:
         return np.divide(self.errors, self.samples, out=rates, where=observed)
 
 
+def _raw_bytes(bit_generator: np.random.BitGenerator, count: int) -> np.ndarray:
+    """``count`` random bytes (or up to 7 more), little-endian on any host."""
+    words = bit_generator.random_raw((count + 7) // 8)
+    return words.astype("<u8", copy=False).view(np.uint8)
+
+
+def _bernoulli(
+    bit_generator: np.random.BitGenerator, u: np.ndarray, p: float
+) -> np.ndarray:
+    """Exact Bernoulli(p) decisions, one per random byte of ``u``.
+
+    A byte below ``level = int(256 p)`` succeeds and one above it fails; a
+    byte equal to it is decided by fresh bytes against ``256 p - level``.
+    Both quantities are exact in binary floating point, so the law is
+    exactly Bernoulli(p).  A tie against a zero remainder fails.
+    """
+    scaled = 256.0 * p
+    level = int(scaled)
+    success = u < level
+    remainder = scaled - level
+    if remainder > 0.0:
+        ties = np.flatnonzero(u == level)
+        if ties.size:
+            fresh = _raw_bytes(bit_generator, ties.size)[: ties.size]
+            success[ties] = _bernoulli(bit_generator, fresh, remainder)
+    return success
+
+
 def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
     start = block * BLOCK_SIZE
     n = min(BLOCK_SIZE, cfg.rounds - start)
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(link, block)))
+    bit_generator = np.random.Philox(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(link, block))
     )
     z_weight, x_weight = cfg.p_z**2, (1.0 - cfg.p_z) ** 2
-    kept = int(rng.binomial(n, cfg.detect_prob * (z_weight + x_weight)))
-    basis = (rng.random(kept) < x_weight / (z_weight + x_weight)).astype(np.uint8)
-    sent = np.unpackbits(np.frombuffer(rng.bytes((kept + 7) // 8), np.uint8), count=kept)
-    received = sent ^ (rng.random(kept) < cfg.flip_prob).astype(np.uint8)
-    return SiftedLinkData(basis=basis, sent=sent, received=received)
+    p_keep = cfg.detect_prob * (z_weight + x_weight)
+    kept = int(np.random.Generator(bit_generator).binomial(n, p_keep))
+    packed = (kept + 7) // 8
+    raw = _raw_bytes(bit_generator, 2 * kept + packed)
+    basis = _bernoulli(bit_generator, raw[:kept], x_weight / (z_weight + x_weight))
+    sent = np.unpackbits(raw[kept : kept + packed], count=kept)
+    flips = _bernoulli(bit_generator, raw[kept + packed : 2 * kept + packed], cfg.flip_prob)
+    return SiftedLinkData(
+        basis=basis.view(np.uint8), sent=sent, received=sent ^ flips.view(np.uint8)
+    )
 
 
 def run_quantum_phase(cfg: ChainConfig, workers: int = 1) -> list[SiftedLinkData]:
@@ -168,35 +212,34 @@ def pair_and_announce(links: list[SiftedLinkData]) -> PairedData:
     if not links:
         raise ValueError("need at least one link")
     n = min(len(link) for link in links)
-    bases = np.column_stack([link.basis[:n] for link in links])
-    parities = np.column_stack(
-        [links[j].received[:n] ^ links[j + 1].sent[:n] for j in range(len(links) - 1)]
-    ) if len(links) > 1 else np.empty((n, 0), dtype=np.uint8)
+    # Built as (links, n) and transposed, so each column is contiguous.
+    bases = np.stack([link.basis[:n] for link in links])
+    parities = np.empty((len(links) - 1, n), dtype=np.uint8)
+    for j, row in enumerate(parities):
+        np.bitwise_xor(links[j].received[:n], links[j + 1].sent[:n], out=row)
     return PairedData(
         alice_bits=links[0].sent[:n],
         bob_bits=links[-1].received[:n],
-        bases=bases,
-        parities=parities,
+        bases=bases.T,
+        parities=parities.T,
     )
 
 
 def correct_and_estimate(paired: PairedData) -> ErrorRateTable:
     """Apply parity corrections and bin disagreements by basis vector."""
     links = paired.bases.shape[1]
-    corrected = paired.bob_bits.copy()
+    mismatch = paired.alice_bits ^ paired.bob_bits
     for j in range(paired.parities.shape[1]):
-        corrected ^= paired.parities[:, j]
-    errors = paired.alice_bits != corrected
-    # Shift in one base column per link: the first link ends most significant.
-    codes = paired.bases[:, 0].astype(np.intp)
-    for j in range(1, links):
-        codes <<= 1
-        codes |= paired.bases[:, j]
-    size = 1 << links
-    return ErrorRateTable(
-        errors=np.bincount(codes, weights=errors, minlength=size).astype(np.int64),
-        samples=np.bincount(codes, minlength=size),
-    )
+        mismatch ^= paired.parities[:, j]
+    # Shift in one base column per link, the first link ending most
+    # significant, then the error flag as the lowest bit.  Doubling is the
+    # shift: numpy's uint8 left shift is about ten times slower than add.
+    codes = paired.bases[:, 0].astype(np.min_scalar_type((2 << links) - 1))
+    for bit in [*paired.bases.T[1:], mismatch]:
+        codes += codes
+        codes |= bit
+    counts = np.bincount(codes, minlength=2 << links).reshape(1 << links, 2)
+    return ErrorRateTable(errors=counts[:, 1], samples=counts.sum(axis=1))
 
 
 def run_protocol(cfg: ChainConfig, workers: int = 1) -> tuple[ErrorRateTable, list[int]]:

@@ -3,11 +3,15 @@ handling, determinism."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import strqkd
 from strqkd import cli
 
 
@@ -151,6 +155,18 @@ class TestMonteCarlo:
         out = capsys.readouterr().out
         assert "survivors per link" in out
         assert "u=00" in out
+
+
+class TestImports:
+    def test_cli_import_leaves_qubit_unloaded(self):
+        # qubit builds its branch tables at import; only verify needs them.
+        src = str(Path(strqkd.__file__).resolve().parent.parent)
+        code = "import sys, strqkd.cli; print('strqkd.qubit' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestConfigFile:

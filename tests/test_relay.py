@@ -98,6 +98,64 @@ class TestSiftedLawAtBiasedBases:
             assert binomial_z(float(flips.mean()), self.FLIP, int(chosen.sum())) < 3
 
 
+class _ScriptedBytes:
+    """Stands in for a bit generator: each ``random_raw`` call returns the
+    next chunk of bytes, which must fill the words asked for."""
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+
+    def random_raw(self, size):
+        words = np.frombuffer(self.chunks.pop(0).tobytes(), dtype="<u8")
+        assert len(words) == size
+        return words
+
+
+class TestExactBernoulli:
+    # At flip_prob = 1e-4, level = int(256 * 1e-4) = 0, so every flip comes
+    # from a tie resolved two or more bytes deep.
+    FLIP = 1e-4
+
+    def test_flip_rate_below_one_byte(self):
+        cfg = relay.ChainConfig(
+            num_nodes=1, rounds=10_000_000, flip_prob=self.FLIP, seed=41
+        )
+        for link in relay.run_quantum_phase(cfg):
+            assert len(link) * self.FLIP > 400
+            rate = float((link.sent != link.received).mean())
+            assert binomial_z(rate, self.FLIP, len(link)) < 3
+
+    def test_zero_flip_prob_never_flips(self):
+        cfg = relay.ChainConfig(num_nodes=1, rounds=2_000_000, flip_prob=0.0, seed=42)
+        for link in relay.run_quantum_phase(cfg):
+            assert (link.sent == link.received).all()
+
+    @pytest.mark.parametrize("numerator", [12345, 200, 1 << 15, 65535])
+    def test_law_exact_over_all_two_byte_sequences(self, numerator):
+        # p has a 16-bit binary expansion, so the first two bytes decide
+        # every draw.  Over all 65536 (first, second) byte pairs exactly
+        # ``numerator`` succeed, and no third byte is read.
+        p = numerator / 65536
+        level = int(256 * p)
+        first = np.repeat(np.arange(256, dtype=np.uint8), 256)
+        second = np.arange(256, dtype=np.uint8)
+        chunks = [second] if 256 * p > level else []
+        bit_generator = _ScriptedBytes(*chunks)
+        success = relay._bernoulli(bit_generator, first, p)
+        assert int(success.sum()) == numerator
+        assert not bit_generator.chunks
+
+    def test_tie_at_every_byte_reads_the_next(self):
+        # p spells the bytes 12, 34, 56.  Every draw ties on its first two
+        # bytes, so the third decides: exactly 56 of 256 succeed.
+        p = (12 * 65536 + 34 * 256 + 56) / (1 << 24)
+        second = np.full(256, 34, dtype=np.uint8)
+        bit_generator = _ScriptedBytes(second, np.arange(256, dtype=np.uint8))
+        success = relay._bernoulli(bit_generator, np.full(256, 12, dtype=np.uint8), p)
+        assert int(success.sum()) == 56
+        assert not bit_generator.chunks
+
+
 class TestPairing:
     def test_truncates_to_shortest_link(self):
         links = [
@@ -216,6 +274,38 @@ class TestDeterminism:
         assert (base.errors == other.errors).all()
         assert (base.samples == other.samples).all()
         assert survivors == survivors2
+
+
+class TestBlockBoundaries:
+    # Three blocks per link, the last one partial, at a low detection
+    # probability so the run stays cheap.
+    ROUNDS = 2 * relay.BLOCK_SIZE + 4321
+
+    @staticmethod
+    def config(rounds):
+        return relay.ChainConfig(
+            num_nodes=1, rounds=rounds, flip_prob=0.05, detect_prob=0.01, seed=11
+        )
+
+    def test_worker_count_does_not_change_output(self):
+        cfg = self.config(self.ROUNDS)
+        base, survivors = relay.run_protocol(cfg, workers=1)
+        for workers in (2, 3):
+            other, survivors2 = relay.run_protocol(cfg, workers=workers)
+            assert (base.errors == other.errors).all()
+            assert (base.samples == other.samples).all()
+            assert survivors == survivors2
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_leading_blocks_are_a_prefix(self, blocks):
+        # Block b of link l draws from substream (l, b) whatever the run's
+        # length, so a shorter run is a prefix of a longer one.
+        short = relay.run_quantum_phase(self.config(blocks * relay.BLOCK_SIZE))
+        full = relay.run_quantum_phase(self.config(self.ROUNDS))
+        for head, link in zip(short, full):
+            assert 0 < len(head) < len(link)
+            for name in ("basis", "sent", "received"):
+                assert (getattr(link, name)[: len(head)] == getattr(head, name)).all()
 
 
 class TestCompoundError:
