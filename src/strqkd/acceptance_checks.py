@@ -145,9 +145,10 @@ def fraction_identity_residual(chains: Iterable[Sequence[decoy.LinkPhysics]]) ->
 def decoy_cutoff_loss(mode: str, num_links: int) -> float:
     """Smallest per-link loss, on a 1 dB grid up to 80 dB, with zero optimized
     rate for the default link physics and f_EC = 1.2."""
-    for loss in range(81):
-        links = [decoy.LinkPhysics(loss_db=float(loss))] * num_links
-        _, report = decoy.optimize_intensity(links, f_ec=1.2, mode=mode)
-        if report.rate <= 0.0:
-            return float(loss)
-    return float("inf")
+    losses = [float(loss) for loss in range(81)]
+    chains = [[decoy.LinkPhysics(loss_db=loss)] * num_links for loss in losses]
+    results = decoy.optimize_intensities(chains, f_ec=1.2, mode=mode)
+    return next(
+        (loss for loss, (_, report) in zip(losses, results) if report.rate <= 0.0),
+        float("inf"),
+    )

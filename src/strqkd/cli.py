@@ -16,6 +16,7 @@ resolved configuration for reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -164,9 +165,8 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
         "holevo_term",
         "tagged_term",
     ]
-    rows = []
-    for loss in grid:
-        links = [
+    chains = [
+        [
             decoy.LinkPhysics(
                 loss_db=loss,
                 detector_efficiency=args.eta_det,
@@ -174,34 +174,33 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
                 intrinsic_error=args.e_det,
                 mu=mu_fixed if mu_fixed is not None else 0.5,
             )
-        ] * num_links
-        if mu_fixed is None:
-            mu, report = decoy.optimize_intensity(
-                links,
-                f_ec=args.f_ec,
-                p_z=args.p_z,
-                mode=args.scenario,
-                conservative=args.conservative,
-            )
-        elif args.scenario == "conventional":
-            mu = mu_fixed
-            report = decoy.conventional_decoy_rate(links, f_ec=args.f_ec, p_z=args.p_z)
-        else:
-            mu = mu_fixed
-            report = decoy.decoy_rate(
-                links, f_ec=args.f_ec, p_z=args.p_z, conservative=args.conservative
-            )
-        rows.append(
-            [
-                loss,
-                mu,
-                report.rate,
-                report.entropy_term,
-                report.leak_term,
-                report.holevo_term,
-                report.tagged_term,
-            ]
+        ]
+        * num_links
+        for loss in grid
+    ]
+    if mu_fixed is None:
+        results = decoy.optimize_intensities(
+            chains,
+            f_ec=args.f_ec,
+            p_z=args.p_z,
+            mode=args.scenario,
+            conservative=args.conservative,
         )
+    elif args.scenario == "conventional":
+        results = [
+            (mu_fixed, decoy.conventional_decoy_rate(links, f_ec=args.f_ec, p_z=args.p_z))
+            for links in chains
+        ]
+    else:
+        rate = functools.partial(
+            decoy.decoy_rate, f_ec=args.f_ec, p_z=args.p_z, conservative=args.conservative
+        )
+        results = [(mu_fixed, rate(links)) for links in chains]
+    rows = [
+        [loss, mu, report.rate, report.entropy_term, report.leak_term, report.holevo_term,
+         report.tagged_term]
+        for loss, (mu, report) in zip(grid, results)
+    ]
     emit_csv(args.output, header, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0

@@ -10,10 +10,13 @@ finite-decoy estimate.  The tagged-signal accounting follows GLLP: Eve gets
 full information on any detected event in which some link emitted a
 multi-photon pulse (vacuum in the first link excepted), which is subtracted
 outright from the key rate; per-loss intensity optimization reproduces the
-rate-vs-loss sweeps.  The coarse intensity scan evaluates every grid point
-at once: the statistics, fractions and rates accept an array of intensities
-in place of one float.  Floats go through ``math``, so the refined optimum
-and every reported value are computed by the scalar formulas.
+rate-vs-loss sweeps.  A sweep is optimized as a batch: one array scan of
+the intensity grid covers all its loss points, and golden-section
+refinement runs as array steps over the points still open, each point
+taking the steps its own scalar search would.  The statistics, fractions
+and rates therefore accept arrays (intensities, and link quantities with
+one entry per chain) in place of floats.  Floats go through ``math``, and
+every reported value is computed on floats by the scalar formulas.
 
 Dark-count coincidences carry error 1/2 (a dark click is an uncorrelated
 bit); the dark-count error term is weighted by the probability that no
@@ -26,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +51,7 @@ __all__ = [
     "decoy_rate",
     "conventional_decoy_rate",
     "optimize_intensity",
+    "optimize_intensities",
 ]
 
 E_DARK = 0.5  # error rate of a dark-count click
@@ -57,6 +61,9 @@ GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 # the bracket at which golden-section refinement stops.
 GRID_POINTS = 200
 MU_TOL = 1e-4
+# optimize_intensities: chains optimized together, which bounds the scan's
+# arrays at SWEEP_BLOCK x GRID_POINTS values each.
+SWEEP_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -167,66 +174,92 @@ def _select(cond, a, b):
     return a if cond else b
 
 
+class _Link(NamedTuple):
+    """The intensity-free quantities of a link: floats for one link, equal
+    length arrays for one link per chain of a sweep."""
+
+    eta: float  # transmittance
+    y0: float
+    y1: float
+    e1: float
+    intrinsic_error: float
+    loss_db: float
+
+
+def _link(phys: LinkPhysics) -> _Link:
+    eta = phys.transmittance
+    if eta <= 0.0:
+        raise ValueError("link transmittance must be positive")
+    y0 = 1.0 - (1.0 - phys.dark_count_prob) ** 2
+    y1 = _yield_n(y0, eta, 1)  # at least eta, so positive
+    e1 = _error_yield_n(phys, y0, eta, 1) / y1
+    return _Link(eta, y0, y1, e1, phys.intrinsic_error, phys.loss_db)
+
+
+def _live_link(phys: LinkPhysics, mu: float) -> _Link:
+    """:func:`_link`, for a link whose gain at ``mu`` is positive."""
+    link = _link(phys)
+    _statistics(link, mu)  # raises when the gain is zero
+    return link
+
+
+def _statistics(link: _Link, mu: float | np.ndarray) -> LinkStatistics:
+    """The closed forms of :func:`link_statistics`; the quantities of
+    ``link`` and ``mu`` broadcast against each other."""
+    vac = _exp(-mu * link.eta)
+    # A signal photon is detected with probability 1 - vac; expm1 keeps it
+    # from cancelling at high loss, where the gain rests on it alone if y0 = 0.
+    signal = -_expm1(-mu * link.eta)
+    gain = link.y0 + (1.0 - link.y0) * signal
+    # Without dark counts the gain is zero once mu * eta underflows.
+    if not _all(gain > 0.0):
+        raise ValueError(f"link with loss {link.loss_db} dB has zero gain")
+    qber = (E_DARK * link.y0 * vac + link.intrinsic_error * signal) / gain
+    return LinkStatistics(
+        gain=gain,
+        qber=qber,
+        y0=link.y0,
+        y1=link.y1,
+        e1=link.e1,
+        c0=_exp(-mu) * link.y0 / gain,
+        c1=mu * _exp(-mu) * link.y1 / gain,
+    )
+
+
 def link_statistics(
     phys: LinkPhysics, mu: float | np.ndarray | None = None
 ) -> LinkStatistics:
     """Closed-form gain, QBER, and n in {0, 1} yields/errors for one link at
     intensity ``mu`` (default ``phys.mu``; an array gives array statistics);
-    ValueError when the gain or single-photon yield rounds to zero."""
-    eta = phys.transmittance
-    if eta <= 0.0:
-        raise ValueError("link transmittance must be positive")
+    ValueError when the gain is zero."""
+    link = _link(phys)
     if mu is None:
         mu = phys.mu
     elif not _all((0.0 < mu) & (mu < math.inf)):
         raise ValueError(f"mu must be positive and finite, got {mu}")
-    y0 = 1.0 - (1.0 - phys.dark_count_prob) ** 2
-    y1 = _yield_n(y0, eta, 1)
-    vac = _exp(-mu * eta)
-    # A signal photon is detected with probability 1 - vac; expm1 keeps it
-    # from cancelling at high loss, where the gain rests on it alone if y0 = 0.
-    signal = -_expm1(-mu * eta)
-    gain = y0 + (1.0 - y0) * signal
-    # A link is dead when its single-photon yield does not register next to
-    # 1 in double precision: without dark counts, beyond about 160 dB at the
-    # default detector efficiency.
-    if not _all(gain > 0.0) or (1.0 - y0) * (1.0 - eta) == 1.0:
-        raise ValueError(f"link with loss {phys.loss_db} dB has zero gain")
-    e1 = _error_yield_n(phys, y0, eta, 1) / y1
-    qber = (E_DARK * y0 * vac + phys.intrinsic_error * signal) / gain
-    return LinkStatistics(
-        gain=gain,
-        qber=qber,
-        y0=y0,
-        y1=y1,
-        e1=e1,
-        c0=_exp(-mu) * y0 / gain,
-        c1=mu * _exp(-mu) * y1 / gain,
-    )
+    return _statistics(link, mu)
 
 
 def poisson_sum_statistics(phys: LinkPhysics, n_max: int = 30) -> LinkStatistics:
     """Photon-number-resolved route to the same statistics: truncated Poisson
     sums over per-n yields and error yields.  Independent cross-check for
     the closed forms in :func:`link_statistics`."""
-    eta = phys.transmittance
-    y0 = 1.0 - (1.0 - phys.dark_count_prob) ** 2
+    link = _link(phys)
     mu = phys.mu
     gain = 0.0
     err = 0.0
     for n in range(n_max + 1):
         p_n = math.exp(-mu) * mu**n / math.factorial(n)
-        gain += p_n * _yield_n(y0, eta, n)
-        err += p_n * _error_yield_n(phys, y0, eta, n)
-    y1 = _yield_n(y0, eta, 1)
+        gain += p_n * _yield_n(link.y0, link.eta, n)
+        err += p_n * _error_yield_n(phys, link.y0, link.eta, n)
     return LinkStatistics(
         gain=gain,
         qber=err / gain,
-        y0=y0,
-        y1=y1,
-        e1=_error_yield_n(phys, y0, eta, 1) / y1,
-        c0=math.exp(-mu) * y0 / gain,
-        c1=mu * math.exp(-mu) * y1 / gain,
+        y0=link.y0,
+        y1=link.y1,
+        e1=link.e1,
+        c0=math.exp(-mu) * link.y0 / gain,
+        c1=mu * math.exp(-mu) * link.y1 / gain,
     )
 
 
@@ -273,32 +306,48 @@ def _sift_factor(p_z: float) -> float:
     return p_z * p_z + (1.0 - p_z) * (1.0 - p_z)
 
 
-def decoy_rate(
-    links: Sequence[LinkPhysics],
-    f_ec: float = 1.2,
-    p_z: float = 0.5,
-    conservative: bool = False,
-    per_clock: bool = True,
-    mu: float | np.ndarray | None = None,
-) -> KeyRateReport:
-    """STR decoy-state key rate for a chain of links.
-
-    Per sifted signal: 1 - f_EC h(E_total) - f_s h(e_s) - f_m, where E_total
-    is the compound all-photon-number QBER, (f_s, e_s) are the untagged
-    single-photon quantities (the f_s_s/e_s_s lower bound in conservative
-    mode), and f_m the tagged fraction.  ``per_clock`` rescales by the
-    all-links coincidence gain and the per-link sifting factors.  ``mu``
-    overrides every link's intensity; an array of them gives array terms.
-    """
-    check_protocol_parameters(p_z, f_ec)
-    if len(links) > MAX_NODES + 1:
+def _check_chain(links: Sequence[LinkPhysics], mode: str) -> None:
+    if not links:
+        raise ValueError("need at least one link")
+    if mode == "str" and len(links) > MAX_NODES + 1:
         raise ValueError(
             f"a chain has at most {MAX_NODES} nodes ({MAX_NODES + 1} links), "
             f"got {len(links)} links"
         )
-    # Chains of equal links are the common case: one computation per link.
-    computed = {phys: link_statistics(phys, mu) for phys in dict.fromkeys(links)}
-    stats = [computed[phys] for phys in links]
+
+
+_TERMS = ("entropy_term", "leak_term", "holevo_term", "tagged_term")
+
+
+def _rate(
+    stats: Sequence[LinkStatistics],
+    mode: str,
+    f_ec: float,
+    p_z: float,
+    conservative: bool,
+    per_clock: bool = True,
+) -> KeyRateReport:
+    """The key rate of a chain from its links' statistics, in chain order
+    (equal links may share one object); array statistics give array terms."""
+    if mode == "conventional":
+        worst = None
+        for s in {id(s): s for s in stats}.values():
+            report = KeyRateReport(
+                entropy_term=s.c1,
+                leak_term=f_ec * binary_entropy(s.qber),
+                holevo_term=s.c1 * binary_entropy(s.e1),
+                tagged_term=0.0,
+            )
+            if per_clock:
+                report = report.scaled(s.gain * _sift_factor(p_z))
+            if worst is None:
+                worst = report
+            else:
+                lower = report.unclamped < worst.unclamped
+                worst = KeyRateReport(
+                    *(_select(lower, getattr(report, t), getattr(worst, t)) for t in _TERMS)
+                )
+        return worst
     fractions = _fractions(stats)
     e_total = compound_error([s.qber for s in stats])
     if conservative:
@@ -321,7 +370,40 @@ def decoy_rate(
     return report
 
 
-_TERMS = ("entropy_term", "leak_term", "holevo_term", "tagged_term")
+def _chain_rate(
+    links: Sequence[LinkPhysics],
+    mu: float | np.ndarray | None,
+    mode: str,
+    f_ec: float,
+    p_z: float,
+    conservative: bool = False,
+    per_clock: bool = True,
+) -> KeyRateReport:
+    check_protocol_parameters(p_z, f_ec)
+    _check_chain(links, mode)
+    # Chains of equal links are the common case: one computation per link.
+    computed = {phys: link_statistics(phys, mu) for phys in dict.fromkeys(links)}
+    return _rate([computed[phys] for phys in links], mode, f_ec, p_z, conservative, per_clock)
+
+
+def decoy_rate(
+    links: Sequence[LinkPhysics],
+    f_ec: float = 1.2,
+    p_z: float = 0.5,
+    conservative: bool = False,
+    per_clock: bool = True,
+    mu: float | np.ndarray | None = None,
+) -> KeyRateReport:
+    """STR decoy-state key rate for a chain of links.
+
+    Per sifted signal: 1 - f_EC h(E_total) - f_s h(e_s) - f_m, where E_total
+    is the compound all-photon-number QBER, (f_s, e_s) are the untagged
+    single-photon quantities (the f_s_s/e_s_s lower bound in conservative
+    mode), and f_m the tagged fraction.  ``per_clock`` rescales by the
+    all-links coincidence gain and the per-link sifting factors.  ``mu``
+    overrides every link's intensity; an array of them gives array terms.
+    """
+    return _chain_rate(links, mu, "str", f_ec, p_z, conservative, per_clock)
 
 
 def conventional_decoy_rate(
@@ -337,41 +419,7 @@ def conventional_decoy_rate(
     the single-photon detected fraction; a chain takes its worst link (the
     first of equal ones), elementwise when ``mu`` is an array of intensities.
     """
-    check_protocol_parameters(p_z, f_ec)
-    if not links:
-        raise ValueError("need at least one link")
-    worst = None
-    for phys in dict.fromkeys(links):
-        stats = link_statistics(phys, mu)
-        report = KeyRateReport(
-            entropy_term=stats.c1,
-            leak_term=f_ec * binary_entropy(stats.qber),
-            holevo_term=stats.c1 * binary_entropy(stats.e1),
-            tagged_term=0.0,
-        )
-        if per_clock:
-            report = report.scaled(stats.gain * _sift_factor(p_z))
-        if worst is None:
-            worst = report
-        else:
-            lower = report.unclamped < worst.unclamped
-            worst = KeyRateReport(
-                *(_select(lower, getattr(report, t), getattr(worst, t)) for t in _TERMS)
-            )
-    return worst
-
-
-def _rate_at_mu(
-    links: Sequence[LinkPhysics],
-    mu: float | np.ndarray,
-    f_ec: float,
-    p_z: float,
-    conservative: bool,
-    mode: str,
-) -> KeyRateReport:
-    if mode == "conventional":
-        return conventional_decoy_rate(links, f_ec=f_ec, p_z=p_z, mu=mu)
-    return decoy_rate(links, f_ec=f_ec, p_z=p_z, conservative=conservative, mu=mu)
+    return _chain_rate(links, mu, "conventional", f_ec, p_z, per_clock=per_clock)
 
 
 @functools.lru_cache(maxsize=8)
@@ -383,6 +431,40 @@ def _mu_grid(lo: float, hi: float) -> np.ndarray:
     return grid
 
 
+def optimize_intensities(
+    chains: Sequence[Sequence[LinkPhysics]],
+    f_ec: float = 1.2,
+    p_z: float = 0.5,
+    mu_bounds: tuple[float, float] = (1e-4, 2.0),
+    mode: str = "str",
+    conservative: bool = False,
+) -> list[tuple[float, KeyRateReport]]:
+    """Optimize a single source intensity shared by all links, for each chain
+    of a sweep; the chains must have equal lengths.
+
+    Coarse log-spaced grid scan, then golden-section refinement of the
+    bracketing interval, both as array steps over the chains.  Returns
+    (mu_star, report) per chain, the report computed on floats; a chain
+    with no positive rate anywhere gets the lower bound with its (zero) rate.
+    Each chain's result is the one it gets when optimized alone.
+    """
+    lo, hi = mu_bounds
+    if not (0.0 < lo < hi and hi / lo < math.inf):
+        raise ValueError(f"invalid mu bounds {mu_bounds}")
+    if mode not in ("str", "conventional"):
+        raise ValueError(f"unknown mode {mode!r}")
+    check_protocol_parameters(p_z, f_ec)
+    if len({len(chain) for chain in chains}) > 1:
+        raise ValueError("chains must have equal lengths")
+    if chains:
+        _check_chain(chains[0], mode)
+    results = []
+    for start in range(0, len(chains), SWEEP_BLOCK):
+        block = chains[start : start + SWEEP_BLOCK]
+        results += _optimize_block(block, lo, hi, f_ec, p_z, mode, conservative)
+    return results
+
+
 def optimize_intensity(
     links: Sequence[LinkPhysics],
     f_ec: float = 1.2,
@@ -391,46 +473,73 @@ def optimize_intensity(
     mode: str = "str",
     conservative: bool = False,
 ) -> tuple[float, KeyRateReport]:
-    """Optimize a single source intensity shared by all links.
+    """:func:`optimize_intensities` for one chain: (mu_star, report)."""
+    return optimize_intensities([links], f_ec, p_z, mu_bounds, mode, conservative)[0]
 
-    Coarse log-spaced grid scan, one array evaluation over all points,
-    followed by golden-section refinement of the bracketing interval on
-    floats.  Returns (mu_star, report); if no positive rate exists anywhere,
-    returns the lower bound with its (zero) rate.
-    """
-    lo, hi = mu_bounds
-    if not 0.0 < lo < hi:
-        raise ValueError(f"invalid mu bounds {mu_bounds}")
-    if mode not in ("str", "conventional"):
-        raise ValueError(f"unknown mode {mode!r}")
 
-    def objective(mu: float) -> float:
-        return _rate_at_mu(links, mu, f_ec, p_z, conservative, mode).unclamped
+def _optimize_block(
+    chains: Sequence[Sequence[LinkPhysics]],
+    lo: float,
+    hi: float,
+    f_ec: float,
+    p_z: float,
+    mode: str,
+    conservative: bool,
+) -> list[tuple[float, KeyRateReport]]:
+    # A position that holds equal links in every chain is computed once, as
+    # equal links are within one chain.
+    slot: dict[tuple[LinkPhysics, ...], int] = {}
+    index = [slot.setdefault(column, len(slot)) for column in zip(*chains)]
+    # The gain is smallest at the lowest intensity: checking each link there,
+    # on floats and in sweep order, fails a sweep on its first dead link, as
+    # the scan of that chain alone would.
+    per_chain = [[_live_link(phys, lo) for phys in chain] for chain in zip(*slot)]
+    per_position = [_Link(*map(np.array, zip(*links))) for links in zip(*per_chain)]
+
+    def report(links: Sequence[_Link], mu) -> KeyRateReport:
+        stats = [_statistics(link, mu) for link in links]
+        return _rate([stats[k] for k in index], mode, f_ec, p_z, conservative)
+
+    def unclamped(which, mu: np.ndarray) -> np.ndarray:
+        links = [_Link(*(f[which] for f in link)) for link in per_position]
+        return report(links, mu).unclamped
 
     grid = _mu_grid(lo, hi)
-    values = _rate_at_mu(links, grid, f_ec, p_z, conservative, mode).unclamped
-    best = int(np.argmax(values))  # the first maximum, as max() picks it
-    if values[best] <= 0.0:
-        return lo, _rate_at_mu(links, lo, f_ec, p_z, conservative, mode)
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, GRID_POINTS - 1)])
-    mu_star = _golden_section_max(objective, a, b, MU_TOL)
-    return mu_star, _rate_at_mu(links, mu_star, f_ec, p_z, conservative, mode)
+    # Each chain's quantities as a column against the grid: one row per chain.
+    values = unclamped((slice(None), None), grid)
+    best = values.argmax(axis=1)  # the first maximum, as max() picks it
+    live = np.flatnonzero(values.max(axis=1) > 0.0)
+    mus = np.full(len(chains), lo)
+    if live.size:
+        a = grid[np.maximum(best[live] - 1, 0)]
+        b = grid[np.minimum(best[live] + 1, GRID_POINTS - 1)]
+        mus[live] = _refine(unclamped, live, a, b)
+    # Reported values are computed on floats, by the formulas of decoy_rate.
+    return [(mu, report(links, mu)) for links, mu in zip(per_chain, mus.tolist())]
 
 
-def _golden_section_max(
-    fn: Callable[[float], float], a: float, b: float, tol: float
-) -> float:
+def _refine(
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    which: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """Golden-section maximization of ``objective(which, mu)`` on one bracket
+    [a, b] per entry of ``which``.  Each bracket takes the steps of a scalar
+    search in float64 and stops once narrower than MU_TOL, so its result does
+    not depend on the others; each step evaluates the brackets still open."""
     c = b - GOLDEN_INV * (b - a)
     d = a + GOLDEN_INV * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN_INV * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN_INV * (b - a)
-            fd = fn(d)
+    fc, fd = objective(which, c), objective(which, d)
+    todo = np.flatnonzero(b - a > MU_TOL)
+    while todo.size:
+        left = fc[todo] > fd[todo]
+        lt, rt = todo[left], todo[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - GOLDEN_INV * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + GOLDEN_INV * (b[rt] - a[rt])
+        new = objective(which[todo], np.where(left, c[todo], d[todo]))
+        fc[lt], fd[rt] = new[left], new[~left]
+        todo = todo[b[todo] - a[todo] > MU_TOL]
     return 0.5 * (a + b)

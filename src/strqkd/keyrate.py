@@ -206,7 +206,7 @@ def compound_error(per_link_errors: Iterable[float]) -> float:
     (1 - prod_i (1 - 2 e_i)) / 2.  Unchecked: decoy rates may pass 1/2."""
     prod = 1.0
     for e in per_link_errors:
-        prod *= 1.0 - 2.0 * e
+        prod = prod * (1.0 - 2.0 * e)  # not in place: arrays may broadcast
     return 0.5 * (1.0 - prod)
 
 

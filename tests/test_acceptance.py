@@ -129,12 +129,11 @@ def test_criterion_6_monte_carlo_consistency():
 
 
 def _sweep(mode, num_links, params, f_ec):
-    rates = []
-    for loss in np.arange(0.0, 40.01, 0.5):
-        links = [LinkPhysics(loss_db=float(loss), **params)] * num_links
-        _, rep = decoy.optimize_intensity(links, f_ec=f_ec, mode=mode)
-        rates.append(rep.rate)
-    return rates
+    chains = [
+        [LinkPhysics(loss_db=float(loss), **params)] * num_links
+        for loss in np.arange(0.0, 40.01, 0.5)
+    ]
+    return [rep.rate for _, rep in decoy.optimize_intensities(chains, f_ec=f_ec, mode=mode)]
 
 
 def test_criterion_7_decoy_model():

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import strqkd
 from strqkd import cli
 
+DATA = Path(__file__).parent / "data"
+
 
 def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
@@ -128,6 +130,37 @@ class TestDecoySweep:
         assert code == 0
         rows = [line.split(",") for line in read_lines(out)[1:]]
         assert float(rows[0][2]) > 0.0
+
+    @pytest.mark.parametrize(
+        "name,flags",
+        [("conventional", ["--scenario", "conventional"]), ("str1", ["--nodes", "1"]),
+         ("str2", ["--nodes", "2"])],
+    )
+    def test_optimized_sweep_matches_golden_csv(self, name, flags, tmp_path, capsys):
+        # The decoy sweeps of the rate-curves benchmark, pinned byte for byte.
+        out = tmp_path / "decoy.csv"
+        argv = ["decoy-sweep", "--mu", "auto", "--loss-db", "0:40:0.5", *flags]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"decoy_{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("mu", ["auto", "0.3"])
+    def test_dark_count_free_link_far_out(self, mu, tmp_path):
+        out = tmp_path / "decoy.csv"
+        argv = ["decoy-sweep", "--loss-db", "300:400:100", "--dark", "0", "--mu", mu]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        rates = [float(line.split(",")[2]) for line in read_lines(out)[1:]]
+        assert len(rates) == 2 and all(rate > 0.0 for rate in rates)
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--nodes", "2"], ["--scenario", "conventional"]]
+    )
+    def test_sweep_fails_on_first_dead_link(self, flags, capsys):
+        # Without dark counts mu * eta underflows at the lowest scanned
+        # intensity from 3200 dB on: the sweep names that point.
+        argv = ["decoy-sweep", "--mu", "auto", "--loss-db", "3100:3300:50", "--dark", "0",
+                *flags, "--output", os.devnull]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: link with loss 3200.0 dB has zero gain\n"
 
 
 class TestMonteCarlo:
@@ -268,7 +301,8 @@ class TestBoundary:
         "argv,code",
         [
             (["fig2-sweep", "--nodes", "0,-1"], 2),
-            (["decoy-sweep", "--loss-db", "300:400:100", "--dark", "0"], 2),
+            (["decoy-sweep", "--loss-db", "300:400:100", "--dark", "0"], 0),
+            (["decoy-sweep", "--loss-db", "3200:3200:1", "--dark", "0"], 2),
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "800"], 0),
             (["decoy-sweep", "--loss-db", "0:2:2", "--mu", "0.3", "--e-det", "0.5"], 0),
             (["montecarlo", "--rounds", "1000", "--workers", "0"], 2),

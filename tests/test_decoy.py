@@ -48,10 +48,13 @@ class TestLinkStatistics:
         assert stats.e1 == phys.intrinsic_error
 
     def test_zero_gain_rejected_before_dividing(self):
-        # Without dark counts the link is dead at 300 dB: its single-photon
-        # yield does not register next to 1 in double precision.
+        # Without dark counts a link works as long as mu * eta does not
+        # underflow: at 300 dB its single-photon yield is still eta exactly,
+        # at 3200 dB and mu = 1e-4 its gain is zero.
+        phys = LinkPhysics(loss_db=300.0, dark_count_prob=0.0)
+        assert decoy.link_statistics(phys).y1 == phys.transmittance
         with pytest.raises(ValueError, match="zero gain"):
-            decoy.link_statistics(LinkPhysics(loss_db=300.0, dark_count_prob=0.0))
+            decoy.link_statistics(LinkPhysics(loss_db=3200.0, dark_count_prob=0.0, mu=1e-4))
 
     def test_invalid_physics_rejected(self):
         with pytest.raises(ValueError):
@@ -271,6 +274,12 @@ class TestOptimizeIntensity:
                 [LinkPhysics(loss_db=0.0)], mu_bounds=(1.0, 0.5)
             )
 
+    @pytest.mark.parametrize("mu_bounds", [(1e-4, math.inf), (1e-300, 1e10)])
+    def test_bounds_with_infinite_grid_rejected(self, mu_bounds):
+        # Both grids would hold inf: hi is infinite, or hi / lo overflows.
+        with pytest.raises(ValueError, match="invalid mu bounds"):
+            decoy.optimize_intensity([LinkPhysics(loss_db=0.0)], mu_bounds=mu_bounds)
+
     @given(
         loss=st.floats(0.0, 80.0),
         delta=st.floats(0.0, 3.0),
@@ -358,11 +367,103 @@ class TestArrayIntensities:
                 ), (t, mu)
 
     def test_zero_gain_rejected_for_any_point(self):
-        phys = LinkPhysics(loss_db=300.0, dark_count_prob=0.0)
+        # At 3200 dB without dark counts mu * eta underflows at mu = 1e-4 only.
+        phys = LinkPhysics(loss_db=3200.0, dark_count_prob=0.0)
+        assert (decoy.link_statistics(phys, mu=np.array([0.5, 1.0])).gain > 0.0).all()
         with pytest.raises(ValueError, match="zero gain"):
-            decoy.link_statistics(phys, mu=np.array([0.5, 1.0]))
+            decoy.link_statistics(phys, mu=np.array([0.5, 1e-4]))
 
     @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf, np.array([0.5, 0.0])])
     def test_rejects_invalid_mu(self, mu):
         with pytest.raises(ValueError, match="mu must be positive"):
             decoy.link_statistics(LinkPhysics(loss_db=0.0), mu=mu)
+
+
+def _golden_section_reference(fn, a, b):
+    """The scalar golden-section search each bracket of the batched
+    refinement must follow step for step; returns (mu, evaluations)."""
+    c = b - decoy.GOLDEN_INV * (b - a)
+    d = a + decoy.GOLDEN_INV * (b - a)
+    fc, fd = fn(c), fn(d)
+    calls = 2
+    while b - a > decoy.MU_TOL:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - decoy.GOLDEN_INV * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + decoy.GOLDEN_INV * (b - a)
+            fd = fn(d)
+        calls += 1
+    return 0.5 * (a + b), calls
+
+
+class TestOptimizeIntensities:
+    LOSSES = [0.0, 7.5, 15.0, 25.0, 40.0, 60.0]
+
+    def test_refinement_matches_scalar_search(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(1e-4, 1.0, size=300)
+        b = a + 10.0 ** rng.uniform(-5.0, 0.0, size=300)
+        peaks = rng.uniform(a - 0.1, b + 0.1)
+
+        def objective(which, mu):
+            return -(mu - peaks[which]) * (mu - peaks[which])
+
+        found = decoy._refine(objective, np.arange(300), a.copy(), b.copy())
+        calls = set()
+        for i in range(300):
+            mu, n = _golden_section_reference(
+                lambda x: -(x - peaks[i]) * (x - peaks[i]), float(a[i]), float(b[i])
+            )
+            assert found[i] == mu
+            calls.add(n)
+        assert len(calls) > 10  # brackets from no step to about 30 steps
+
+    @pytest.mark.parametrize("kind", ["equal", "mixed"])
+    @pytest.mark.parametrize("num_links", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "mode,conservative", [("str", False), ("str", True), ("conventional", False)]
+    )
+    @pytest.mark.parametrize("mu_bounds", [(1e-4, 2.0), (1e-4, 0.05), (0.9, 5.0)])
+    def test_each_chain_gets_its_one_chain_result(
+        self, kind, num_links, mode, conservative, mu_bounds
+    ):
+        chains = [_chain(kind, loss, num_links) for loss in self.LOSSES]
+        kwargs = dict(mode=mode, conservative=conservative, mu_bounds=mu_bounds)
+        batch = decoy.optimize_intensities(chains, **kwargs)
+        assert batch == [decoy.optimize_intensity(chain, **kwargs) for chain in chains]
+
+    def test_sweep_covers_grid_ends_and_dead_points(self):
+        # The equivalence cases above include a point without positive rate
+        # (it gets the lower bound) and optima bracketed at either grid end.
+        def mus(mu_bounds):
+            chains = [_chain("equal", loss, 3) for loss in self.LOSSES]
+            return [mu for mu, _ in decoy.optimize_intensities(chains, mu_bounds=mu_bounds)]
+
+        assert mus((1e-4, 2.0))[-1] == 1e-4
+        top = decoy._mu_grid(1e-4, 0.05)
+        assert top[-2] <= mus((1e-4, 0.05))[0] <= top[-1]
+        bottom = decoy._mu_grid(0.9, 5.0)
+        assert bottom[0] <= mus((0.9, 5.0))[0] <= bottom[1]
+
+    def test_empty_sweep(self):
+        assert decoy.optimize_intensities([]) == []
+
+    def test_unequal_chain_lengths_rejected(self):
+        link = LinkPhysics(loss_db=5.0, **FIG3B)
+        with pytest.raises(ValueError, match="equal lengths"):
+            decoy.optimize_intensities([[link], [link, link]])
+
+    def test_first_dead_link_in_sweep_order(self):
+        # Chain 1 dies at its second link, chain 2 at its first: the sweep
+        # fails on chain 1, as optimizing the chains one by one would.
+        alive = LinkPhysics(loss_db=100.0, dark_count_prob=0.0)
+        chains = [
+            [alive, alive],
+            [alive, LinkPhysics(loss_db=3210.0, dark_count_prob=0.0)],
+            [LinkPhysics(loss_db=3220.0, dark_count_prob=0.0), alive],
+        ]
+        with pytest.raises(ValueError, match="loss 3210.0 dB has zero gain"):
+            decoy.optimize_intensities(chains)
