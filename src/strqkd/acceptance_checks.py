@@ -1,6 +1,7 @@
 """Shared numerical checks used by the verify subcommand and the test suite.
 
 Each returns its worst deviation; callers choose the samples and the bound.
+:func:`run_verification` runs them all as the suites of ``verify``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ __all__ = [
     "FIG2_TARGETS", "FIG2_TOLERANCE", "twirl_deviations", "rotated_basis_deviation",
     "holevo_gap", "relabeling_deviation", "montecarlo_max_z", "fig2_zero_crossings",
     "fig2_crossing_deviation", "poisson_oracle_deviation", "fraction_identity_residual",
-    "decoy_cutoff_loss",
+    "decoy_cutoff_loss", "MAX_TRIALS", "run_verification",
 ]
 
 # Per-link error rates where the Fig. 2 qubit-model curves cross zero.
@@ -24,6 +25,12 @@ FIG2_TARGETS = {"conventional": 0.1100, "str1": 0.0584, "str2": 0.0398}
 FIG2_TOLERANCE = 0.0005
 
 BASIS_PAIRS = list(product((0, 1), repeat=2))
+
+# Most trials run_verification accepts.  The Holevo suite holds every random
+# state at once, about 1.5 KiB of numpy memory per trial at its peak.  On
+# x86-64 with numpy 2.4 a run at this cap peaked at 223 MiB resident, against
+# 41 MiB at one trial.
+MAX_TRIALS = 100_000
 
 
 def twirl_deviations(rng: np.random.Generator, samples: int) -> tuple[float, ...]:
@@ -152,3 +159,43 @@ def decoy_cutoff_loss(mode: str, num_links: int) -> float:
         (loss for loss, (_, report) in zip(losses, results) if report.rate <= 0.0),
         float("inf"),
     )
+
+
+def run_verification(trials: int = 100, seed: int = 2024) -> list[tuple[str, bool, str]]:
+    """Run the checks above as the suites of ``verify`` on one random stream.
+
+    Returns (name, passed, detail) per suite; a suite passes when its worst
+    deviation is at most its bound.  ValueError unless ``trials`` lies in
+    [1, MAX_TRIALS].
+    """
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    rng = np.random.default_rng(seed)
+    off_diag, idem, inv = twirl_deviations(rng, min(trials, 50))
+    holevo = holevo_gap(rng, trials)
+    relabel = relabeling_deviation(rng, min(trials, 20))
+    max_z = montecarlo_max_z([(1, 0.05), (2, 0.01)], 200_000, seed)
+    crossings = fig2_zero_crossings()
+    grid = product((0.0, 10.0, 20.0), (0.05, 0.3, 1.0), (0.0, 6e-6, 1e-4))
+    oracle = poisson_oracle_deviation(
+        decoy.LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
+        for loss, mu, dark in grid
+    )
+    chain = [decoy.LinkPhysics(loss_db=5.0, mu=0.2)] * 2
+    suites = [  # (name, worst deviation, bound, detail format)
+        ("twirl-diagonality", off_diag, 1e-12, "max off-diagonal {:.3g}"),
+        ("twirl-idempotence", idem, 1e-12, "max deviation {:.3g}"),
+        ("twirl-error-invariance", inv, 1e-10, "max delta {:.3g}"),
+        ("rotated-bases-orthonormal", rotated_basis_deviation(), 1e-12, "max {:.3g}"),
+        ("holevo-bound", holevo, 1e-9, "max chi - bound = {:.3g}"),
+        ("announcement-relabeling", relabel, 1e-10, "max delta {:.3g}"),
+        ("montecarlo-vs-analytic", max_z, 4.0,
+         "within 4 sigma" if max_z <= 4.0 else "max |z| = {:.2f}"),
+        ("fig2-zero-crossings", fig2_crossing_deviation(crossings), FIG2_TOLERANCE,
+         ", ".join(f"{k}={v:.4f}" for k, v in crossings.items())),
+        ("decoy-poisson-oracle", oracle, 1e-9, "max delta {:.3g}"),
+        ("decoy-fraction-identity", fraction_identity_residual([chain]), 0.0,
+         "residual {:.3g}"),
+    ]
+    return [(name, value <= bound, fmt.format(value))
+            for name, value, bound, fmt in suites]

@@ -10,25 +10,24 @@ verify       Numerical verification suites for the module invariants.
 
 Grids are start:stop:step strings.  A JSON config file may provide any
 defaults; explicit flags take precedence.  Every run prints its fully
-resolved configuration for reproducibility.
+resolved configuration for reproducibility.  This module only parses and
+renders: the subcommands' work is done by the library modules, and
+:func:`strqkd.acceptance_checks.run_verification` runs the verify suites.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
 from typing import Any, Iterable, NoReturn, Sequence
 
-import numpy as np
-
 from . import __version__
 from . import decoy, keyrate, relay
 
-__all__ = ["main", "emit_csv", "parse_grid", "run_verification"]
+__all__ = ["main", "emit_csv", "parse_grid"]
 
 
 # Longest grid parse_grid builds; far above any sweep the paper draws.
@@ -156,15 +155,8 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
             "output": args.output,
         },
     )
-    header = [
-        "loss_db",
-        "mu",
-        "rate",
-        "entropy_term",
-        "leak_term",
-        "holevo_term",
-        "tagged_term",
-    ]
+    # The report's fields, in column order.
+    terms = ["rate", "entropy_term", "leak_term", "holevo_term", "tagged_term"]
     chains = [
         [
             decoy.LinkPhysics(
@@ -186,22 +178,17 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
             mode=args.scenario,
             conservative=args.conservative,
         )
-    elif args.scenario == "conventional":
-        results = [
-            (mu_fixed, decoy.conventional_decoy_rate(links, f_ec=args.f_ec, p_z=args.p_z))
-            for links in chains
-        ]
     else:
-        rate = functools.partial(
-            decoy.decoy_rate, f_ec=args.f_ec, p_z=args.p_z, conservative=args.conservative
+        rate = (
+            decoy.conventional_decoy_rate if args.scenario == "conventional"
+            else functools.partial(decoy.decoy_rate, conservative=args.conservative)
         )
-        results = [(mu_fixed, rate(links)) for links in chains]
+        results = [(mu_fixed, rate(links, f_ec=args.f_ec, p_z=args.p_z)) for links in chains]
     rows = [
-        [loss, mu, report.rate, report.entropy_term, report.leak_term, report.holevo_term,
-         report.tagged_term]
+        [loss, mu, *(getattr(report, term) for term in terms)]
         for loss, (mu, report) in zip(grid, results)
     ]
-    emit_csv(args.output, header, rows)
+    emit_csv(args.output, ["loss_db", "mu", *terms], rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -244,49 +231,11 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_verification(trials: int = 100, seed: int = 2024) -> list[tuple[str, bool, str]]:
-    """Run the :mod:`strqkd.acceptance_checks` suites on one random stream.
-
-    Returns (name, passed, detail) per suite; a suite passes when its worst
-    deviation is at most its bound.
-    """
+def _cmd_verify(args: argparse.Namespace) -> int:
     # Imported here: the checks import qubit, which builds its branch tables
     # at import, and no other subcommand needs them.
-    from . import acceptance_checks as checks
+    from .acceptance_checks import run_verification
 
-    rng = np.random.default_rng(seed)
-    off_diag, idem, inv = checks.twirl_deviations(rng, min(trials, 50))
-    holevo = checks.holevo_gap(rng, trials)
-    relabel = checks.relabeling_deviation(rng, min(trials, 20))
-    max_z = checks.montecarlo_max_z([(1, 0.05), (2, 0.01)], 200_000, seed)
-    crossings = checks.fig2_zero_crossings()
-    grid = itertools.product((0.0, 10.0, 20.0), (0.05, 0.3, 1.0), (0.0, 6e-6, 1e-4))
-    oracle = checks.poisson_oracle_deviation(
-        decoy.LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
-        for loss, mu, dark in grid
-    )
-    chain = [decoy.LinkPhysics(loss_db=5.0, mu=0.2)] * 2
-    suites = [  # (name, worst deviation, bound, detail format)
-        ("twirl-diagonality", off_diag, 1e-12, "max off-diagonal {:.3g}"),
-        ("twirl-idempotence", idem, 1e-12, "max deviation {:.3g}"),
-        ("twirl-error-invariance", inv, 1e-10, "max delta {:.3g}"),
-        ("rotated-bases-orthonormal", checks.rotated_basis_deviation(), 1e-12,
-         "max {:.3g}"),
-        ("holevo-bound", holevo, 1e-9, "max chi - bound = {:.3g}"),
-        ("announcement-relabeling", relabel, 1e-10, "max delta {:.3g}"),
-        ("montecarlo-vs-analytic", max_z, 4.0,
-         "within 4 sigma" if max_z <= 4.0 else "max |z| = {:.2f}"),
-        ("fig2-zero-crossings", checks.fig2_crossing_deviation(crossings),
-         checks.FIG2_TOLERANCE, ", ".join(f"{k}={v:.4f}" for k, v in crossings.items())),
-        ("decoy-poisson-oracle", oracle, 1e-9, "max delta {:.3g}"),
-        ("decoy-fraction-identity", checks.fraction_identity_residual([chain]), 0.0,
-         "residual {:.3g}"),
-    ]
-    return [(name, value <= bound, fmt.format(value))
-            for name, value, bound, fmt in suites]
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
     _print_config("verify", {"trials": args.trials, "seed": args.seed})
     results = run_verification(trials=args.trials, seed=args.seed)
     failures = 0
@@ -298,21 +247,61 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-class _Subparser(argparse.ArgumentParser):
-    """Subcommand parser that records its options by destination name."""
+# Each subcommand's handler, help line and options, the options as argparse
+# keywords by flag.  The options feed both the chosen subcommand's parser and
+# the check of --config keys.
+_COMMANDS = {
+    "qubit-rate": (_cmd_qubit_rate, "STR qubit rate for one scenario", {
+        "--nodes": dict(type=int, default=1),
+        "--e-link": dict(type=float, required=True),
+        "--f-ec": dict(type=float, default=1.0),
+        "--p-z": dict(type=float, default=0.5),
+    }),
+    "fig2-sweep": (_cmd_fig2_sweep, "rate vs per-link error rate curves", {
+        "--e-link": dict(default="0:0.12:0.002", help="grid start:stop:step"),
+        "--nodes": dict(default="0,1,2", help="comma-separated node counts"),
+        "--output": dict(default="fig2.csv"),
+    }),
+    "decoy-sweep": (_cmd_decoy_sweep, "rate vs per-link loss curves", {
+        "--loss-db": dict(default="0:40:0.5", help="grid start:stop:step"),
+        "--nodes": dict(type=int, default=1),
+        "--scenario": dict(choices=["str", "conventional"], default="str"),
+        "--mu": dict(default="auto", help="'auto' (optimized) or a value"),
+        "--f-ec": dict(type=float, default=1.2),
+        "--p-z": dict(type=float, default=0.5),
+        "--eta-det": dict(type=float, default=0.5),
+        "--dark": dict(type=float, default=6e-6),
+        "--e-det": dict(type=float, default=0.0185),
+        "--conservative": dict(action="store_true"),
+        "--output": dict(default="decoy.csv"),
+    }),
+    "montecarlo": (_cmd_montecarlo, "protocol Monte Carlo simulation", {
+        "--rounds": dict(type=int, default=100_000),
+        "--seed": dict(type=int, default=0),
+        "--flip": dict(type=float, default=0.0),
+        "--detect": dict(type=float, default=1.0),
+        "--nodes": dict(type=int, default=1),
+        "--p-z": dict(type=float, default=0.5),
+        "--workers": dict(type=int, default=1),
+        "--output": dict(default=None),
+    }),
+    "verify": (_cmd_verify, "run numerical verification suites", {
+        "--trials": dict(type=int, default=100),
+        "--seed": dict(type=int, default=2024),
+    }),
+}
 
-    def __init__(self, *args, **kwargs):
-        self.options: dict[str, argparse.Action] = {}
-        super().__init__(*args, **kwargs)
-        self.options.clear()  # -h/--help is not a configurable option
 
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.options[action.dest] = action
-        return action
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Subparser]]:
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse ``argv``.  Only the chosen subcommand's parser gets its options,
+    with the --config values as their defaults, so explicit flags win.  A
+    value is read as if given as a flag; a key that is not an option of the
+    subcommand exits with status 2."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("command", nargs="?")
+    known, _ = pre.parse_known_args(argv)
+    config = {k.replace("-", "_"): v for k, v in _load_config(known.config).items()}
     parser = argparse.ArgumentParser(
         prog="strqkd",
         description="Simplified trusted relay QKD simulation and key-rate toolkit",
@@ -321,83 +310,27 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Subparser]]:
     parser.add_argument(
         "--version", action="version", version=f"strqkd {__version__}"
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_Subparser
-    )
-
-    p = sub.add_parser("qubit-rate", help="STR qubit rate for one scenario")
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--e-link", type=float, required=True)
-    p.add_argument("--f-ec", type=float, default=1.0)
-    p.add_argument("--p-z", type=float, default=0.5)
-    p.set_defaults(func=_cmd_qubit_rate)
-
-    p = sub.add_parser("fig2-sweep", help="rate vs per-link error rate curves")
-    p.add_argument("--e-link", default="0:0.12:0.002", help="grid start:stop:step")
-    p.add_argument("--nodes", default="0,1,2", help="comma-separated node counts")
-    p.add_argument("--output", default="fig2.csv")
-    p.set_defaults(func=_cmd_fig2_sweep)
-
-    p = sub.add_parser("decoy-sweep", help="rate vs per-link loss curves")
-    p.add_argument("--loss-db", default="0:40:0.5", help="grid start:stop:step")
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--scenario", choices=["str", "conventional"], default="str")
-    p.add_argument("--mu", default="auto", help="'auto' (optimized) or a value")
-    p.add_argument("--f-ec", type=float, default=1.2)
-    p.add_argument("--p-z", type=float, default=0.5)
-    p.add_argument("--eta-det", type=float, default=0.5)
-    p.add_argument("--dark", type=float, default=6e-6)
-    p.add_argument("--e-det", type=float, default=0.0185)
-    p.add_argument("--conservative", action="store_true")
-    p.add_argument("--output", default="decoy.csv")
-    p.set_defaults(func=_cmd_decoy_sweep)
-
-    p = sub.add_parser("montecarlo", help="protocol Monte Carlo simulation")
-    p.add_argument("--rounds", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--flip", type=float, default=0.0)
-    p.add_argument("--detect", type=float, default=1.0)
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--p-z", type=float, default=0.5)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_montecarlo)
-
-    p = sub.add_parser("verify", help="run numerical verification suites")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=2024)
-    p.set_defaults(func=_cmd_verify)
-
-    return parser, sub.choices
-
-
-def _apply_config(argv: Sequence[str] | None, commands: dict[str, _Subparser]) -> None:
-    """Make the --config values the defaults of the chosen subcommand, so
-    explicit flags win.  A value is read as if given as a flag; a key that
-    is not an option of the subcommand exits with status 2."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    pre.add_argument("command", nargs="?")
-    known, _ = pre.parse_known_args(argv)
-    config = {k.replace("-", "_"): v for k, v in _load_config(known.config).items()}
-    if not config or known.command not in commands:
-        return
-    subparser = commands[known.command]
-    unknown = sorted(set(config) - set(subparser.options))
-    if unknown:
-        subparser.exit(2, f"error: {known.command} has no option {', '.join(unknown)}\n")
-    for dest, value in config.items():
-        action = subparser.options[dest]
-        action.required = False
-        if value is not None and action.nargs != 0:
-            value = str(value)  # read as if given as a flag
-        subparser.set_defaults(**{dest: value})
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (run, help_text, _) in _COMMANDS.items():
+        sub.add_parser(command, help=help_text).set_defaults(func=run)
+    if known.command in _COMMANDS:
+        options = {flag[2:].replace("-", "_"): (flag, kwargs)
+                   for flag, kwargs in _COMMANDS[known.command][2].items()}
+        unknown = sorted(set(config) - set(options))
+        if unknown:
+            _fail(f"{known.command} has no option {', '.join(unknown)}")
+        for dest, (flag, kwargs) in options.items():
+            if dest in config:
+                value = config[dest]
+                if value is not None and kwargs.get("action") != "store_true":
+                    value = str(value)  # read as if given as a flag
+                kwargs = {**kwargs, "default": value, "required": False}
+            sub.choices[known.command].add_argument(flag, **kwargs)
+    return parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, commands = _build_parser()
-    _apply_config(argv, commands)
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

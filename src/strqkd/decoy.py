@@ -13,10 +13,11 @@ outright from the key rate; per-loss intensity optimization reproduces the
 rate-vs-loss sweeps.  A sweep is optimized as a batch: one array scan of
 the intensity grid covers all its loss points, and golden-section
 refinement runs as array steps over the points still open, each point
-taking the steps its own scalar search would.  The statistics, fractions
-and rates therefore accept arrays (intensities, and link quantities with
-one entry per chain) in place of floats.  Floats go through ``math``, and
-every reported value is computed on floats by the scalar formulas.
+taking the steps its own scalar search would.  The private statistics,
+fraction and rate helpers therefore take arrays (intensities, and link
+quantities with one entry per chain) in place of floats; the public
+functions take and return floats.  Floats go through ``math``, and every
+reported value is computed on floats by the scalar formulas.
 
 Dark-count coincidences carry error 1/2 (a dark click is an uncorrelated
 bit); the dark-count error term is weighted by the probability that no
@@ -102,8 +103,9 @@ class LinkPhysics:
 
 @dataclass(frozen=True)
 class LinkStatistics:
-    """Detected-event statistics of one link.  The fields that depend on the
-    intensity are arrays when :func:`link_statistics` got an array of them."""
+    """Detected-event statistics of one link.  Inside
+    :func:`optimize_intensities` the fields are arrays, with one entry per
+    chain or per scanned intensity."""
 
     gain: float  # Q: detection probability per pulse
     qber: float  # E: error rate among detected events
@@ -226,18 +228,10 @@ def _statistics(link: _Link, mu: float | np.ndarray) -> LinkStatistics:
     )
 
 
-def link_statistics(
-    phys: LinkPhysics, mu: float | np.ndarray | None = None
-) -> LinkStatistics:
+def link_statistics(phys: LinkPhysics) -> LinkStatistics:
     """Closed-form gain, QBER, and n in {0, 1} yields/errors for one link at
-    intensity ``mu`` (default ``phys.mu``; an array gives array statistics);
-    ValueError when the gain is zero."""
-    link = _link(phys)
-    if mu is None:
-        mu = phys.mu
-    elif not _all((0.0 < mu) & (mu < math.inf)):
-        raise ValueError(f"mu must be positive and finite, got {mu}")
-    return _statistics(link, mu)
+    its intensity ``phys.mu``; ValueError when the gain is zero."""
+    return _statistics(_link(phys), phys.mu)
 
 
 def poisson_sum_statistics(phys: LinkPhysics, n_max: int = 30) -> LinkStatistics:
@@ -372,7 +366,6 @@ def _rate(
 
 def _chain_rate(
     links: Sequence[LinkPhysics],
-    mu: float | np.ndarray | None,
     mode: str,
     f_ec: float,
     p_z: float,
@@ -382,7 +375,7 @@ def _chain_rate(
     check_protocol_parameters(p_z, f_ec)
     _check_chain(links, mode)
     # Chains of equal links are the common case: one computation per link.
-    computed = {phys: link_statistics(phys, mu) for phys in dict.fromkeys(links)}
+    computed = {phys: link_statistics(phys) for phys in dict.fromkeys(links)}
     return _rate([computed[phys] for phys in links], mode, f_ec, p_z, conservative, per_clock)
 
 
@@ -392,7 +385,6 @@ def decoy_rate(
     p_z: float = 0.5,
     conservative: bool = False,
     per_clock: bool = True,
-    mu: float | np.ndarray | None = None,
 ) -> KeyRateReport:
     """STR decoy-state key rate for a chain of links.
 
@@ -400,10 +392,9 @@ def decoy_rate(
     is the compound all-photon-number QBER, (f_s, e_s) are the untagged
     single-photon quantities (the f_s_s/e_s_s lower bound in conservative
     mode), and f_m the tagged fraction.  ``per_clock`` rescales by the
-    all-links coincidence gain and the per-link sifting factors.  ``mu``
-    overrides every link's intensity; an array of them gives array terms.
+    all-links coincidence gain and the per-link sifting factors.
     """
-    return _chain_rate(links, mu, "str", f_ec, p_z, conservative, per_clock)
+    return _chain_rate(links, "str", f_ec, p_z, conservative, per_clock)
 
 
 def conventional_decoy_rate(
@@ -411,15 +402,14 @@ def conventional_decoy_rate(
     f_ec: float = 1.2,
     p_z: float = 0.5,
     per_clock: bool = True,
-    mu: float | np.ndarray | None = None,
 ) -> KeyRateReport:
     """Conventional trusted-relay baseline with tagged-signal analysis.
 
     Per link and clock cycle: Q sift [c1 (1 - h(e1)) - f_EC h(E)] with c1
     the single-photon detected fraction; a chain takes its worst link (the
-    first of equal ones), elementwise when ``mu`` is an array of intensities.
+    first of equal ones).
     """
-    return _chain_rate(links, mu, "conventional", f_ec, p_z, per_clock=per_clock)
+    return _chain_rate(links, "conventional", f_ec, p_z, per_clock=per_clock)
 
 
 @functools.lru_cache(maxsize=8)

@@ -25,7 +25,6 @@ __all__ = [
     "basis_label",
     "str_rate_qubit",
     "uniform_str_rate",
-    "node_focused_rate",
     "conventional_relay_rate",
     "fig2_curves",
 ]
@@ -92,11 +91,12 @@ class KeyRateReport:
 
 def check_protocol_parameters(p_z: float, f_ec: float = 1.0) -> None:
     """Raise ValueError unless the Z-basis probability ``p_z`` lies in
-    (0, 1) and the error-correction efficiency ``f_ec`` is at least 1."""
+    (0, 1) and the error-correction efficiency ``f_ec`` is finite and at
+    least 1."""
     if not 0.0 < p_z < 1.0:
         raise ValueError(f"p_z must lie in (0, 1), got {p_z}")
-    if not f_ec >= 1.0:  # also rejects nan
-        raise ValueError(f"f_ec must be >= 1, got {f_ec}")
+    if not 1.0 <= f_ec < math.inf:  # also rejects nan
+        raise ValueError(f"f_ec must be >= 1 and finite, got {f_ec}")
 
 
 @dataclass(frozen=True)
@@ -158,33 +158,6 @@ def str_rate_qubit(inputs: RateInputs, num_nodes: int) -> KeyRateReport:
     return KeyRateReport(entropy_term=entropy, leak_term=leak, holevo_term=holevo)
 
 
-def node_focused_rate(
-    key_entropies: Sequence[float] | float,
-    leak: float,
-    e_overall: float,
-    num_nodes: int = 1,
-) -> KeyRateReport:
-    """Key rate for the variant where the single node defines the key map.
-
-    Valid only for one node with uniformly chosen bases:
-    rate = (1/4) sum_{u1,u2} H(K_T^{u1,u2}) - leak - h(e).
-    """
-    if num_nodes != 1:
-        raise ValueError("node-focused rate is only defined for a single node")
-    if isinstance(key_entropies, (int, float)):
-        entropies = [float(key_entropies)] * 4
-    else:
-        entropies = [float(v) for v in key_entropies]
-        if len(entropies) != 4:
-            raise ValueError("need one key entropy per (u1, u2) combination")
-    entropy = sum(entropies) / 4.0
-    return KeyRateReport(
-        entropy_term=entropy,
-        leak_term=leak,
-        holevo_term=binary_entropy(e_overall),
-    )
-
-
 def conventional_relay_rate(e_links: Sequence[float], f_ec: float = 1.0) -> KeyRateReport:
     """Conventional trusted-relay baseline: standard asymptotic BB84 rate per
     link, the chain limited by its worst link."""
@@ -234,20 +207,19 @@ def fig2_curves(
     a single-link rate) plus one STR curve per node count >= 1, each with all
     basis-vector error rates set to the compound per-link value, uniform
     bases, and Shannon-limit error correction.  A node count of 0 is the
-    conventional baseline itself.
+    conventional baseline itself.  Each node count names one curve, so a
+    repeated one is a ValueError.
     """
+    if len(set(node_counts)) != len(node_counts):
+        raise ValueError(f"repeated node count in {list(node_counts)}")
     rows: list[dict[str, float]] = []
     for e_link in e_link_grid:
         row: dict[str, float] = {"e_link": float(e_link)}
         for m in node_counts:
             if m == 0:
-                report = conventional_relay_rate([e_link], f_ec=1.0)
-                row["rate_conventional"] = report.rate
-                row["unclamped_conventional"] = report.unclamped
+                row["rate_conventional"] = conventional_relay_rate([e_link], f_ec=1.0).rate
             else:
-                report = uniform_str_rate(e_link, m)
-                row[f"rate_str{m}"] = report.rate
-                row[f"unclamped_str{m}"] = report.unclamped
+                row[f"rate_str{m}"] = uniform_str_rate(e_link, m).rate
         rows.append(row)
     return rows
 

@@ -35,18 +35,14 @@ import numpy as np
 from .keyrate import binary_entropy
 
 __all__ = [
-    "Z_BASIS",
-    "X_BASIS",
     "pauli",
     "bell_vector",
     "bb84_vector",
-    "bb84_projector",
     "rotated_bell_basis",
     "twirl",
     "bell_diagonal_to_density",
     "tensored_bell_basis_matrix",
     "basis_error_rate",
-    "von_neumann_entropy",
     "bell_announcement_stats",
     "conditional_end_user_state",
     "holevo_oracle",
@@ -54,9 +50,6 @@ __all__ = [
     "random_density_matrix",
     "random_bell_diagonal",
 ]
-
-Z_BASIS = 0
-X_BASIS = 1
 
 # Eigenvalues down to -PSD_TOL are round-off and count as zero.
 PSD_TOL = 1e-10
@@ -88,12 +81,6 @@ def bb84_vector(u: int, x: int) -> np.ndarray:
     if u:
         ket = HADAMARD @ ket
     return ket
-
-
-def bb84_projector(u: int, x: int) -> np.ndarray:
-    """Measurement (POVM) element M^u_x, the projector onto |phi^u_x>."""
-    v = bb84_vector(u, x)
-    return np.outer(v, v.conj())
 
 
 def rotated_bell_basis(u1: int, u2: int) -> list[np.ndarray]:
@@ -244,15 +231,6 @@ def _entropy(eigvals: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix is not PSD: min eigenvalue {eigvals.min()}")
     logs = np.log2(eigvals, out=np.zeros_like(eigvals), where=eigvals > 0.0)
     return -(eigvals * logs).sum(axis=-1)
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S(rho) = -sum_i lambda_i log2 lambda_i, with 0 log 0 = 0.
-
-    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything more negative
-    is rejected.
-    """
-    return float(_entropy(np.linalg.eigvalsh(rho)))
 
 
 def _per_state(alpha, table: np.ndarray) -> np.ndarray:

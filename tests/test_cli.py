@@ -1,6 +1,7 @@
 """Tests for the command-line surface: subcommands, CSV emission, config
 handling, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -192,14 +193,64 @@ class TestMonteCarlo:
 
 class TestImports:
     def test_cli_import_leaves_qubit_unloaded(self):
-        # qubit builds its branch tables at import; only verify needs them.
+        # qubit builds its branch tables at import; only verify needs them,
+        # and the checks that verify runs import qubit.
         src = str(Path(strqkd.__file__).resolve().parent.parent)
-        code = "import sys, strqkd.cli; print('strqkd.qubit' in sys.modules)"
+        code = ("import sys, strqkd.cli; "
+                "print([m for m in ('strqkd.qubit', 'strqkd.acceptance_checks') "
+                "if m in sys.modules])")
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "module", ["acceptance_checks", "cli", "decoy", "keyrate", "qubit", "relay"]
+    )
+    def test_every_public_name_resolves(self, module):
+        mod = importlib.import_module(f"strqkd.{module}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+OPTIONS = [(command, flag) for command, (_, _, options) in cli._COMMANDS.items()
+           for flag in options]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command,flag", OPTIONS)
+    def test_config_value_used_and_flag_wins(self, command, flag, tmp_path):
+        options = cli._COMMANDS[command][2]
+        kwargs, dest = options[flag], flag[2:].replace("-", "_")
+        # Required options other than the one under test are given as flags.
+        argv = [command] + [f"{f}=1" for f, kw in options.items()
+                            if kw.get("required") and f != flag]
+        # (config value, flag arguments, parsed value): first the config value
+        # alone, then the config value overridden by the flag.  A switch can
+        # only be turned on by its flag.
+        if kwargs.get("action") == "store_true":
+            cases = [(True, [], True), (False, [flag], True)]
+        elif "choices" in kwargs:
+            chosen, other = kwargs["choices"][-1], kwargs["choices"][0]
+            cases = [(chosen, [], chosen), (chosen, [f"{flag}={other}"], other)]
+        else:
+            kind = kwargs.get("type", str)
+            cases = [(kind("3"), [], kind("3")), (kind("3"), [f"{flag}=4"], kind("4"))]
+        for value, flags, expected in cases:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({dest: value}))
+            args = cli._parse_args(["--config", str(config), *argv, *flags])
+            assert getattr(args, dest) == expected
+        if not kwargs.get("required"):  # else parsing without the config exits
+            assert getattr(cli._parse_args(argv), dest) != cases[0][2]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_lists_every_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert [flag for flag in cli._COMMANDS[command][2] if flag not in out] == []
 
 
 class TestConfigFile:
@@ -330,6 +381,9 @@ class TestBoundary:
               "conventional", "--nodes", "16"], 0),
             (["montecarlo", "--rounds", "1000", "--p-z", "0"], 2),
             (["montecarlo", "--rounds", "1000", "--p-z", "1"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--f-ec", "inf"], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "auto", "--f-ec", "inf"], 2),
+            (["fig2-sweep", "--e-link", "0:0.1:0.1", "--nodes", "1,1"], 2),
         ],
     )
     def test_exit_code(self, argv, code, capsys):
@@ -337,6 +391,24 @@ class TestBoundary:
         err = capsys.readouterr().err
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Without the bound, leak = inf * h(0) printed as nan with exit 0.
+            ["qubit-rate", "--e-link", "0", "--f-ec", "inf"],
+            # Zero trials passed every suite vacuously; -5 and 10^9 failed
+            # inside numpy, the latter with a memory error.
+            ["verify", "--trials", "0"],
+            ["verify", "--trials", "-5"],
+            ["verify", "--trials", "1000000000"],
+        ],
+    )
+    def test_rejected_without_output(self, argv, capsys):
+        # Subcommands that take no --output, so not test_exit_code rows.
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_qubit_rate_node_count_bounded(self, capsys):
         # qubit-rate takes no --output, so it is not a test_exit_code row.

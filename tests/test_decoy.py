@@ -193,7 +193,9 @@ class TestDecoyRate:
         with pytest.raises(ValueError, match="at most"):
             decoy.optimize_intensity(links * (keyrate.MAX_NODES + 2))
 
-    @pytest.mark.parametrize("kwargs", [dict(p_z=0.0), dict(p_z=5.0), dict(f_ec=0.9)])
+    @pytest.mark.parametrize(
+        "kwargs", [dict(p_z=0.0), dict(p_z=5.0), dict(f_ec=0.9), dict(f_ec=math.inf)]
+    )
     def test_rejects_invalid_protocol_parameters(self, kwargs):
         links = [LinkPhysics(loss_db=5.0, mu=0.3, **FIG3B)] * 2
         with pytest.raises(ValueError):
@@ -348,12 +350,15 @@ class TestArrayIntensities:
         links = _chain(kind, loss, num_links)
 
         def rate(mu):
+            at_mu = [replace(p, mu=mu) for p in links]
             if mode == "conventional":
-                return decoy.conventional_decoy_rate(links, mu=mu)
-            return decoy.decoy_rate(links, conservative=conservative, mu=mu)
+                return decoy.conventional_decoy_rate(at_mu)
+            return decoy.decoy_rate(at_mu, conservative=conservative)
 
+        # The optimiser's array path: one array of statistics per distinct link.
         grid = np.geomspace(1e-4, 2.0, decoy.GRID_POINTS)
-        batch = rate(grid)
+        stats = {p: decoy._statistics(decoy._link(p), grid) for p in dict.fromkeys(links)}
+        batch = decoy._rate([stats[p] for p in links], mode, 1.2, 0.5, conservative)
         terms = ("entropy_term", "leak_term", "holevo_term", "tagged_term", "unclamped")
         for i, mu in enumerate(grid.tolist()):
             scalar = rate(mu)
@@ -368,15 +373,10 @@ class TestArrayIntensities:
 
     def test_zero_gain_rejected_for_any_point(self):
         # At 3200 dB without dark counts mu * eta underflows at mu = 1e-4 only.
-        phys = LinkPhysics(loss_db=3200.0, dark_count_prob=0.0)
-        assert (decoy.link_statistics(phys, mu=np.array([0.5, 1.0])).gain > 0.0).all()
+        link = decoy._link(LinkPhysics(loss_db=3200.0, dark_count_prob=0.0))
+        assert (decoy._statistics(link, np.array([0.5, 1.0])).gain > 0.0).all()
         with pytest.raises(ValueError, match="zero gain"):
-            decoy.link_statistics(phys, mu=np.array([0.5, 1e-4]))
-
-    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf, np.array([0.5, 0.0])])
-    def test_rejects_invalid_mu(self, mu):
-        with pytest.raises(ValueError, match="mu must be positive"):
-            decoy.link_statistics(LinkPhysics(loss_db=0.0), mu=mu)
+            decoy._statistics(link, np.array([0.5, 1e-4]))
 
 
 def _golden_section_reference(fn, a, b):

@@ -160,35 +160,6 @@ class TestStrRateQubit:
             )
 
 
-class TestNodeFocusedRate:
-    def test_error_free(self):
-        report = keyrate.node_focused_rate(1.0, leak=0.0, e_overall=0.0)
-        assert report.rate == pytest.approx(1.0)
-
-    def test_shannon_leak_at_005(self):
-        e = 0.05
-        report = keyrate.node_focused_rate(
-            1.0, leak=keyrate.binary_entropy(e), e_overall=e
-        )
-        expected = 1.0 - 2.0 * keyrate.binary_entropy(e)
-        assert report.rate == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.42721, abs=1e-4)
-
-    def test_agrees_with_str_rate_when_rates_equal(self):
-        e = 0.03
-        str_report = keyrate.str_rate_qubit(
-            RateInputs(error_rates=uniform_table(e, 2)), num_nodes=1
-        )
-        node_report = keyrate.node_focused_rate(
-            1.0, leak=keyrate.binary_entropy(e), e_overall=e
-        )
-        assert node_report.unclamped == pytest.approx(str_report.unclamped, abs=1e-12)
-
-    def test_rejects_multi_node(self):
-        with pytest.raises(ValueError):
-            keyrate.node_focused_rate(1.0, leak=0.0, e_overall=0.0, num_nodes=2)
-
-
 class TestConventionalRelayRate:
     def test_error_free(self):
         assert keyrate.conventional_relay_rate([0.0, 0.0]).rate == pytest.approx(1.0)
