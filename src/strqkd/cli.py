@@ -296,7 +296,8 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     """Parse ``argv``.  Only the chosen subcommand's parser gets its options,
     with the --config values as their defaults, so explicit flags win.  A
     value is read as if given as a flag; a key that is not an option of the
-    subcommand exits with status 2."""
+    subcommand, or a null for an option that needs a value, exits with
+    status 2."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     pre.add_argument("command", nargs="?")
@@ -322,7 +323,12 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
         for dest, (flag, kwargs) in options.items():
             if dest in config:
                 value = config[dest]
-                if value is not None and kwargs.get("action") != "store_true":
+                if value is None:
+                    # null means "no value", which only an option whose own
+                    # default is None can take.
+                    if "default" not in kwargs or kwargs["default"] is not None:
+                        _fail(f"{known.command} option {dest} needs a value, got null")
+                elif kwargs.get("action") != "store_true":
                     value = str(value)  # read as if given as a flag
                 kwargs = {**kwargs, "default": value, "required": False}
             sub.choices[known.command].add_argument(flag, **kwargs)

@@ -33,13 +33,27 @@ scenario seed (Salmon et al., SC'11).  Each block takes its survivor count,
 then one raw draw holding the basis bytes, the packed sent bits and the
 flip bytes in that order, then the bytes that resolve basis ties and then
 flip ties.  Bytes are read from the raw 64-bit words in little-endian
-order on every host, so results are bit-identical for any worker count and
-byte order.
+order on every host, so results are bit-identical on any host.
+
+:func:`run_protocol` streams the blocks in order.  Each link's draws go to
+a pending buffer; once the shortest buffer holds ``_MIN_PAIRED`` survivors,
+or after the last block, the buffers are paired and estimated, the counts
+are added to running totals, and each link carries its unpaired tail on.
+Pairing by survival order gives the same pairs however the stream is cut,
+so the result is exactly that of pairing the whole stream, which
+:func:`run_quantum_phase` materialises.  The memory held is one block and
+one buffer per link, whatever the number of rounds, plus the carries: a
+carry is the lead of one link's survivor count over the shortest link's, a
+random walk whose typical size is at most sqrt(rounds / 2) survivors,
+below a block up to ``MAX_ROUNDS``.
+
+``workers`` is validated and changes neither the result nor the speed: on
+two cores, neither a thread pool over each block's links nor a thread
+drawing the next block during pairing beat drawing serially.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +69,24 @@ __all__ = [
     "pair_and_announce",
     "correct_and_estimate",
     "run_protocol",
+    "MAX_ROUNDS",
 ]
 
 BLOCK_SIZE = 1 << 20
+
+# Longest run accepted.  It leaves millions of samples in each of the 2^17
+# basis-vector codes of the longest chain.  For that chain, on two cores, a
+# run at the bound takes about a quarter of an hour when almost nothing
+# survives (~10^6 blocks per link, ~60 us each) and about a day when every
+# round survives (~2.5e8 link-rounds/s).  Without it a mistyped exponent
+# would loop over blocks for weeks.
+MAX_ROUNDS = 10**12
+
+# Fewest survivors per link that run_protocol pairs at once, except at the
+# last block.  A pairing and estimation call costs about 120 us whatever its
+# size, so pairing every block would double a sparse run; pairing only at
+# much larger buffers would hold more memory for no gain.
+_MIN_PAIRED = BLOCK_SIZE // 16
 
 
 @dataclass(frozen=True)
@@ -76,8 +105,8 @@ class ChainConfig:
             raise ValueError(
                 f"num_nodes must lie in [0, {MAX_NODES}], got {self.num_nodes}"
             )
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}], got {self.rounds}")
         if not 0.0 <= self.flip_prob <= 0.5:
             raise ValueError(f"flip_prob must lie in [0, 1/2], got {self.flip_prob}")
         if not 0.0 < self.detect_prob <= 1.0:
@@ -179,28 +208,32 @@ def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
     )
 
 
-def run_quantum_phase(cfg: ChainConfig, workers: int = 1) -> list[SiftedLinkData]:
-    """Simulate point-to-point data creation and sifting for every link."""
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    num_blocks = (cfg.rounds + BLOCK_SIZE - 1) // BLOCK_SIZE
-    tasks = [(link, block) for link in range(cfg.num_links) for block in range(num_blocks)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(lambda t: _link_block(cfg, *t), tasks))
-    else:
-        pieces = [_link_block(cfg, *t) for t in tasks]
-    links: list[SiftedLinkData] = []
-    for link in range(cfg.num_links):
-        chunk = pieces[link * num_blocks : (link + 1) * num_blocks]
-        links.append(
-            SiftedLinkData(
-                basis=np.concatenate([c.basis for c in chunk]),
-                sent=np.concatenate([c.sent for c in chunk]),
-                received=np.concatenate([c.received for c in chunk]),
-            )
-        )
-    return links
+
+
+def _num_blocks(cfg: ChainConfig) -> int:
+    return (cfg.rounds + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+
+def _concatenate(pieces: list[SiftedLinkData]) -> SiftedLinkData:
+    return SiftedLinkData(
+        basis=np.concatenate([p.basis for p in pieces]),
+        sent=np.concatenate([p.sent for p in pieces]),
+        received=np.concatenate([p.received for p in pieces]),
+    )
+
+
+def run_quantum_phase(cfg: ChainConfig, workers: int = 1) -> list[SiftedLinkData]:
+    """Every link's whole sifted stream: the blocks :func:`run_protocol`
+    streams, concatenated per link.  ``workers`` does not change the result."""
+    _check_workers(workers)
+    blocks = range(_num_blocks(cfg))
+    return [
+        _concatenate([_link_block(cfg, link, block) for block in blocks])
+        for link in range(cfg.num_links)
+    ]
 
 
 def pair_and_announce(links: list[SiftedLinkData]) -> PairedData:
@@ -243,10 +276,37 @@ def correct_and_estimate(paired: PairedData) -> ErrorRateTable:
 
 
 def run_protocol(cfg: ChainConfig, workers: int = 1) -> tuple[ErrorRateTable, list[int]]:
-    """Full pipeline: quantum phase, pairing, correction, estimation.
+    """Full pipeline: quantum phase, pairing, correction, estimation,
+    streamed block by block as the module docstring describes.
 
-    Returns the error table and per-link survivor counts.
+    Returns the error table and per-link survivor counts, exactly those of
+    pairing and estimating the whole of :func:`run_quantum_phase`.
     """
-    links = run_quantum_phase(cfg, workers=workers)
-    paired = pair_and_announce(links)
-    return correct_and_estimate(paired), [len(link) for link in links]
+    _check_workers(workers)
+    errors = np.zeros(1 << cfg.num_links, dtype=np.int64)
+    samples = np.zeros_like(errors)
+    survivors = [0] * cfg.num_links
+    pending: list[list[SiftedLinkData]] = [[] for _ in range(cfg.num_links)]
+    paired = 0  # survivors of each link paired so far
+    last = _num_blocks(cfg) - 1
+    for block in range(last + 1):
+        for link in range(cfg.num_links):
+            piece = _link_block(cfg, link, block)
+            pending[link].append(piece)
+            survivors[link] += len(piece)
+        if block < last and min(survivors) - paired < _MIN_PAIRED:
+            continue
+        links = [_concatenate(pieces) for pieces in pending]
+        del pending  # frees the pieces before pairing allocates
+        table = correct_and_estimate(pair_and_announce(links))
+        errors += table.errors
+        samples += table.samples
+        n = min(survivors) - paired
+        paired += n
+        # Copied, so that the carry does not keep the whole buffer alive.
+        pending = [
+            [SiftedLinkData(link.basis[n:].copy(), link.sent[n:].copy(),
+                            link.received[n:].copy())]
+            for link in links
+        ]
+    return ErrorRateTable(errors=errors, samples=samples), survivors

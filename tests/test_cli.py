@@ -316,6 +316,28 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "values,argv,code",
+        [
+            # Null once reached the rate and the chain as None, a TypeError.
+            ({"e_link": None}, ["qubit-rate"], 2),
+            ({"nodes": None}, ["montecarlo", "--rounds", "1000"], 2),
+            # --output defaults to None, so null is its own default.
+            ({"output": None}, ["montecarlo", "--rounds", "1000"], 0),
+        ],
+    )
+    def test_null_only_for_an_option_without_a_value(
+        self, tmp_path, capsys, values, argv, code
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        assert exit_code(["--config", str(config), *argv]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+
 
 class TestVerify:
     def test_verify_passes(self, capsys):
@@ -384,6 +406,8 @@ class TestBoundary:
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--f-ec", "inf"], 2),
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "auto", "--f-ec", "inf"], 2),
             (["fig2-sweep", "--e-link", "0:0.1:0.1", "--nodes", "1,1"], 2),
+            # Without MAX_ROUNDS this streams some 10^9 blocks, for days.
+            (["montecarlo", "--rounds", "1000000000000000", "--detect", "1e-9"], 2),
         ],
     )
     def test_exit_code(self, argv, code, capsys):

@@ -2,6 +2,7 @@
 compound error model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,56 @@ class TestBlockBoundaries:
             assert 0 < len(head) < len(link)
             for name in ("basis", "sent", "received"):
                 assert (getattr(link, name)[: len(head)] == getattr(head, name)).all()
+
+
+class TestStreaming:
+    # run_protocol pairs and estimates as the blocks are drawn; its result
+    # must be exactly that of pairing the whole materialised stream.
+    # Each case: (config, rounds, pairing calls).
+    CASES = {
+        # Every block pairs, each time leaving a carry.
+        "every-block": (dict(num_nodes=1, detect_prob=1.0), 3 * relay.BLOCK_SIZE + 777, 4),
+        # Too few survivors to pair before the last block.
+        "deferred": (dict(num_nodes=1, detect_prob=0.01), 3 * relay.BLOCK_SIZE + 777, 1),
+        "biased": (dict(num_nodes=3, p_z=0.3, detect_prob=0.37), 2 * relay.BLOCK_SIZE + 55, 3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_pairing_the_whole_stream(self, case, monkeypatch):
+        kwargs, rounds, pairings = self.CASES[case]
+        cfg = relay.ChainConfig(rounds=rounds, flip_prob=0.05, seed=12, **kwargs)
+        links = relay.run_quantum_phase(cfg)
+        whole = relay.correct_and_estimate(relay.pair_and_announce(links))
+        carries = []
+        pair = relay.pair_and_announce
+
+        def spy(pieces):
+            paired = pair(pieces)
+            carries.append(max(map(len, pieces)) - len(paired.alice_bits))
+            return paired
+
+        monkeypatch.setattr(relay, "pair_and_announce", spy)
+        table, survivors = relay.run_protocol(cfg)
+        assert table.errors.tolist() == whole.errors.tolist()
+        assert table.samples.tolist() == whole.samples.tolist()
+        assert survivors == [len(link) for link in links]
+        assert len(carries) == pairings
+        if case == "every-block":
+            assert min(carries) > 0
+
+    def test_peak_memory_flat_in_rounds(self):
+        def peak(blocks):
+            cfg = relay.ChainConfig(
+                num_nodes=0, rounds=blocks * relay.BLOCK_SIZE, flip_prob=0.05, seed=13
+            )
+            tracemalloc.start()
+            try:
+                relay.run_protocol(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16) <= 1.25 * peak(4)
 
 
 class TestCompoundError:
