@@ -18,7 +18,12 @@ Eve's state has the nonzero spectrum of the branch's state on (A, B).
 
 Every kernel that takes Bell weights also takes a stack of states, an array
 of shape (..., 16), and returns one result per state; a single 16-vector
-gives floats and (2, 2) arrays.
+gives floats and (2, 2) arrays.  Likewise the density-matrix kernels,
+``twirl`` and ``basis_error_rate``, take one 16x16 matrix or a (..., 16, 16)
+stack.  Each of the twirl's 16 correlated Pauli conjugations permutes the
+matrix entries and flips some signs, so the twirl gathers the entries with
+a sign per entry for each unitary and sums the terms in the unitaries'
+order, with exactly the result of the matrix products.
 
 Qubit ordering throughout is (A, T, T', B): Alice's half of the first link,
 the node's receive and send halves, Bob's half of the second link.  All
@@ -117,6 +122,24 @@ _TWIRL_UNITARIES = np.array(
     ]
 )
 
+
+def _signed_permutation_tables(unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Each U has one entry +-1 per row, at column p(i) with sign s_i, so
+    # (U rho U^dag)[i, j] = s_i s_j rho[p(i), p(j)]: per unitary, the flat
+    # index p(i) * n + p(j) and the sign s_i s_j of each flat entry (i, j).
+    nonzero = unitaries != 0
+    assert (nonzero.sum(axis=-1) == 1).all() and (np.abs(unitaries[nonzero]) == 1).all()
+    cols, signs = nonzero.argmax(axis=-1), unitaries.sum(axis=-1).real
+    n = unitaries.shape[-1]
+    index = cols[:, :, None] * n + cols[:, None, :]
+    sign = signs[:, :, None] * signs[:, None, :]
+    return index.reshape(len(unitaries), n * n), sign.reshape(len(unitaries), n * n)
+
+
+# _TWIRL_INDEX[k], _TWIRL_SIGN[k]: the conjugation by _TWIRL_UNITARIES[k] as a
+# gather of the flattened 16x16 matrix and a sign per entry.
+_TWIRL_INDEX, _TWIRL_SIGN = _signed_permutation_tables(_TWIRL_UNITARIES)
+
 # _BB84_BRA[u][x] = <phi^u_x|.
 _BB84_BRA = np.array([[bb84_vector(u, x).conj() for x in (0, 1)] for u in (0, 1)])
 
@@ -141,13 +164,16 @@ def _outer(amps: np.ndarray) -> np.ndarray:
 
 # Tables over (u1, u2, i, ...), each linear in the weights alpha_i:
 # _BRANCH_STATES[..., a, b, AB, A'B'], the unnormalised state on (A, B) left
-# by announcement (a, b); _KEYED_STATES[..., x, a, b, B, B'], the state on B
-# once Alice's qubit is also projected onto her key bit x in basis u1; and
+# by announcement (a, b); _KEYED_ENTRIES[..., x, a, b, :], the entries
+# (00, 01, 11) of the state on B once Alice's qubit is also projected onto her
+# key bit x in basis u1, real and symmetric since every amplitude is real; and
 # _SIGNAL_PROBS[..., a, b, x, y], the probability of (a, b) with outcomes x, y
 # of Alice and Bob in bases u1, u2.
 _BRANCH_STATES = _outer(_BRANCH_AMPS.reshape(2, 2, 16, 2, 2, 4))
-_KEYED_STATES = _outer(
-    np.einsum("UxA,UViabAB->UVixabB", _BB84_BRA, _BRANCH_AMPS, order="C")
+_KEYED_AMPS = np.einsum("UxA,UViabAB->UVixabB", _BB84_BRA, _BRANCH_AMPS, order="C")
+assert not _KEYED_AMPS.imag.any()
+_KEYED_ENTRIES = np.take(
+    _outer(_KEYED_AMPS.real).reshape(2, 2, 16, 2, 2, 2, 4), [0, 1, 3], axis=-1
 )
 _SIGNAL_PROBS = np.abs(np.einsum(
     "UxA,VyB,UViabAB->UViabxy", _BB84_BRA, _BB84_BRA, _BRANCH_AMPS, order="C"
@@ -162,8 +188,8 @@ _ERROR_BRA = np.array(
 # _ODD[b, x, y]: Alice's bit x and Bob's bit y disagree after his b-correction.
 _ODD = np.indices((2, 2, 2)).sum(axis=0) % 2
 
-# Error outcomes (x, t, t', y) of basis_error_rate, in lex order.
-_ODD_16 = np.indices((2,) * 4).sum(axis=0).reshape(16) % 2 == 1
+# Indices of the error outcomes (x, t, t', y) of basis_error_rate, in lex order.
+_ODD_16 = np.flatnonzero(np.indices((2,) * 4).sum(axis=0).reshape(16) % 2)
 
 
 def _unstack(x: np.ndarray) -> float | np.ndarray:
@@ -171,16 +197,32 @@ def _unstack(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def twirl(rho: np.ndarray) -> np.ndarray:
+def _as_matrices(rho) -> np.ndarray:
+    # A 16x16 matrix or a (..., 16, 16) stack of them.
+    arr = np.asarray(rho, dtype=complex)
+    if arr.shape[-2:] != (16, 16):
+        raise ValueError(f"expected 16x16 matrices, got shape {arr.shape}")
+    return arr
+
+
+def twirl(rho) -> np.ndarray:
     """Average rho over correlated Pauli conjugations in both links.
 
     The result is diagonal in the tensored Bell basis with the same
-    Bell-basis diagonal as the input.
+    Bell-basis diagonal as the input.  A (..., 16, 16) stack gives one
+    twirled matrix per input matrix.
     """
-    if rho.shape != (16, 16):
-        raise ValueError(f"twirl expects a 16x16 matrix, got shape {rho.shape}")
-    u = _TWIRL_UNITARIES
-    return (u @ rho @ u.conj().transpose(0, 2, 1)).mean(axis=0)
+    arr = _as_matrices(rho)
+    flat = arr.reshape(arr.shape[:-2] + (256,))
+    # Each conjugation is a signed permutation of the entries, so the terms
+    # and their sum in unitary order are exactly those of the matrix
+    # products.  One gather per unitary holds one term at a time, not 16.
+    total = np.zeros_like(flat)
+    for index, sign in zip(_TWIRL_INDEX, _TWIRL_SIGN):
+        term = np.take(flat, index, axis=-1)
+        term *= sign
+        total += term
+    return (total / len(_TWIRL_INDEX)).reshape(arr.shape)
 
 
 def _as_alpha(alpha) -> np.ndarray:
@@ -209,18 +251,21 @@ def bell_diagonal_to_density(alpha) -> np.ndarray:
     return (_BELL_BASIS_16 * arr) @ _BELL_BASIS_16.conj().T
 
 
-def basis_error_rate(rho: np.ndarray, u1: int, u2: int) -> float:
+def basis_error_rate(rho, u1: int, u2: int) -> float | np.ndarray:
     """Error rate between Alice's bit and Bob's parity-corrected bit.
 
     A and T are measured in basis u1, T' and B in basis u2; the node
     announces b = t + t', Bob corrects y -> y + b, and an error is any
-    outcome quadruple with x + y + t + t' odd (all sums mod 2).
+    outcome quadruple with x + y + t + t' odd (all sums mod 2).  A
+    (..., 16, 16) stack gives one rate per matrix.
     """
-    if rho.shape != (16, 16):
-        raise ValueError(f"expected a 16x16 matrix, got shape {rho.shape}")
+    arr = _as_matrices(rho)
     bra = _ERROR_BRA[u1, u2]
-    outcome_probs = np.real(((bra @ rho) * bra.conj()).sum(axis=1))
-    return min(max(float(outcome_probs[_ODD_16].sum()), 0.0), 1.0)
+    outcome_probs = np.real(((bra @ arr) * bra.conj()).sum(axis=-1))
+    # np.take keeps the outcome axis innermost, so each rate is summed in the
+    # order of a single matrix's.
+    errors = np.take(outcome_probs, _ODD_16, axis=-1).sum(axis=-1)
+    return _unstack(np.clip(errors, 0.0, 1.0))
 
 
 def _entropy(eigvals: np.ndarray) -> np.ndarray:
@@ -231,6 +276,24 @@ def _entropy(eigvals: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix is not PSD: min eigenvalue {eigvals.min()}")
     logs = np.log2(eigvals, out=np.zeros_like(eigvals), where=eigvals > 0.0)
     return -(eigvals * logs).sum(axis=-1)
+
+
+def _psd_2x2_eigvalsh(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # Ascending eigenvalues of the real PSD matrices [[a, b], [b, c]], in a
+    # new last axis: (a + c)/2 + sqrt(((a - c)/2)^2 + b^2), the other root as
+    # the determinant over it, and the diagonal where b is negligible.  The
+    # steps are those of LAPACK's 2x2 path (dsterf, dlae2), which eigvalsh
+    # takes, so the spectra equal its own for entries above about 1e-122.
+    eps = np.finfo(float).eps / 2
+    p, q = np.minimum(a, c), np.maximum(a, c)
+    rte = np.sqrt(b * b)
+    diff, off = q - p, rte + rte
+    hi, lo = np.maximum(diff, off), np.minimum(diff, off)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 only where split
+        rt1 = 0.5 * ((p + q) + hi * np.sqrt(1 + (lo / hi) ** 2))
+        rt2 = (q / rt1) * p - (rte / rt1) * rte
+    split = (np.abs(b) <= np.sqrt(a) * np.sqrt(c) * eps) | (b * b <= eps**2 * (p * q))
+    return np.stack((np.where(split, p, rt2), np.where(split, q, rt1)), axis=-1)
 
 
 def _per_state(alpha, table: np.ndarray) -> np.ndarray:
@@ -286,7 +349,7 @@ def holevo_oracle(alpha, u1: int, u2: int) -> float | np.ndarray:
     # with the branch state on B.
     eig = np.linalg.eigvalsh(_per_state(alpha, _BRANCH_STATES[u1, u2]))
     eig = eig.reshape(eig.shape[:-3] + (16,))
-    eig_x = np.linalg.eigvalsh(_per_state(alpha, _KEYED_STATES[u1, u2]))
+    eig_x = _psd_2x2_eigvalsh(*np.moveaxis(_per_state(alpha, _KEYED_ENTRIES[u1, u2]), -1, 0))
     eig_x = eig_x.reshape(eig_x.shape[:-3] + (8,))  # ..., x, eigenvalue
     p_x = eig_x.sum(axis=-1)
     s_all = _entropy(eig / eig.sum(axis=-1, keepdims=True))
@@ -307,11 +370,16 @@ def holevo_bound(alpha, u1: int, u2: int) -> float | np.ndarray:
     return _unstack((p * h).sum(axis=(-2, -1)))
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random full-rank density matrix (Ginibre construction)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho)
+def random_density_matrix(
+    dim: int, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Haar-ish random full-rank density matrix (Ginibre construction); a
+    (size, dim, dim) stack, drawn as ``size`` single draws are, if ``size``
+    is given."""
+    parts = rng.normal(size=(2, dim, dim) if size is None else (size, 2, dim, dim))
+    g = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
 
 
 def random_bell_diagonal(rng: np.random.Generator, size: int | None = None) -> np.ndarray:

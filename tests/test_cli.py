@@ -1,9 +1,12 @@
 """Tests for the command-line surface: subcommands, CSV emission, config
 handling, determinism."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -483,3 +486,76 @@ class TestBoundary:
         if conservative:
             argv.append("--conservative")
         assert exit_code(argv) in (0, 2)
+
+
+# Per-flag values for the whole-CLI property: edge numbers and malformed
+# strings half of the time, ordinary values otherwise.  --rounds and --trials
+# take only small valid counts or counts rejected before anything is
+# allocated, and node counts stay small, so that every example runs fast.
+EDGE_FLOATS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e-320", "1e308", "x", "", "1e"]
+FLOAT_FLAG = st.sampled_from(EDGE_FLOATS) | st.sampled_from(["0.03", "0.5", "1.2"])
+INT_FLAG = st.sampled_from(["-1", "17", "1e3", "0.5", "x", ""]) | st.sampled_from(["0", "1", "2"])
+SEED_FLAG = st.sampled_from(["-1", "1e3", "x"]) | st.sampled_from(["0", "7", str(2**64)])
+GRID_FLAG = st.sampled_from([
+    "-0:0:1", "1e-320:1e-320:1", "-5:5:5", "1e308:1e308:1", "nan:1:1", "0:inf:1",
+    "0:1e308:1e-308", "1:0:1", "0:1:0", "0:1:-1", "a:b:c", "0:1", "",
+]) | st.sampled_from(["0:0.1:0.05", "0:0:1", "300:400:100"])
+CLI_FLAGS = {
+    "qubit-rate": {"--nodes": INT_FLAG, "--e-link": FLOAT_FLAG, "--f-ec": FLOAT_FLAG,
+                   "--p-z": FLOAT_FLAG},
+    "fig2-sweep": {
+        "--e-link": GRID_FLAG,
+        "--nodes": st.sampled_from(["1,1", "-1", "17", "", "a", "1,,2"])
+        | st.sampled_from(["0,1,2", "1", "2,0"]),
+    },
+    "decoy-sweep": {
+        "--loss-db": GRID_FLAG, "--nodes": INT_FLAG,
+        "--scenario": st.sampled_from(["str", "conventional", "x"]),
+        "--mu": st.sampled_from(EDGE_FLOATS) | st.sampled_from(["auto", "0.3"]),
+        "--f-ec": FLOAT_FLAG, "--p-z": FLOAT_FLAG, "--eta-det": FLOAT_FLAG,
+        "--dark": FLOAT_FLAG, "--e-det": FLOAT_FLAG,
+    },
+    "montecarlo": {
+        "--rounds": st.sampled_from(["-1", "0", "10000000000000", "1e3", "x"])
+        | st.sampled_from(["1", "1000"]),
+        "--seed": SEED_FLAG, "--flip": FLOAT_FLAG, "--detect": FLOAT_FLAG,
+        "--nodes": INT_FLAG, "--p-z": FLOAT_FLAG, "--workers": INT_FLAG,
+        "--output": st.just(os.devnull),
+    },
+    "verify": {
+        "--trials": st.sampled_from(["-1", "0", "1000000000", "1e3", "x"])
+        | st.sampled_from(["1", "3"]),
+        "--seed": SEED_FLAG,
+    },
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    argv = [command]
+    for flag, values in CLI_FLAGS[command].items():
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if command == "decoy-sweep" and draw(st.booleans()):
+        argv.append("--conservative")
+    if command in ("fig2-sweep", "decoy-sweep"):
+        argv.append(f"--output={os.devnull}")  # their default is a file here
+    return argv
+
+
+@given(argv=cli_argvs())
+# Both ended in exit 0 with a non-finite number printed before their bounds.
+@example(argv=["qubit-rate", "--e-link=0", "--f-ec=inf"])
+@example(argv=["verify", "--trials=0"])
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_every_subcommand_exits_0_or_2_with_one_error_line(argv):
+    # Any other exception propagates and fails the test.
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = exit_code(argv)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code == 0 and not errors or code == 2 and len(errors) == 1, (code, err.getvalue())
+    if code == 0 and argv[0] != "montecarlo":  # nan is its unobserved error rate
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue()), out.getvalue()

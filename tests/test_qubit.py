@@ -137,6 +137,33 @@ class TestTwirl:
         with pytest.raises(ValueError):
             qubit.twirl(np.eye(4) / 4)
 
+    def test_stack_matches_per_matrix_loop(self):
+        stack = qubit.random_density_matrix(16, np.random.default_rng(17), size=6)
+        grid = stack.reshape(2, 3, 16, 16)
+        assert np.array_equal(qubit.twirl(stack), [qubit.twirl(m) for m in stack])
+        assert np.array_equal(qubit.twirl(grid), qubit.twirl(stack).reshape(grid.shape))
+
+    def test_stack_matches_pauli_conjugations(self):
+        # Independent reference: the mean over the 16 correlated Pauli pairs
+        # of U rho U^dagger, built here from pauli().
+        stack = qubit.random_density_matrix(16, np.random.default_rng(18), size=4)
+        unitaries = [
+            kron(qubit.pauli(r, s), qubit.pauli(r, s), qubit.pauli(rp, sp), qubit.pauli(rp, sp))
+            for r, s, rp, sp in itertools.product((0, 1), repeat=4)
+        ]
+        for rho, got in zip(stack, qubit.twirl(stack)):
+            expected = sum(u @ rho @ u.conj().T for u in unitaries) / 16
+            assert np.abs(got - expected).max() <= 1e-15
+            # Each term is exact and the terms are summed in the same order,
+            # which keeps verify's twirl figures those of the matrix products.
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 16, 8), (16,), (5, 256)])
+    def test_stack_of_wrong_shape_rejected(self, shape):
+        for kernel in (qubit.twirl, lambda m: qubit.basis_error_rate(m, 0, 1)):
+            with pytest.raises(ValueError, match="16x16"):
+                kernel(np.zeros(shape))
+
 
 class TestBellDiagonalStates:
     def test_pure_product(self):
@@ -222,6 +249,17 @@ class TestBasisErrorRate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             qubit.basis_error_rate(np.eye(4) / 4, 0, 0)
+
+    @pytest.mark.parametrize("u1,u2", list(itertools.product((0, 1), repeat=2)))
+    def test_stack_matches_per_matrix_loop(self, u1, u2):
+        stack = qubit.random_density_matrix(16, np.random.default_rng(19), size=10)
+        stack = np.concatenate([stack, qubit.twirl(stack)])
+        rates = qubit.basis_error_rate(stack, u1, u2)
+        single = [qubit.basis_error_rate(m, u1, u2) for m in stack]
+        assert all(isinstance(rate, float) for rate in single)
+        assert rates.shape == (20,) and np.array_equal(rates, single)
+        grid = qubit.basis_error_rate(stack.reshape(2, 10, 16, 16), u1, u2)
+        assert np.array_equal(grid, rates.reshape(2, 10))
 
 
 def entropy(rho):
@@ -422,6 +460,28 @@ class TestStackedStates:
         with pytest.raises(ValueError, match="Bell-diagonal weights"):
             qubit.conditional_end_user_state(alphas, 0, 1, 1, 0)
 
+    @pytest.mark.parametrize("u1,u2", PAIRS)
+    def test_oracle_matches_eigvalsh_reference(self, u1, u2):
+        # The keyed spectra are closed-form; reference_holevo takes every
+        # spectrum from eigvalsh of Eve's explicit blocks.
+        chi = qubit.holevo_oracle(self.ALPHAS, u1, u2)
+        expected = [reference_holevo(alpha, u1, u2) for alpha in self.ALPHAS]
+        assert np.abs(chi - expected).max() <= 1e-12
+
+    def test_closed_form_2x2_spectra_match_eigvalsh(self):
+        g = np.random.default_rng(20).normal(size=(500, 2, 2))
+        mats = g @ g.swapaxes(-1, -2)
+        edge = np.array([
+            np.zeros((2, 2)), np.diag([0.3, 0.0]), np.diag([0.2, 0.2]),
+            [[0.5, 0.5], [0.5, 0.5]], [[0.25, 1e-20], [1e-20, 0.5]],
+            [[0.3, 0.1], [0.1, 0.3]], 1e-100 * np.array([[2.0, 1.0], [1.0, 3.0]]),
+        ])
+        mats = np.concatenate([mats, edge])
+        got = qubit._psd_2x2_eigvalsh(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])
+        expected = np.linalg.eigvalsh(mats)
+        scale = np.abs(expected).max(axis=-1, keepdims=True)
+        assert (np.abs(got - expected) <= 1e-12 * scale).all()
+
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="16 entries"):
             qubit.holevo_oracle(np.full((3, 8), 1 / 8), 0, 0)
@@ -430,6 +490,13 @@ class TestStackedStates:
         batched, single = np.random.default_rng(13), np.random.default_rng(13)
         alphas = qubit.random_bell_diagonal(batched, size=6)
         assert np.array_equal(alphas, [qubit.random_bell_diagonal(single) for _ in range(6)])
+        assert batched.bit_generator.state == single.bit_generator.state
+
+    def test_stacked_density_matrices_equal_single_draws(self):
+        batched, single = np.random.default_rng(15), np.random.default_rng(15)
+        stack = qubit.random_density_matrix(16, batched, size=5)
+        assert stack.shape == (5, 16, 16)
+        assert np.array_equal(stack, [qubit.random_density_matrix(16, single) for _ in range(5)])
         assert batched.bit_generator.state == single.bit_generator.state
 
     @pytest.mark.parametrize(
