@@ -117,7 +117,10 @@ def _cmd_qubit_rate(args: argparse.Namespace) -> int:
 
 def _cmd_fig2_sweep(args: argparse.Namespace) -> int:
     grid = parse_grid(args.e_link)
-    node_counts = [int(v) for v in args.nodes.split(",")]
+    try:
+        node_counts = [int(v) for v in args.nodes.split(",")]
+    except ValueError:
+        _fail(f"--nodes must be comma-separated integers, got {args.nodes!r}")
     _print_config(
         "fig2-sweep",
         {"e_link": args.e_link, "nodes": args.nodes, "output": args.output},

@@ -16,8 +16,11 @@ refinement runs as array steps over the points still open, each point
 taking the steps its own scalar search would.  The private statistics,
 fraction and rate helpers therefore take arrays (intensities, and link
 quantities with one entry per chain) in place of floats; the public
-functions take and return floats.  Floats go through ``math``, and every
-reported value is computed on floats by the scalar formulas.
+functions take and return floats.  Floats go through ``math``.  The
+reports of a sweep are one array evaluation of the same formulas at the
+chosen intensities, with each exponential and entropy taken through
+``math`` entry by entry, so every reported value equals its evaluation on
+floats.
 
 Dark-count coincidences carry error 1/2 (a dark click is an uncorrelated
 bit); the dark-count error term is weighted by the probability that no
@@ -37,6 +40,7 @@ import numpy as np
 from .keyrate import (
     MAX_NODES,
     KeyRateReport,
+    _each,
     binary_entropy,
     check_protocol_parameters,
     compound_error,
@@ -154,14 +158,14 @@ def _error_yield_n(phys: LinkPhysics, y0: float, eta: float, n: int) -> float:
     return E_DARK * y0 * (1.0 + miss_m1) - phys.intrinsic_error * miss_m1
 
 
-def _exp(x: float | np.ndarray) -> float | np.ndarray:
-    # numpy's exp differs from math.exp by an ulp on some inputs, so floats
-    # keep math.exp and reported values do not move.
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+def _exp(x: float | np.ndarray, exact: bool = False) -> float | np.ndarray:
+    # numpy's exp differs from math.exp by an ulp on some inputs, so floats,
+    # and arrays of reported values (exact), go through math.exp.
+    return np.exp(x) if isinstance(x, np.ndarray) and not exact else _each(math.exp, x)
 
 
-def _expm1(x: float | np.ndarray) -> float | np.ndarray:
-    return np.expm1(x) if isinstance(x, np.ndarray) else math.expm1(x)
+def _expm1(x: float | np.ndarray, exact: bool = False) -> float | np.ndarray:
+    return np.expm1(x) if isinstance(x, np.ndarray) and not exact else _each(math.expm1, x)
 
 
 def _all(cond) -> bool:
@@ -205,26 +209,28 @@ def _live_link(phys: LinkPhysics, mu: float) -> _Link:
     return link
 
 
-def _statistics(link: _Link, mu: float | np.ndarray) -> LinkStatistics:
+def _statistics(link: _Link, mu: float | np.ndarray, exact: bool = False) -> LinkStatistics:
     """The closed forms of :func:`link_statistics`; the quantities of
-    ``link`` and ``mu`` broadcast against each other."""
-    vac = _exp(-mu * link.eta)
+    ``link`` and ``mu`` broadcast against each other.  ``exact`` takes the
+    exponentials of arrays through ``math``, as for floats."""
+    vac = _exp(-mu * link.eta, exact)
     # A signal photon is detected with probability 1 - vac; expm1 keeps it
     # from cancelling at high loss, where the gain rests on it alone if y0 = 0.
-    signal = -_expm1(-mu * link.eta)
+    signal = -_expm1(-mu * link.eta, exact)
     gain = link.y0 + (1.0 - link.y0) * signal
     # Without dark counts the gain is zero once mu * eta underflows.
     if not _all(gain > 0.0):
         raise ValueError(f"link with loss {link.loss_db} dB has zero gain")
     qber = (E_DARK * link.y0 * vac + link.intrinsic_error * signal) / gain
+    poisson = _exp(-mu, exact)
     return LinkStatistics(
         gain=gain,
         qber=qber,
         y0=link.y0,
         y1=link.y1,
         e1=link.e1,
-        c0=_exp(-mu) * link.y0 / gain,
-        c1=mu * _exp(-mu) * link.y1 / gain,
+        c0=poisson * link.y0 / gain,
+        c1=mu * poisson * link.y1 / gain,
     )
 
 
@@ -320,16 +326,19 @@ def _rate(
     p_z: float,
     conservative: bool,
     per_clock: bool = True,
+    exact: bool = False,
 ) -> KeyRateReport:
     """The key rate of a chain from its links' statistics, in chain order
-    (equal links may share one object); array statistics give array terms."""
+    (equal links may share one object); array statistics give array terms.
+    ``exact`` takes the entropies of arrays through the float path."""
+    entropy = functools.partial(_each, binary_entropy) if exact else binary_entropy
     if mode == "conventional":
         worst = None
         for s in {id(s): s for s in stats}.values():
             report = KeyRateReport(
                 entropy_term=s.c1,
-                leak_term=f_ec * binary_entropy(s.qber),
-                holevo_term=s.c1 * binary_entropy(s.e1),
+                leak_term=f_ec * entropy(s.qber),
+                holevo_term=s.c1 * entropy(s.e1),
                 tagged_term=0.0,
             )
             if per_clock:
@@ -352,8 +361,8 @@ def _rate(
         f_tagged = fractions.f_m
     report = KeyRateReport(
         entropy_term=1.0,
-        leak_term=f_ec * binary_entropy(e_total),
-        holevo_term=f_single * binary_entropy(e_single),
+        leak_term=f_ec * entropy(e_total),
+        holevo_term=f_single * entropy(e_single),
         tagged_term=f_tagged,
     )
     if per_clock:
@@ -486,9 +495,9 @@ def _optimize_block(
     per_chain = [[_live_link(phys, lo) for phys in chain] for chain in zip(*slot)]
     per_position = [_Link(*map(np.array, zip(*links))) for links in zip(*per_chain)]
 
-    def report(links: Sequence[_Link], mu) -> KeyRateReport:
-        stats = [_statistics(link, mu) for link in links]
-        return _rate([stats[k] for k in index], mode, f_ec, p_z, conservative)
+    def report(links: Sequence[_Link], mu, exact: bool = False) -> KeyRateReport:
+        stats = [_statistics(link, mu, exact) for link in links]
+        return _rate([stats[k] for k in index], mode, f_ec, p_z, conservative, exact=exact)
 
     def unclamped(which, mu: np.ndarray) -> np.ndarray:
         links = [_Link(*(f[which] for f in link)) for link in per_position]
@@ -504,8 +513,11 @@ def _optimize_block(
         a = grid[np.maximum(best[live] - 1, 0)]
         b = grid[np.minimum(best[live] + 1, GRID_POINTS - 1)]
         mus[live] = _refine(unclamped, live, a, b)
-    # Reported values are computed on floats, by the formulas of decoy_rate.
-    return [(mu, report(links, mu)) for links, mu in zip(per_chain, mus.tolist())]
+    # Reported values: the formulas of decoy_rate at every chain's optimum in
+    # one evaluation, each entry equal to its evaluation on floats.
+    terms = report(per_position, mus, exact=True)
+    columns = [np.broadcast_to(getattr(terms, t), mus.shape).tolist() for t in _TERMS]
+    return [(mu, KeyRateReport(*values)) for mu, *values in zip(mus.tolist(), *columns)]
 
 
 def _refine(

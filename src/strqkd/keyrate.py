@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -148,12 +148,20 @@ def str_rate_qubit(inputs: RateInputs, num_nodes: int) -> KeyRateReport:
             f"{num_nodes} node(s), got {len(inputs.error_rates)}"
         )
     weights = _basis_weights(inputs.p_z, links)
+    entropies = map(binary_entropy, inputs.error_rates)
+    return _code_order_report(weights, entropies, inputs.f_ec)
+
+
+def _code_order_report(
+    weights: list[float], entropies: Iterable[float], f_ec: float
+) -> KeyRateReport:
+    # The terms of str_rate_qubit from each basis vector's h(e^u), added up
+    # in code order.
     entropy = leak = holevo = 0.0
-    for code, e in enumerate(inputs.error_rates):
+    for code, h_e in enumerate(entropies):
         p_u = weights[code]
-        h_e = binary_entropy(e)
         entropy += p_u
-        leak += inputs.f_ec * p_u * h_e
+        leak += f_ec * p_u * h_e
         holevo += weights[-1 - code] * h_e
     return KeyRateReport(entropy_term=entropy, leak_term=leak, holevo_term=holevo)
 
@@ -192,10 +200,47 @@ def uniform_str_rate(
         raise ValueError(f"e_link must lie in [0, 1/2], got {e_link}")
     if not 0 <= num_nodes <= MAX_NODES:
         raise ValueError(f"num_nodes must lie in [0, {MAX_NODES}], got {num_nodes}")
+    check_protocol_parameters(p_z, f_ec)
     links = num_nodes + 1
-    table = [compound_error([e_link] * links)] * (1 << links)
-    inputs = RateInputs(error_rates=table, p_z=p_z, f_ec=f_ec)
-    return str_rate_qubit(inputs, num_nodes=num_nodes)
+    weights = _basis_weights(p_z, links)
+    # Every basis vector has the compound error, so h(E) is computed once.
+    h_e = binary_entropy(compound_error([e_link] * links))
+    return _code_order_report(weights, [h_e] * len(weights), f_ec)
+
+
+def _uniform_report(h_e: np.ndarray, links: int) -> KeyRateReport:
+    """The report of :func:`uniform_str_rate` at uniform bases and f_EC = 1
+    for each entry of ``h_e``, with array terms: each sum adds up in code
+    order as :func:`_code_order_report` adds it."""
+    weights = np.array(_basis_weights(0.5, links))
+    return KeyRateReport(
+        entropy_term=float(np.add.accumulate(weights)[-1]),
+        leak_term=_code_order_sums(weights, h_e),
+        holevo_term=_code_order_sums(weights[::-1], h_e),
+    )
+
+
+# Entries of the (points x codes) matrix of terms summed in one step.
+_SUM_BLOCK = 1 << 16
+
+
+def _code_order_sums(coeffs: np.ndarray, h_e: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] * h_e in increasing k, for each entry of ``h_e``.
+    Accumulate, unlike sum, adds strictly in order, so each sum is rounded
+    as a scalar loop rounds it."""
+    step = max(1, _SUM_BLOCK // len(coeffs))
+    return np.concatenate([
+        np.add.accumulate(np.multiply.outer(h_e[i : i + step], coeffs), axis=1)[:, -1]
+        for i in range(0, len(h_e), step)
+    ])
+
+
+def _each(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
+    """``fn`` of a float, or of each entry of a 1-D array through Python
+    floats, so that each entry is bit for bit ``fn`` of that float: numpy's
+    ``log2``, ``exp`` and ``expm1`` differ from ``math``'s in the last bit
+    on some inputs."""
+    return np.array(list(map(fn, x.tolist()))) if isinstance(x, np.ndarray) else fn(x)
 
 
 def fig2_curves(
@@ -209,19 +254,44 @@ def fig2_curves(
     bases, and Shannon-limit error correction.  A node count of 0 is the
     conventional baseline itself.  Each node count names one curve, so a
     repeated one is a ValueError.
+
+    Each curve is evaluated over the whole grid in array steps, with the
+    roundings of :func:`conventional_relay_rate` and
+    :func:`uniform_str_rate` at every point; the first point those would
+    reject raises their error.
     """
     if len(set(node_counts)) != len(node_counts):
         raise ValueError(f"repeated node count in {list(node_counts)}")
-    rows: list[dict[str, float]] = []
-    for e_link in e_link_grid:
-        row: dict[str, float] = {"e_link": float(e_link)}
+    grid = list(e_link_grid)
+    if not grid:
+        return []
+    e_links = [float(e) for e in grid]
+    e = np.array(e_links)
+    bad = np.flatnonzero(~((e >= 0.0) & (e <= 0.5)))
+    nodes_ok = all(0 <= m <= MAX_NODES for m in node_counts)
+    if bad.size or not nodes_ok:
+        # The scalar functions raise the first point's error; a node count
+        # out of range fails at the first point of the grid.
+        first = grid[bad[0] if nodes_ok else 0]
         for m in node_counts:
             if m == 0:
-                row["rate_conventional"] = conventional_relay_rate([e_link], f_ec=1.0).rate
+                conventional_relay_rate([first], f_ec=1.0)
             else:
-                row[f"rate_str{m}"] = uniform_str_rate(e_link, m).rate
-        rows.append(row)
-    return rows
+                uniform_str_rate(first, m)
+    columns = {"e_link": e_links}
+    for m in node_counts:
+        if m == 0:
+            h_e = _each(binary_entropy, e)
+            # f_ec = 1, so the leak is h_e itself.
+            report = KeyRateReport(entropy_term=1.0, leak_term=h_e, holevo_term=h_e)
+        else:
+            links = m + 1
+            report = _uniform_report(_each(binary_entropy, compound_error([e] * links)), links)
+        unclamped = report.unclamped
+        # KeyRateReport.rate, max(0.0, x), on each entry.
+        rates = np.where(unclamped > 0.0, unclamped, 0.0).tolist()
+        columns["rate_conventional" if m == 0 else f"rate_str{m}"] = rates
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 # Largest node count for which a 2^(nodes + 1)-entry basis-vector table is

@@ -112,6 +112,13 @@ class TestFig2Sweep:
         assert len(lines) == 62  # header + 61 grid points
         assert all(len(line.split(",")) == 4 for line in lines[1:])
 
+    def test_benchmark_sweep_matches_golden_csv(self, tmp_path, capsys):
+        # The fig2 sweep of the rate-curves benchmark, pinned byte for byte.
+        out = tmp_path / "fig2.csv"
+        argv = ["fig2-sweep", "--e-link", "0:0.12:0.0005", "--nodes", "0,1,2"]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "fig2.csv").read_bytes()
+
 
 class TestDecoySweep:
     def test_fixed_mu(self, tmp_path):
@@ -341,6 +348,35 @@ class TestConfigFile:
         else:
             assert err == ""
 
+    def test_object_value_read_as_its_str(self, tmp_path, monkeypatch, capsys):
+        # A value is read as if given as a flag, str(value): an object keeps
+        # its key order, in the echo and in the file name.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text('{"output": {"z": 1, "a": 2}, "e_link": "0:0:1"}')
+        assert cli.main(["--config", str(config), "fig2-sweep"]) == 0
+        assert "output = {'z': 1, 'a': 2}" in capsys.readouterr().out
+        assert (tmp_path / "{'z': 1, 'a': 2}").exists()
+
+    def test_runs_in_one_process_leave_no_state(self, tmp_path, capsys):
+        # A config run, a plain run, then both again: each resolves what it
+        # resolved the first time.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nodes": 3}))
+        sweep = ["decoy-sweep", "--mu", "0.3", "--loss-db", "0:0:1", "--output", os.devnull]
+        runs = [["--config", str(config), *sweep], sweep] * 2
+
+        def resolved(argv):
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out
+
+        outs = [resolved(argv) for argv in runs]
+        assert outs[2:] == outs[:2]
+        assert "nodes = 3" in outs[0] and "nodes = 1" in outs[1]
+        # Same path, new content: the new value.
+        config.write_text(json.dumps({"nodes": 2}))
+        assert "nodes = 2" in resolved(runs[0])
+
 
 class TestVerify:
     def test_verify_passes(self, capsys):
@@ -409,6 +445,8 @@ class TestBoundary:
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--f-ec", "inf"], 2),
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "auto", "--f-ec", "inf"], 2),
             (["fig2-sweep", "--e-link", "0:0.1:0.1", "--nodes", "1,1"], 2),
+            (["fig2-sweep", "--nodes", "1,x"], 2),
+            (["fig2-sweep", "--nodes", ""], 2),
             # Without MAX_ROUNDS this streams some 10^9 blocks, for days.
             (["montecarlo", "--rounds", "1000000000000000", "--detect", "1e-9"], 2),
         ],
@@ -418,6 +456,31 @@ class TestBoundary:
         err = capsys.readouterr().err
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            # Once the raw "invalid literal for int() with base 10: 'x'".
+            (["--nodes", "1,x"], "--nodes must be comma-separated integers, got '1,x'"),
+            (["--nodes", ""], "--nodes must be comma-separated integers, got ''"),
+            # The grid is read first, the node counts next; then the first
+            # grid point that fails, at its first failing node count.
+            (["--nodes", "1,x", "--e-link", "1:0:1"], "invalid grid '1:0:1'"),
+            (["--nodes", "1,1", "--e-link", "0:0.6:0.1"], "repeated node count in [1, 1]"),
+            (["--e-link", "0:0.6:0.1"],
+             "per-link error rate must lie in [0, 1/2], got 0.6000000000000001"),
+            (["--nodes", "1,0", "--e-link", "0:0.6:0.1"],
+             "e_link must lie in [0, 1/2], got 0.6000000000000001"),
+            (["--nodes", "0,17"], "num_nodes must lie in [0, 16], got 17"),
+            (["--nodes", "-1"], "num_nodes must lie in [0, 16], got -1"),
+            (["--nodes", "2,17", "--e-link", "0:0.6:0.1"], "num_nodes must lie in [0, 16], got 17"),
+            (["--nodes", "0,-1", "--e-link", "0.6:0.6:1"],
+             "per-link error rate must lie in [0, 1/2], got 0.6"),
+        ],
+    )
+    def test_fig2_error_line(self, argv, error, capsys):
+        assert exit_code(["fig2-sweep", *argv, "--output", os.devnull]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize(
         "argv",

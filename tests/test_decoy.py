@@ -435,6 +435,25 @@ class TestOptimizeIntensities:
         batch = decoy.optimize_intensities(chains, **kwargs)
         assert batch == [decoy.optimize_intensity(chain, **kwargs) for chain in chains]
 
+    @pytest.mark.parametrize("kind", ["equal", "mixed"])
+    @pytest.mark.parametrize("num_links", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "mode,conservative", [("str", False), ("str", True), ("conventional", False)]
+    )
+    def test_reports_equal_float_rates_at_the_optimum(
+        self, kind, num_links, mode, conservative
+    ):
+        # The reports are one array evaluation; the float rate at each
+        # chain's optimum is the reference, on every term.
+        chains = [_chain(kind, loss, num_links) for loss in self.LOSSES]
+        results = decoy.optimize_intensities(chains, mode=mode, conservative=conservative)
+        for chain, (mu, report) in zip(chains, results):
+            at_mu = [replace(p, mu=mu) for p in chain]
+            if mode == "conventional":
+                assert report == decoy.conventional_decoy_rate(at_mu)
+            else:
+                assert report == decoy.decoy_rate(at_mu, conservative=conservative)
+
     def test_sweep_covers_grid_ends_and_dead_points(self):
         # The equivalence cases above include a point without positive rate
         # (it gets the lower bound) and optima bracketed at either grid end.

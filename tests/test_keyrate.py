@@ -113,6 +113,18 @@ class TestStrRateQubit:
                 1.0 - (1.0 + f_ec) * keyrate.binary_entropy(e), abs=1e-12
             )
 
+    @pytest.mark.parametrize("nodes", [0, 1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("p_z,f_ec", [(0.5, 1.0), (0.3, 1.2)])
+    def test_uniform_rate_equals_table_loop(self, nodes, p_z, f_ec):
+        # uniform_str_rate sums its terms as arrays; the loop over the table
+        # is the reference, to the last bit.
+        e_link = 0.0037
+        table = uniform_table(keyrate.compound_error([e_link] * (nodes + 1)), nodes + 1)
+        expected = keyrate.str_rate_qubit(
+            RateInputs(error_rates=table, p_z=p_z, f_ec=f_ec), num_nodes=nodes
+        )
+        assert keyrate.uniform_str_rate(e_link, nodes, p_z, f_ec) == expected
+
     def test_complement_symmetry_with_uniform_bases(self):
         # With uniform bases the Holevo term is invariant under complementing
         # every basis choice in the table, i.e. reading it backwards.
@@ -179,6 +191,21 @@ class TestFig2Curves:
         assert row["rate_conventional"] == pytest.approx(1.0)
         assert row["rate_str1"] == pytest.approx(1.0)
         assert row["rate_str2"] == pytest.approx(1.0)
+
+    def test_rows_equal_pointwise_rates(self):
+        # The curves are array steps over the grid, rounded as the scalar
+        # rates are: equal, not close, at 0, 1/2 and the three crossings.
+        # numpy's log2 differs from math's in the last bit of the rate at
+        # 0.02569 itself and at the (1 - 2e)-compounds of 0.0135 (4 links),
+        # 0.053 (2 links) and 0.102 (1 link).
+        grid = [0.0, 0.001, 0.0135, 0.02569, 0.053, 0.102, *FIG2_TARGETS.values(), 0.5]
+        nodes = [0, 1, 2, 3, 4, 16]
+        expected = [
+            {"e_link": e, "rate_conventional": keyrate.conventional_relay_rate([e]).rate}
+            | {f"rate_str{m}": keyrate.uniform_str_rate(e, m).rate for m in nodes[1:]}
+            for e in grid
+        ]
+        assert keyrate.fig2_curves(grid, node_counts=nodes) == expected
 
     def test_zero_crossings(self):
         assert fig2_crossing_deviation(fig2_zero_crossings()) <= FIG2_TOLERANCE
