@@ -27,10 +27,10 @@ FIG2_TOLERANCE = 0.0005
 BASIS_PAIRS = list(product((0, 1), repeat=2))
 
 # Most trials run_verification accepts.  The Holevo suite holds every random
-# state at once, about 1.5 KiB of numpy memory per trial at its peak, while
-# the oracle takes the branch spectra of one basis pair.  On x86-64 with
-# numpy 2.4 a run at this cap peaked at 205 MiB resident, against 40 MiB at
-# one trial.
+# state at once, about 0.9 KiB of numpy memory per trial at its peak: a few
+# arrays of 16 floats per state, the weights, spectra and entropy terms of
+# one basis pair.  On x86-64 with numpy 2.4 a run at this cap peaked at
+# 127 MiB resident, against 39 MiB at one trial.
 MAX_TRIALS = 100_000
 
 

@@ -14,7 +14,11 @@ Alice's and Bob's qubits (A, B) are linear in the 16 Bell weights, so each is
 a table built from those amplitudes and contracted with the weights.  The
 Holevo oracle never forms Eve's 16x16 states: the canonical purification is
 pure on (A, B, E) for each announcement, also once Alice's bit is fixed, so
-Eve's state has the nonzero spectrum of the branch's state on (A, B).
+Eve's state has the nonzero spectrum of the branch's state on (A, B).  Each
+tensored Bell state leaves a multiple of one rotated-Bell vector on (A, B)
+(entanglement swapping), and of one of Bob's basis-u2 states on B once
+Alice's bit is fixed, so the branch states are diagonal in fixed bases and
+their spectra are tables as well: the oracle needs no eigensolver.
 
 Every kernel that takes Bell weights also takes a stack of states, an array
 of shape (..., 16), and returns one result per state; a single 16-vector
@@ -162,22 +166,32 @@ def _outer(amps: np.ndarray) -> np.ndarray:
     return amps[..., :, None] * amps[..., None, :].conj()
 
 
+def _diagonal_weights(amps: np.ndarray) -> np.ndarray:
+    # |amp|^2 over the last axis: the diagonal of each rank-one term
+    # |amp><amp| in the basis the amplitudes are taken in.  Each term must be
+    # diagonal there; then so is every weighted sum of terms, and its
+    # spectrum is the same sum of these diagonals.
+    terms = _outer(amps)
+    assert np.abs(terms[..., ~np.eye(amps.shape[-1], dtype=bool)]).max() <= 1e-12
+    return np.abs(amps) ** 2
+
+
 # Tables over (u1, u2, i, ...), each linear in the weights alpha_i:
 # _BRANCH_STATES[..., a, b, AB, A'B'], the unnormalised state on (A, B) left
-# by announcement (a, b); _KEYED_ENTRIES[..., x, a, b, :], the entries
-# (00, 01, 11) of the state on B once Alice's qubit is also projected onto her
-# key bit x in basis u1, real and symmetric since every amplitude is real; and
+# by announcement (a, b); _BRANCH_SPECTRA[..., a, b, c, d], its spectrum, the
+# weight of each term on the (c, d) vector of the rotated Bell basis of
+# (u1, u2) on (A, B), one vector per term (entanglement swapping); and
 # _SIGNAL_PROBS[..., a, b, x, y], the probability of (a, b) with outcomes x, y
-# of Alice and Bob in bases u1, u2.
+# of Alice and Bob in bases u1, u2.  Once Alice's qubit is projected onto her
+# key bit x, the state on B is diagonal in Bob's basis u2, so
+# _SIGNAL_PROBS[..., a, b, x, :] is also its spectrum.
 _BRANCH_STATES = _outer(_BRANCH_AMPS.reshape(2, 2, 16, 2, 2, 4))
-_KEYED_AMPS = np.einsum("UxA,UViabAB->UVixabB", _BB84_BRA, _BRANCH_AMPS, order="C")
-assert not _KEYED_AMPS.imag.any()
-_KEYED_ENTRIES = np.take(
-    _outer(_KEYED_AMPS.real).reshape(2, 2, 16, 2, 2, 2, 4), [0, 1, 3], axis=-1
-)
-_SIGNAL_PROBS = np.abs(np.einsum(
+_BRANCH_SPECTRA = _diagonal_weights(np.einsum(
+    "UVcdAB,UViabAB->UViabcd", _ROTATED_BELL_BRA, _BRANCH_AMPS, order="C"
+).reshape(2, 2, 16, 2, 2, 4))
+_SIGNAL_PROBS = _diagonal_weights(np.einsum(
     "UxA,VyB,UViabAB->UViabxy", _BB84_BRA, _BB84_BRA, _BRANCH_AMPS, order="C"
-)) ** 2
+))
 
 # _ERROR_BRA[u1, u2][(x, t, t', y)]: outcome bras of basis_error_rate.
 _ERROR_BRA = np.array(
@@ -278,24 +292,6 @@ def _entropy(eigvals: np.ndarray) -> np.ndarray:
     return -(eigvals * logs).sum(axis=-1)
 
 
-def _psd_2x2_eigvalsh(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Ascending eigenvalues of the real PSD matrices [[a, b], [b, c]], in a
-    # new last axis: (a + c)/2 + sqrt(((a - c)/2)^2 + b^2), the other root as
-    # the determinant over it, and the diagonal where b is negligible.  The
-    # steps are those of LAPACK's 2x2 path (dsterf, dlae2), which eigvalsh
-    # takes, so the spectra equal its own for entries above about 1e-122.
-    eps = np.finfo(float).eps / 2
-    p, q = np.minimum(a, c), np.maximum(a, c)
-    rte = np.sqrt(b * b)
-    diff, off = q - p, rte + rte
-    hi, lo = np.maximum(diff, off), np.minimum(diff, off)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 only where split
-        rt1 = 0.5 * ((p + q) + hi * np.sqrt(1 + (lo / hi) ** 2))
-        rt2 = (q / rt1) * p - (rte / rt1) * rte
-    split = (np.abs(b) <= np.sqrt(a) * np.sqrt(c) * eps) | (b * b <= eps**2 * (p * q))
-    return np.stack((np.where(split, p, rt2), np.where(split, q, rt1)), axis=-1)
-
-
 def _per_state(alpha, table: np.ndarray) -> np.ndarray:
     # Contract the weights of each state, shape (..., 16), with a table whose
     # first axis is the tensored Bell state i.  The tables come from the
@@ -346,11 +342,12 @@ def holevo_oracle(alpha, u1: int, u2: int) -> float | np.ndarray:
     """
     # Each branch is pure on (A, B, E), so Eve's block shares its nonzero
     # spectrum with the branch state on (A, B); once Alice's bit x is fixed,
-    # with the branch state on B.
-    eig = np.linalg.eigvalsh(_per_state(alpha, _BRANCH_STATES[u1, u2]))
+    # with the branch state on B.  Both are diagonal in fixed bases, so their
+    # spectra are tables contracted with the weights, with no eigensolver.
+    eig = _per_state(alpha, _BRANCH_SPECTRA[u1, u2])
     eig = eig.reshape(eig.shape[:-3] + (16,))
-    eig_x = _psd_2x2_eigvalsh(*np.moveaxis(_per_state(alpha, _KEYED_ENTRIES[u1, u2]), -1, 0))
-    eig_x = eig_x.reshape(eig_x.shape[:-3] + (8,))  # ..., x, eigenvalue
+    eig_x = _per_state(alpha, _SIGNAL_PROBS[u1, u2].transpose(0, 3, 1, 2, 4))
+    eig_x = eig_x.reshape(eig_x.shape[:-4] + (2, 8))  # ..., x, eigenvalue
     p_x = eig_x.sum(axis=-1)
     s_all = _entropy(eig / eig.sum(axis=-1, keepdims=True))
     s_x = _entropy(eig_x / p_x[..., None])

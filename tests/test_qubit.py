@@ -347,6 +347,23 @@ class TestHolevoOracle:
                     assert e[a, b] == pytest.approx(err, abs=1e-12)
 
 
+    @pytest.mark.parametrize("u1,u2", list(itertools.product((0, 1), repeat=2)))
+    def test_spectrum_tables_match_eigvalsh(self, u1, u2):
+        alphas = stack_of_states()
+        # Branch states on (A, B), one per announcement (a, b).
+        branch = qubit._per_state(alphas, qubit._BRANCH_STATES[u1, u2])
+        table = qubit._per_state(alphas, qubit._BRANCH_SPECTRA[u1, u2])
+        assert np.abs(np.sort(table, axis=-1) - np.linalg.eigvalsh(branch)).max() <= 1e-12
+        # States on B once Alice's qubit is projected onto her bit x too.
+        keyed_amps = np.einsum(
+            "xA,iabAB->iabxB",
+            [qubit.bb84_vector(u1, x).conj() for x in (0, 1)],
+            qubit._BRANCH_AMPS[u1, u2],
+        )
+        keyed = np.einsum("ni,iabxB,iabxC->nabxBC", alphas, keyed_amps, keyed_amps.conj())
+        table = qubit._per_state(alphas, qubit._SIGNAL_PROBS[u1, u2])
+        assert np.abs(np.sort(table, axis=-1) - np.linalg.eigvalsh(keyed)).max() <= 1e-12
+
     def test_pure_bell_pairs_decoupled(self):
         alpha = np.zeros(16)
         alpha[0] = 1.0
@@ -462,25 +479,11 @@ class TestStackedStates:
 
     @pytest.mark.parametrize("u1,u2", PAIRS)
     def test_oracle_matches_eigvalsh_reference(self, u1, u2):
-        # The keyed spectra are closed-form; reference_holevo takes every
+        # The oracle's spectra are tables; reference_holevo takes every
         # spectrum from eigvalsh of Eve's explicit blocks.
         chi = qubit.holevo_oracle(self.ALPHAS, u1, u2)
         expected = [reference_holevo(alpha, u1, u2) for alpha in self.ALPHAS]
         assert np.abs(chi - expected).max() <= 1e-12
-
-    def test_closed_form_2x2_spectra_match_eigvalsh(self):
-        g = np.random.default_rng(20).normal(size=(500, 2, 2))
-        mats = g @ g.swapaxes(-1, -2)
-        edge = np.array([
-            np.zeros((2, 2)), np.diag([0.3, 0.0]), np.diag([0.2, 0.2]),
-            [[0.5, 0.5], [0.5, 0.5]], [[0.25, 1e-20], [1e-20, 0.5]],
-            [[0.3, 0.1], [0.1, 0.3]], 1e-100 * np.array([[2.0, 1.0], [1.0, 3.0]]),
-        ])
-        mats = np.concatenate([mats, edge])
-        got = qubit._psd_2x2_eigvalsh(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])
-        expected = np.linalg.eigvalsh(mats)
-        scale = np.abs(expected).max(axis=-1, keepdims=True)
-        assert (np.abs(got - expected) <= 1e-12 * scale).all()
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="16 entries"):
