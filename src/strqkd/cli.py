@@ -205,6 +205,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         p_z=args.p_z,
         seed=args.seed,
     )
+    if args.workers < 1:
+        _fail(f"workers must be >= 1, got {args.workers}")
     _print_config(
         "montecarlo",
         {
@@ -218,7 +220,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             "output": args.output,
         },
     )
-    table, survivors = relay.run_protocol(cfg, workers=args.workers)
+    table, survivors = relay.run_protocol(cfg)
     print(f"survivors per link: {survivors}")
     analytic = keyrate.compound_error([cfg.flip_prob] * cfg.num_links)
     header = ["basis_vector", "errors", "samples", "rate", "analytic_rate"]

@@ -158,16 +158,6 @@ def _error_yield_n(phys: LinkPhysics, y0: float, eta: float, n: int) -> float:
     return E_DARK * y0 * (1.0 + miss_m1) - phys.intrinsic_error * miss_m1
 
 
-def _exp(x: float | np.ndarray, exact: bool = False) -> float | np.ndarray:
-    # numpy's exp differs from math.exp by an ulp on some inputs, so floats,
-    # and arrays of reported values (exact), go through math.exp.
-    return np.exp(x) if isinstance(x, np.ndarray) and not exact else _each(math.exp, x)
-
-
-def _expm1(x: float | np.ndarray, exact: bool = False) -> float | np.ndarray:
-    return np.expm1(x) if isinstance(x, np.ndarray) and not exact else _each(math.expm1, x)
-
-
 def _all(cond) -> bool:
     """Whether ``cond`` holds everywhere; one reduction for an array cond."""
     return bool(cond.all()) if isinstance(cond, np.ndarray) else cond
@@ -209,20 +199,26 @@ def _live_link(phys: LinkPhysics, mu: float) -> _Link:
     return link
 
 
-def _statistics(link: _Link, mu: float | np.ndarray, exact: bool = False) -> LinkStatistics:
+def _statistics(link: _Link, mu: float | np.ndarray, exact: bool = True) -> LinkStatistics:
     """The closed forms of :func:`link_statistics`; the quantities of
     ``link`` and ``mu`` broadcast against each other.  ``exact`` takes the
-    exponentials of arrays through ``math``, as for floats."""
-    vac = _exp(-mu * link.eta, exact)
+    exponentials entry by entry through ``math``, as floats and reported
+    values need; ``exact=False`` takes numpy's, which may differ by an ulp,
+    for the optimiser's scan."""
+    if exact:
+        exp, expm1 = functools.partial(_each, math.exp), functools.partial(_each, math.expm1)
+    else:
+        exp, expm1 = np.exp, np.expm1
+    vac = exp(-mu * link.eta)
     # A signal photon is detected with probability 1 - vac; expm1 keeps it
     # from cancelling at high loss, where the gain rests on it alone if y0 = 0.
-    signal = -_expm1(-mu * link.eta, exact)
+    signal = -expm1(-mu * link.eta)
     gain = link.y0 + (1.0 - link.y0) * signal
     # Without dark counts the gain is zero once mu * eta underflows.
     if not _all(gain > 0.0):
         raise ValueError(f"link with loss {link.loss_db} dB has zero gain")
     qber = (E_DARK * link.y0 * vac + link.intrinsic_error * signal) / gain
-    poisson = _exp(-mu, exact)
+    poisson = exp(-mu)
     return LinkStatistics(
         gain=gain,
         qber=qber,

@@ -210,14 +210,11 @@ def uniform_str_rate(
 
 def _uniform_report(h_e: np.ndarray, links: int) -> KeyRateReport:
     """The report of :func:`uniform_str_rate` at uniform bases and f_EC = 1
-    for each entry of ``h_e``, with array terms: each sum adds up in code
-    order as :func:`_code_order_report` adds it."""
-    weights = np.array(_basis_weights(0.5, links))
-    return KeyRateReport(
-        entropy_term=float(np.add.accumulate(weights)[-1]),
-        leak_term=_code_order_sums(weights, h_e),
-        holevo_term=_code_order_sums(weights[::-1], h_e),
-    )
+    for each entry of ``h_e``, with array terms.  Every weight is 2^-links,
+    so the weights sum to exactly 1 and the Holevo sum, added up in code
+    order as :func:`_code_order_report` adds it, is the leak sum."""
+    leak = _code_order_sums(np.array(_basis_weights(0.5, links)), h_e)
+    return KeyRateReport(entropy_term=1.0, leak_term=leak, holevo_term=leak)
 
 
 # Entries of the (points x codes) matrix of terms summed in one step.

@@ -47,9 +47,9 @@ carry is the lead of one link's survivor count over the shortest link's, a
 random walk whose typical size is at most sqrt(rounds / 2) survivors,
 below a block up to ``MAX_ROUNDS``.
 
-``workers`` is validated and changes neither the result nor the speed: on
-two cores, neither a thread pool over each block's links nor a thread
-drawing the next block during pairing beat drawing serially.
+Everything runs on one thread: on two cores, neither a thread pool over
+each block's links nor a thread drawing the next block during pairing beat
+drawing serially.
 """
 
 from __future__ import annotations
@@ -208,11 +208,6 @@ def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
     )
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def _num_blocks(cfg: ChainConfig) -> int:
     return (cfg.rounds + BLOCK_SIZE - 1) // BLOCK_SIZE
 
@@ -225,10 +220,9 @@ def _concatenate(pieces: list[SiftedLinkData]) -> SiftedLinkData:
     )
 
 
-def run_quantum_phase(cfg: ChainConfig, workers: int = 1) -> list[SiftedLinkData]:
+def run_quantum_phase(cfg: ChainConfig) -> list[SiftedLinkData]:
     """Every link's whole sifted stream: the blocks :func:`run_protocol`
-    streams, concatenated per link.  ``workers`` does not change the result."""
-    _check_workers(workers)
+    streams, concatenated per link."""
     blocks = range(_num_blocks(cfg))
     return [
         _concatenate([_link_block(cfg, link, block) for block in blocks])
@@ -275,14 +269,13 @@ def correct_and_estimate(paired: PairedData) -> ErrorRateTable:
     return ErrorRateTable(errors=counts[:, 1], samples=counts.sum(axis=1))
 
 
-def run_protocol(cfg: ChainConfig, workers: int = 1) -> tuple[ErrorRateTable, list[int]]:
+def run_protocol(cfg: ChainConfig) -> tuple[ErrorRateTable, list[int]]:
     """Full pipeline: quantum phase, pairing, correction, estimation,
     streamed block by block as the module docstring describes.
 
     Returns the error table and per-link survivor counts, exactly those of
     pairing and estimating the whole of :func:`run_quantum_phase`.
     """
-    _check_workers(workers)
     errors = np.zeros(1 << cfg.num_links, dtype=np.int64)
     samples = np.zeros_like(errors)
     survivors = [0] * cfg.num_links

@@ -144,13 +144,17 @@ class TestDecoySweep:
 
     @pytest.mark.parametrize(
         "name,flags",
-        [("conventional", ["--scenario", "conventional"]), ("str1", ["--nodes", "1"]),
-         ("str2", ["--nodes", "2"])],
+        [("conventional", ["--mu", "auto", "--scenario", "conventional"]),
+         ("str1", ["--mu", "auto", "--nodes", "1"]),
+         ("str2", ["--mu", "auto", "--nodes", "2"]),
+         ("fixed_str2", ["--mu", "0.3", "--nodes", "2"]),
+         ("fixed_conventional", ["--mu", "0.3", "--scenario", "conventional"])],
     )
     def test_optimized_sweep_matches_golden_csv(self, name, flags, tmp_path, capsys):
-        # The decoy sweeps of the rate-curves benchmark, pinned byte for byte.
+        # The decoy sweeps of the rate-curves benchmark, and at a fixed
+        # intensity those of the public float rates, pinned byte for byte.
         out = tmp_path / "decoy.csv"
-        argv = ["decoy-sweep", "--mu", "auto", "--loss-db", "0:40:0.5", *flags]
+        argv = ["decoy-sweep", "--loss-db", "0:40:0.5", *flags]
         assert cli.main(argv + ["--output", str(out)]) == 0
         assert out.read_bytes() == (DATA / f"decoy_{name}.csv").read_bytes()
 
@@ -183,6 +187,14 @@ class TestMonteCarlo:
         assert cli.main(base + ["--output", str(out1)]) == 0
         assert cli.main(base + ["--output", str(out2), "--workers", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_stream_matches_golden_csv(self, tmp_path, capsys):
+        # Three 2^20-round blocks per link, pinned byte for byte.
+        out = tmp_path / "montecarlo.csv"
+        argv = ["montecarlo", "--nodes", "2", "--flip", "0.05", "--detect", "0.01",
+                "--rounds", "3000000", "--seed", "5"]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "montecarlo.csv").read_bytes()
 
     def test_basis_vector_without_samples_has_nan_rate(self, capsys):
         assert cli.main(
@@ -499,6 +511,14 @@ class TestBoundary:
         assert exit_code(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_prints_no_config(self, workers, capsys):
+        # Rejected before the resolved config is printed, as --rounds 0 is.
+        assert exit_code(["montecarlo", "--rounds", "1000", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: workers must be >= 1, got {workers}\n"
 
     def test_qubit_rate_node_count_bounded(self, capsys):
         # qubit-rate takes no --output, so it is not a test_exit_code row.

@@ -267,15 +267,6 @@ class TestDeterminism:
         assert (t1.errors == t2.errors).all() and (t1.samples == t2.samples).all()
         assert s1 == s2
 
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_worker_count_does_not_change_output(self, workers):
-        cfg = relay.ChainConfig(num_nodes=1, rounds=150_000, flip_prob=0.05, seed=10)
-        base, survivors = relay.run_protocol(cfg, workers=1)
-        other, survivors2 = relay.run_protocol(cfg, workers=workers)
-        assert (base.errors == other.errors).all()
-        assert (base.samples == other.samples).all()
-        assert survivors == survivors2
-
 
 class TestBlockBoundaries:
     # Three blocks per link, the last one partial, at a low detection
@@ -287,15 +278,6 @@ class TestBlockBoundaries:
         return relay.ChainConfig(
             num_nodes=1, rounds=rounds, flip_prob=0.05, detect_prob=0.01, seed=11
         )
-
-    def test_worker_count_does_not_change_output(self):
-        cfg = self.config(self.ROUNDS)
-        base, survivors = relay.run_protocol(cfg, workers=1)
-        for workers in (2, 3):
-            other, survivors2 = relay.run_protocol(cfg, workers=workers)
-            assert (base.errors == other.errors).all()
-            assert (base.samples == other.samples).all()
-            assert survivors == survivors2
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_leading_blocks_are_a_prefix(self, blocks):
