@@ -167,10 +167,12 @@ def run_verification(trials: int = 100, seed: int = 2024) -> list[tuple[str, boo
 
     Returns (name, passed, detail) per suite; a suite passes when its worst
     deviation is at most its bound.  ValueError unless ``trials`` lies in
-    [1, MAX_TRIALS].
+    [1, MAX_TRIALS] and ``seed`` is non-negative.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     off_diag, idem, inv = twirl_deviations(rng, min(trials, 50))
     holevo = holevo_gap(rng, trials)

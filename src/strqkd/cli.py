@@ -141,7 +141,10 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
     if not 0 <= args.nodes <= keyrate.MAX_NODES:
         _fail(f"--nodes must lie in [0, {keyrate.MAX_NODES}], got {args.nodes}")
     num_links = 1 if args.scenario == "conventional" else args.nodes + 1
-    mu_fixed = None if args.mu == "auto" else float(args.mu)
+    try:
+        mu_fixed = None if args.mu == "auto" else float(args.mu)
+    except ValueError:
+        _fail(f"--mu must be 'auto' or a number, got {args.mu!r}")
     _print_config(
         "decoy-sweep",
         {
@@ -241,8 +244,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # at import, and no other subcommand needs them.
     from .acceptance_checks import run_verification
 
-    _print_config("verify", {"trials": args.trials, "seed": args.seed})
+    # Run first, so that a rejected --trials or --seed prints no config.
     results = run_verification(trials=args.trials, seed=args.seed)
+    _print_config("verify", {"trials": args.trials, "seed": args.seed})
     failures = 0
     for name, passed, detail in results:
         status = "PASS" if passed else "FAIL"

@@ -28,8 +28,9 @@ bytes that tie with it read further bytes against the rest of the
 expansion (Knuth & Yao, 1976).  The decisions are therefore exactly
 Bernoulli(p), with no rounding of p to a grid, at about one byte each.
 
-Randomness is drawn from per-(link, block) Philox substreams keyed on the
-scenario seed (Salmon et al., SC'11).  Each block takes its survivor count,
+Randomness is drawn from per-(link, block) PCG64DXSM substreams keyed on
+the scenario seed through ``SeedSequence(entropy=seed, spawn_key=(link,
+block))`` (O'Neill, 2014).  Each block takes its survivor count,
 then one raw draw holding the basis bytes, the packed sent bits and the
 flip bytes in that order, then the bytes that resolve basis ties and then
 flip ties.  Bytes are read from the raw 64-bit words in little-endian
@@ -77,15 +78,15 @@ BLOCK_SIZE = 1 << 20
 # Longest run accepted.  It leaves millions of samples in each of the 2^17
 # basis-vector codes of the longest chain.  For that chain, on two cores, a
 # run at the bound takes about a quarter of an hour when almost nothing
-# survives (~10^6 blocks per link, ~60 us each) and about a day when every
-# round survives (~2.5e8 link-rounds/s).  Without it a mistyped exponent
+# survives (~10^6 blocks per link, ~55 us each) and about 16 hours when
+# every round survives (~3e8 link-rounds/s).  Without it a mistyped exponent
 # would loop over blocks for weeks.
 MAX_ROUNDS = 10**12
 
 # Fewest survivors per link that run_protocol pairs at once, except at the
-# last block.  A pairing and estimation call costs about 120 us whatever its
-# size, so pairing every block would double a sparse run; pairing only at
-# much larger buffers would hold more memory for no gain.
+# last block.  A pairing and estimation call has a fixed cost (timeit, two
+# cores: ~40 us at 3 links, ~3 ms at 17), so pairing every block would slow a
+# sparse run; pairing only at much larger buffers would hold more memory.
 _MIN_PAIRED = BLOCK_SIZE // 16
 
 
@@ -111,6 +112,8 @@ class ChainConfig:
             raise ValueError(f"flip_prob must lie in [0, 1/2], got {self.flip_prob}")
         if not 0.0 < self.detect_prob <= 1.0:
             raise ValueError(f"detect_prob must lie in (0, 1], got {self.detect_prob}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         check_protocol_parameters(self.p_z)
 
     @property
@@ -192,7 +195,7 @@ def _bernoulli(
 def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
     start = block * BLOCK_SIZE
     n = min(BLOCK_SIZE, cfg.rounds - start)
-    bit_generator = np.random.Philox(
+    bit_generator = np.random.PCG64DXSM(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(link, block))
     )
     z_weight, x_weight = cfg.p_z**2, (1.0 - cfg.p_z) ** 2
@@ -265,7 +268,22 @@ def correct_and_estimate(paired: PairedData) -> ErrorRateTable:
     for bit in [*paired.bases.T[1:], mismatch]:
         codes += codes
         codes |= bit
-    counts = np.bincount(codes, minlength=2 << links).reshape(1 << links, 2)
+    bits = links + 1
+    if bits > 4:
+        counts = np.bincount(codes, minlength=1 << bits)
+    else:
+        # Two rows per key: a pair of codes read as one uint16 w keys as
+        # (w | w >> (8 - bits)) & mask, one code above the other.  Summing
+        # both marginals makes the host's byte order irrelevant.
+        words = codes[: len(codes) & -2].view(np.uint16)
+        keys = words >> (8 - bits)
+        keys |= words
+        keys &= (1 << 2 * bits) - 1
+        pairs = np.bincount(keys, minlength=1 << 2 * bits).reshape(1 << bits, -1)
+        counts = pairs.sum(axis=0) + pairs.sum(axis=1)
+        if len(codes) % 2:
+            counts[codes[-1]] += 1
+    counts = counts.reshape(1 << links, 2)
     return ErrorRateTable(errors=counts[:, 1], samples=counts.sum(axis=1))
 
 

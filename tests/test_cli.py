@@ -188,13 +188,22 @@ class TestMonteCarlo:
         assert cli.main(base + ["--output", str(out2), "--workers", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_stream_matches_golden_csv(self, tmp_path, capsys):
-        # Three 2^20-round blocks per link, pinned byte for byte.
-        out = tmp_path / "montecarlo.csv"
-        argv = ["montecarlo", "--nodes", "2", "--flip", "0.05", "--detect", "0.01",
-                "--rounds", "3000000", "--seed", "5"]
+    @pytest.mark.parametrize(
+        "golden,detect,rounds",
+        [
+            # Three 2^20-round blocks per link, paired once, at the last.
+            ("montecarlo.csv", "0.01", "3000000"),
+            # Three blocks that each pair and leave a carry, about 1.1 M rows.
+            ("montecarlo_dense.csv", "1", "2200000"),
+        ],
+    )
+    def test_stream_matches_golden_csv(self, golden, detect, rounds, tmp_path, capsys):
+        # Pinned byte for byte.
+        out = tmp_path / golden
+        argv = ["montecarlo", "--nodes", "2", "--flip", "0.05", "--detect", detect,
+                "--rounds", rounds, "--seed", "5"]
         assert cli.main(argv + ["--output", str(out)]) == 0
-        assert out.read_bytes() == (DATA / "montecarlo.csv").read_bytes()
+        assert out.read_bytes() == (DATA / golden).read_bytes()
 
     def test_basis_vector_without_samples_has_nan_rate(self, capsys):
         assert cli.main(
@@ -459,6 +468,7 @@ class TestBoundary:
             (["fig2-sweep", "--e-link", "0:0.1:0.1", "--nodes", "1,1"], 2),
             (["fig2-sweep", "--nodes", "1,x"], 2),
             (["fig2-sweep", "--nodes", ""], 2),
+            (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "abc"], 2),
             # Without MAX_ROUNDS this streams some 10^9 blocks, for days.
             (["montecarlo", "--rounds", "1000000000000000", "--detect", "1e-9"], 2),
         ],
@@ -519,6 +529,22 @@ class TestBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: workers must be >= 1, got {workers}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["montecarlo", "--rounds", "10"], ["verify", "--trials", "5"]]
+    )
+    def test_negative_seed_prints_no_config(self, argv, capsys):
+        # numpy's "expected non-negative integer" once came after the config.
+        assert exit_code([*argv, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
+    def test_decoy_mu_error_line(self, capsys):
+        # Once the raw "could not convert string to float: 'abc'".
+        argv = ["decoy-sweep", "--loss-db", "0:0:1", "--mu", "abc", "--output", os.devnull]
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().err == "error: --mu must be 'auto' or a number, got 'abc'\n"
 
     def test_qubit_rate_node_count_bounded(self, capsys):
         # qubit-rate takes no --output, so it is not a test_exit_code row.

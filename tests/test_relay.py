@@ -57,6 +57,31 @@ class TestQuantumPhase:
         for p_z in (0.0, 1.0):
             with pytest.raises(ValueError, match="p_z"):
                 relay.ChainConfig(num_nodes=0, rounds=10, flip_prob=0.0, p_z=p_z)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            relay.ChainConfig(num_nodes=0, rounds=10, flip_prob=0.0, seed=-1)
+
+    def test_first_block_rebuilt_from_numpy(self):
+        # The stream the module docstring specifies, rebuilt with numpy
+        # alone.  At p_z = 1/2 and flip 1/16 both decisions compare a byte
+        # with a level and a zero remainder, so no tie bytes are read.
+        seed = 31
+        cfg = relay.ChainConfig(
+            num_nodes=1, rounds=20_000, flip_prob=1 / 16, detect_prob=0.8, seed=seed
+        )
+        for link, data in enumerate(relay.run_quantum_phase(cfg)):
+            bit_generator = np.random.PCG64DXSM(
+                np.random.SeedSequence(entropy=seed, spawn_key=(link, 0))
+            )
+            kept = int(np.random.Generator(bit_generator).binomial(cfg.rounds, 0.4))
+            packed = (kept + 7) // 8
+            words = bit_generator.random_raw((2 * kept + packed + 7) // 8)
+            raw = words.astype("<u8").view(np.uint8)
+            sent = np.unpackbits(raw[kept : kept + packed], count=kept)
+            flips = raw[kept + packed : 2 * kept + packed] < 16
+            assert len(data) == kept > 0
+            assert (data.basis == (raw[:kept] < 128)).all()
+            assert (data.sent == sent).all()
+            assert (data.received == sent ^ flips).all()
 
 
 class TestSiftedLawAtBiasedBases:
@@ -222,6 +247,30 @@ class TestCorrectionAndEstimation:
         assert table.samples.tolist() == [0, 0, 5, 0]
         assert table.errors.tolist() == [0, 0, 1, 0]
         assert np.isnan(table.rates[[0, 1, 3]]).all() and table.rates[2] == 0.2
+
+    @pytest.mark.parametrize(
+        "links,rows", [(k, n) for k in (1, 2, 3, 4) for n in (0, 1, 2, 3, 1001)] + [(5, 1001)]
+    )
+    def test_table_equals_plain_bincount(self, links, rows):
+        # Up to three links a code (bases and error flag) fits in four bits
+        # and is counted two rows per key; four and five links take the
+        # plain count.
+        rng = np.random.default_rng(1000 * links + rows)
+
+        def bits(*shape):
+            return rng.integers(0, 2, shape, dtype=np.uint8)
+
+        paired = relay.PairedData(
+            alice_bits=bits(rows), bob_bits=bits(rows),
+            bases=bits(links, rows).T, parities=bits(links - 1, rows).T,
+        )
+        parity = paired.parities.sum(axis=1, dtype=np.int64) % 2
+        mismatch = paired.alice_bits ^ paired.bob_bits ^ parity
+        codes = paired.bases.astype(np.int64) @ (1 << np.arange(links, 0, -1)) + mismatch
+        expected = np.bincount(codes, minlength=2 << links)
+        table = relay.correct_and_estimate(paired)
+        assert table.errors.tolist() == expected[1::2].tolist()
+        assert table.samples.tolist() == (expected[::2] + expected[1::2]).tolist()
 
     def test_noiseless_all_rates_zero(self):
         cfg = relay.ChainConfig(num_nodes=1, rounds=50_000, flip_prob=0.0, seed=6)
