@@ -90,15 +90,22 @@ def montecarlo_max_z(
 ) -> float:
     """Largest |z| of a Monte Carlo basis-vector error rate against the
     compound error model; case (nodes, flip) runs at seed ``seed + nodes``.
-    A basis vector without samples makes the result nan."""
+    A basis vector without samples makes the result nan.  Against a
+    noise-free model a rate has z 0 if it equals the expected one and inf
+    otherwise."""
     worst = 0.0
     for nodes, flip in cases:
         cfg = relay.ChainConfig(nodes, rounds, flip_prob=flip, seed=seed + nodes)
         table, _ = relay.run_protocol(cfg)
         expected = keyrate.compound_error([flip] * cfg.num_links)
-        with np.errstate(divide="ignore"):
-            sigma = (expected * (1 - expected) / table.samples) ** 0.5
-        worst = np.max(np.abs(table.rates - expected) / sigma, initial=worst)
+        variance = expected * (1 - expected)
+        deviation = np.abs(table.rates - expected)
+        if variance > 0:
+            with np.errstate(divide="ignore"):
+                z = deviation / (variance / table.samples) ** 0.5
+        else:
+            z = np.where(deviation > 0, np.inf, deviation)
+        worst = np.max(z, initial=worst)
     return float(worst)
 
 

@@ -36,17 +36,37 @@ flip bytes in that order, then the bytes that resolve basis ties and then
 flip ties.  Bytes are read from the raw 64-bit words in little-endian
 order on every host, so results are bit-identical on any host.
 
-:func:`run_protocol` streams the blocks in order.  Each link's draws go to
-a pending buffer; once the shortest buffer holds ``_MIN_PAIRED`` survivors,
-or after the last block, the buffers are paired and estimated, the counts
-are added to running totals, and each link carries its unpaired tail on.
-Pairing by survival order gives the same pairs however the stream is cut,
-so the result is exactly that of pairing the whole stream, which
-:func:`run_quantum_phase` materialises.  The memory held is one block and
-one buffer per link, whatever the number of rounds, plus the carries: a
-carry is the lead of one link's survivor count over the shortest link's, a
-random walk whose typical size is at most sqrt(rounds / 2) survivors,
-below a block up to ``MAX_ROUNDS``.
+The three stage functions :func:`run_quantum_phase`, :func:`pair_and_announce`
+and :func:`correct_and_estimate` are the reference pipeline: they spell the
+protocol out step by step, with every link's sent and received bits, the
+node parities and Bob's correction.
+
+:func:`run_protocol` gives the same table without the bits.  Counting
+links and nodes from 0, node j announces the XOR of the bit it received on
+link j and the bit it sent on link j+1, and Bob XORs every announcement
+into his received bit, so Alice's bit XOR Bob's corrected bit is::
+
+    sent_0 ^ (received_0 ^ sent_1) ^ ... ^ (received_{m-1} ^ sent_m) ^ received_m
+        = flip_0 ^ flip_1 ^ ... ^ flip_m
+
+and every sent bit cancels.  Each survivor of link l is therefore one
+token: its basis bit at the link's code position (bit m + 1 - l, the first
+link most significant) ORed with its flip as the lowest bit.  A paired
+event's code, bases and error flag, is the XOR of its links' tokens.  The
+sent bits stay in each block's raw draw, so the random stream is that of
+the reference pipeline, but they are never unpacked.
+
+:func:`run_protocol` streams the blocks in order and XORs each link's
+tokens into one buffer of codes, at that link's next unpaired position.
+Once the shortest link holds ``_MIN_PAIRED`` unpaired survivors, or after
+the last block, the complete codes at the head of the buffer are counted
+and the partial ones behind them, the lead of the longer links, move to
+the front.  Pairing by survival order gives the same pairs however the
+stream is cut, so the table is exactly that of the reference pipeline on
+the whole stream.  The memory held is one block and the buffer, whatever
+the number of rounds: the buffer holds the pending survivors and the lead
+of the longest link over the shortest, a random walk whose typical size is
+at most sqrt(rounds / 2) survivors, below a block up to ``MAX_ROUNDS``.
 
 Everything runs on one thread: on two cores, neither a thread pool over
 each block's links nor a thread drawing the next block during pairing beat
@@ -78,15 +98,16 @@ BLOCK_SIZE = 1 << 20
 # Longest run accepted.  It leaves millions of samples in each of the 2^17
 # basis-vector codes of the longest chain.  For that chain, on two cores, a
 # run at the bound takes about a quarter of an hour when almost nothing
-# survives (~10^6 blocks per link, ~55 us each) and about 16 hours when
-# every round survives (~3e8 link-rounds/s).  Without it a mistyped exponent
+# survives (~10^6 blocks per link, ~50 us each) and about 10 hours when
+# every round is detected (~5e8 link-rounds/s).  Without it a mistyped exponent
 # would loop over blocks for weeks.
 MAX_ROUNDS = 10**12
 
 # Fewest survivors per link that run_protocol pairs at once, except at the
-# last block.  A pairing and estimation call has a fixed cost (timeit, two
-# cores: ~40 us at 3 links, ~3 ms at 17), so pairing every block would slow a
-# sparse run; pairing only at much larger buffers would hold more memory.
+# last block.  A pairing has a fixed cost (timeit, two cores: ~15 us at 3
+# links, ~0.3 ms at 17, most of it the histogram's 2^(links+1) bins), so
+# pairing every block would slow a sparse run; pairing only at much larger
+# buffers would hold more memory.
 _MIN_PAIRED = BLOCK_SIZE // 16
 
 
@@ -192,7 +213,11 @@ def _bernoulli(
     return success
 
 
-def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
+def _draw(
+    cfg: ChainConfig, link: int, block: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (link, block) substream: the survivors' bases (True = X), their
+    packed sent bits and their flips."""
     start = block * BLOCK_SIZE
     n = min(BLOCK_SIZE, cfg.rounds - start)
     bit_generator = np.random.PCG64DXSM(
@@ -204,8 +229,13 @@ def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
     packed = (kept + 7) // 8
     raw = _raw_bytes(bit_generator, 2 * kept + packed)
     basis = _bernoulli(bit_generator, raw[:kept], x_weight / (z_weight + x_weight))
-    sent = np.unpackbits(raw[kept : kept + packed], count=kept)
     flips = _bernoulli(bit_generator, raw[kept + packed : 2 * kept + packed], cfg.flip_prob)
+    return basis, raw[kept : kept + packed], flips
+
+
+def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
+    basis, packed, flips = _draw(cfg, link, block)
+    sent = np.unpackbits(packed, count=len(basis))
     return SiftedLinkData(
         basis=basis.view(np.uint8), sent=sent, received=sent ^ flips.view(np.uint8)
     )
@@ -268,56 +298,69 @@ def correct_and_estimate(paired: PairedData) -> ErrorRateTable:
     for bit in [*paired.bases.T[1:], mismatch]:
         codes += codes
         codes |= bit
+    return _table(_count_codes(codes, links))
+
+
+def _count_codes(codes: np.ndarray, links: int) -> np.ndarray:
+    """How often each code (link bases, then the error flag) occurs."""
     bits = links + 1
     if bits > 4:
-        counts = np.bincount(codes, minlength=1 << bits)
-    else:
-        # Two rows per key: a pair of codes read as one uint16 w keys as
-        # (w | w >> (8 - bits)) & mask, one code above the other.  Summing
-        # both marginals makes the host's byte order irrelevant.
-        words = codes[: len(codes) & -2].view(np.uint16)
-        keys = words >> (8 - bits)
-        keys |= words
-        keys &= (1 << 2 * bits) - 1
-        pairs = np.bincount(keys, minlength=1 << 2 * bits).reshape(1 << bits, -1)
-        counts = pairs.sum(axis=0) + pairs.sum(axis=1)
-        if len(codes) % 2:
-            counts[codes[-1]] += 1
-    counts = counts.reshape(1 << links, 2)
+        return np.bincount(codes, minlength=1 << bits)
+    # Two rows per key: a pair of codes read as one uint16 w keys as
+    # (w | w >> (8 - bits)) & mask, one code above the other.  Summing both
+    # marginals makes the host's byte order irrelevant.
+    words = codes[: len(codes) & -2].view(np.uint16)
+    keys = words >> (8 - bits)
+    keys |= words
+    keys &= (1 << 2 * bits) - 1
+    pairs = np.bincount(keys, minlength=1 << 2 * bits).reshape(1 << bits, -1)
+    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if len(codes) % 2:
+        counts[codes[-1]] += 1
+    return counts
+
+
+def _table(counts: np.ndarray) -> ErrorRateTable:
+    counts = counts.reshape(-1, 2)
     return ErrorRateTable(errors=counts[:, 1], samples=counts.sum(axis=1))
 
 
 def run_protocol(cfg: ChainConfig) -> tuple[ErrorRateTable, list[int]]:
     """Full pipeline: quantum phase, pairing, correction, estimation,
-    streamed block by block as the module docstring describes.
+    streamed block by block as tokens, as the module docstring describes.
 
     Returns the error table and per-link survivor counts, exactly those of
-    pairing and estimating the whole of :func:`run_quantum_phase`.
+    the reference pipeline on the whole of :func:`run_quantum_phase`.
     """
-    errors = np.zeros(1 << cfg.num_links, dtype=np.int64)
-    samples = np.zeros_like(errors)
-    survivors = [0] * cfg.num_links
-    pending: list[list[SiftedLinkData]] = [[] for _ in range(cfg.num_links)]
+    links = cfg.num_links
+    dtype = np.min_scalar_type((2 << links) - 1)
+    counts = np.zeros(2 << links, dtype=np.int64)
+    survivors = [0] * links
+    # codes[i] is the XOR of the tokens of the i-th unpaired survivor of
+    # every link that has drawn it; unwritten entries are zero.
+    codes = np.zeros(0, dtype=dtype)
     paired = 0  # survivors of each link paired so far
     last = _num_blocks(cfg) - 1
     for block in range(last + 1):
-        for link in range(cfg.num_links):
-            piece = _link_block(cfg, link, block)
-            pending[link].append(piece)
-            survivors[link] += len(piece)
+        for link in range(links):
+            basis, _, flips = _draw(cfg, link, block)
+            start = survivors[link] - paired
+            survivors[link] += len(basis)
+            end = survivors[link] - paired
+            if end > len(codes):
+                grown = np.zeros(max(end, 2 * len(codes)), dtype=dtype)
+                grown[: len(codes)] = codes
+                codes = grown
+            token = basis * dtype.type(1 << (links - link))
+            token |= flips
+            segment = codes[start:end]
+            segment ^= token
         if block < last and min(survivors) - paired < _MIN_PAIRED:
             continue
-        links = [_concatenate(pieces) for pieces in pending]
-        del pending  # frees the pieces before pairing allocates
-        table = correct_and_estimate(pair_and_announce(links))
-        errors += table.errors
-        samples += table.samples
         n = min(survivors) - paired
+        counts += _count_codes(codes[:n], links)
+        held = max(survivors) - paired
+        codes[: held - n] = codes[n:held]
+        codes[held - n : held] = 0
         paired += n
-        # Copied, so that the carry does not keep the whole buffer alive.
-        pending = [
-            [SiftedLinkData(link.basis[n:].copy(), link.sent[n:].copy(),
-                            link.received[n:].copy())]
-            for link in links
-        ]
-    return ErrorRateTable(errors=errors, samples=samples), survivors
+    return _table(counts), survivors

@@ -195,12 +195,15 @@ class TestMonteCarlo:
             ("montecarlo.csv", "0.01", "3000000"),
             # Three blocks that each pair and leave a carry, about 1.1 M rows.
             ("montecarlo_dense.csv", "1", "2200000"),
+            # The same with 8 links, the shortest chain whose codes need uint16.
+            ("montecarlo_wide.csv", "1", "2200000"),
         ],
     )
     def test_stream_matches_golden_csv(self, golden, detect, rounds, tmp_path, capsys):
         # Pinned byte for byte.
         out = tmp_path / golden
-        argv = ["montecarlo", "--nodes", "2", "--flip", "0.05", "--detect", detect,
+        nodes = "7" if golden == "montecarlo_wide.csv" else "2"
+        argv = ["montecarlo", "--nodes", nodes, "--flip", "0.05", "--detect", detect,
                 "--rounds", rounds, "--seed", "5"]
         assert cli.main(argv + ["--output", str(out)]) == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()

@@ -283,6 +283,18 @@ class TestCorrectionAndEstimation:
         # not read the empty one as zero error or divide by zero.
         assert math.isnan(montecarlo_max_z([(1, 0.05)], rounds=3, seed=1))
 
+    def test_noise_free_case_has_zero_max_z(self):
+        # The compound error is 0, so every rate must equal it exactly:
+        # z is 0, with no 0/0 on the way.
+        assert montecarlo_max_z([(1, 0.0)], rounds=1000, seed=1) == 0.0
+
+    def test_error_against_noise_free_model_makes_max_z_inf(self, monkeypatch):
+        table = relay.ErrorRateTable(
+            errors=np.array([0, 1, 0, 0]), samples=np.array([5, 5, 1, 5])
+        )
+        monkeypatch.setattr(relay, "run_protocol", lambda cfg: (table, [20, 20]))
+        assert montecarlo_max_z([(1, 0.0)], rounds=1000, seed=1) == math.inf
+
     @pytest.mark.parametrize("nodes,flip", [(1, 0.05), (2, 0.05)])
     def test_rates_match_compound_model(self, nodes, flip):
         cfg = relay.ChainConfig(
@@ -342,8 +354,8 @@ class TestBlockBoundaries:
 
 class TestStreaming:
     # run_protocol pairs and estimates as the blocks are drawn; its result
-    # must be exactly that of pairing the whole materialised stream.
-    # Each case: (config, rounds, pairing calls).
+    # must be exactly that of the reference pipeline on the whole
+    # materialised stream.  Each case: (config, rounds, pairing calls).
     CASES = {
         # Every block pairs, each time leaving a carry.
         "every-block": (dict(num_nodes=1, detect_prob=1.0), 3 * relay.BLOCK_SIZE + 777, 4),
@@ -351,29 +363,50 @@ class TestStreaming:
         "deferred": (dict(num_nodes=1, detect_prob=0.01), 3 * relay.BLOCK_SIZE + 777, 1),
         "biased": (dict(num_nodes=3, p_z=0.3, detect_prob=0.37), 2 * relay.BLOCK_SIZE + 55, 3),
     }
+    # Each edge of the token dtype: 7 links fill uint8, 8 links take
+    # uint16 and 17 uint32.  The first two blocks each pair; the last one,
+    # of 3 rounds, leaves some links without a survivor.
+    CASES |= {
+        f"{nodes + 1}-links-flip-{flip}": (
+            dict(num_nodes=nodes, p_z=0.3, flip_prob=flip, detect_prob=0.2),
+            2 * relay.BLOCK_SIZE + 3,
+            3,
+        )
+        for nodes in (6, 7, 16)
+        for flip in (0.0, 0.5)
+    }
 
     @pytest.mark.parametrize("case", CASES)
     def test_equals_pairing_the_whole_stream(self, case, monkeypatch):
         kwargs, rounds, pairings = self.CASES[case]
-        cfg = relay.ChainConfig(rounds=rounds, flip_prob=0.05, seed=12, **kwargs)
+        cfg = relay.ChainConfig(rounds=rounds, seed=12, **{"flip_prob": 0.05, **kwargs})
         links = relay.run_quantum_phase(cfg)
         whole = relay.correct_and_estimate(relay.pair_and_announce(links))
-        carries = []
-        pair = relay.pair_and_announce
+        drawn, paired, carries = [], [], []
+        draw, count = relay._draw, relay._count_codes
 
-        def spy(pieces):
-            paired = pair(pieces)
-            carries.append(max(map(len, pieces)) - len(paired.alice_bits))
-            return paired
+        def draw_spy(cfg, link, block):
+            basis, packed, flips = draw(cfg, link, block)
+            drawn.append((link, len(basis)))
+            return basis, packed, flips
 
-        monkeypatch.setattr(relay, "pair_and_announce", spy)
+        def count_spy(codes, links):
+            paired.append(len(codes))
+            longest = max(sum(k for j, k in drawn if j == link) for link in range(links))
+            carries.append(longest - sum(paired))
+            return count(codes, links)
+
+        monkeypatch.setattr(relay, "_draw", draw_spy)
+        monkeypatch.setattr(relay, "_count_codes", count_spy)
         table, survivors = relay.run_protocol(cfg)
         assert table.errors.tolist() == whole.errors.tolist()
         assert table.samples.tolist() == whole.samples.tolist()
         assert survivors == [len(link) for link in links]
         assert len(carries) == pairings
-        if case == "every-block":
+        if case == "every-block" or "links" in case:
             assert min(carries) > 0
+        if "links" in case:
+            assert any(k == 0 for _, k in drawn)
 
     def test_peak_memory_flat_in_rounds(self):
         def peak(blocks):
