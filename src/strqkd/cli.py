@@ -10,9 +10,12 @@ verify       Numerical verification suites for the module invariants.
 
 Grids are start:stop:step strings.  A JSON config file may provide any
 defaults; explicit flags take precedence.  Every run prints its fully
-resolved configuration for reproducibility.  This module only parses and
-renders: the subcommands' work is done by the library modules, and
+resolved configuration for reproducibility, after its input has been
+checked.  This module only parses and renders: the subcommands' work is
+done by the library modules, and
 :func:`strqkd.acceptance_checks.run_verification` runs the verify suites.
+A run of a known subcommand builds only that subcommand's parser, and CSV
+rows are written with one %-format per row type.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from typing import Any, Iterable, NoReturn, Sequence
 
@@ -55,10 +59,12 @@ def parse_grid(spec: str) -> list[float]:
     return [start + i * step for i in range(int(round(steps)) + 1)]
 
 
-def _format_value(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+@functools.lru_cache(maxsize=64)
+def _row_format(types: tuple[type, ...]) -> str:
+    """The %-format of a CSV line whose values have ``types``: floats, float
+    subclasses such as np.float64 included, take 12 significant digits;
+    anything else, ints of any size and bools among them, its str()."""
+    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types) + "\n"
 
 
 def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -67,7 +73,7 @@ def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) ->
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_format_value(v) for v in row) + "\n")
+                fh.write(_row_format(tuple(map(type, row))) % tuple(row))
     except OSError as exc:
         _fail(f"cannot write {path}: {exc}")
 
@@ -121,11 +127,12 @@ def _cmd_fig2_sweep(args: argparse.Namespace) -> int:
         node_counts = [int(v) for v in args.nodes.split(",")]
     except ValueError:
         _fail(f"--nodes must be comma-separated integers, got {args.nodes!r}")
+    # Computed first, so that rejected input prints no config.
+    rows = keyrate.fig2_curves(grid, node_counts=node_counts)
     _print_config(
         "fig2-sweep",
         {"e_link": args.e_link, "nodes": args.nodes, "output": args.output},
     )
-    rows = keyrate.fig2_curves(grid, node_counts=node_counts)
     header = ["e_link"] + [
         "rate_conventional" if m == 0 else f"rate_str{m}" for m in node_counts
     ]
@@ -145,24 +152,9 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
         mu_fixed = None if args.mu == "auto" else float(args.mu)
     except ValueError:
         _fail(f"--mu must be 'auto' or a number, got {args.mu!r}")
-    _print_config(
-        "decoy-sweep",
-        {
-            "loss_db": args.loss_db,
-            "nodes": args.nodes,
-            "scenario": args.scenario,
-            "mu": args.mu,
-            "f_ec": args.f_ec,
-            "p_z": args.p_z,
-            "detector_efficiency": args.eta_det,
-            "dark_count_prob": args.dark,
-            "intrinsic_error": args.e_det,
-            "conservative": args.conservative,
-            "output": args.output,
-        },
-    )
     # The report's fields, in column order.
     terms = ["rate", "entropy_term", "leak_term", "holevo_term", "tagged_term"]
+    # The rows are computed first, so that rejected input prints no config.
     chains = [
         [
             decoy.LinkPhysics(
@@ -190,10 +182,24 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
             else functools.partial(decoy.decoy_rate, conservative=args.conservative)
         )
         results = [(mu_fixed, rate(links, f_ec=args.f_ec, p_z=args.p_z)) for links in chains]
-    rows = [
-        [loss, mu, *(getattr(report, term) for term in terms)]
-        for loss, (mu, report) in zip(grid, results)
-    ]
+    values = operator.attrgetter(*terms)
+    rows = [[loss, mu, *values(report)] for loss, (mu, report) in zip(grid, results)]
+    _print_config(
+        "decoy-sweep",
+        {
+            "loss_db": args.loss_db,
+            "nodes": args.nodes,
+            "scenario": args.scenario,
+            "mu": args.mu,
+            "f_ec": args.f_ec,
+            "p_z": args.p_z,
+            "detector_efficiency": args.eta_det,
+            "dark_count_prob": args.dark,
+            "intrinsic_error": args.e_det,
+            "conservative": args.conservative,
+            "output": args.output,
+        },
+    )
     emit_csv(args.output, ["loss_db", "mu", *terms], rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
@@ -306,7 +312,14 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     with the --config values as their defaults, so explicit flags win.  A
     value is read as if given as a flag; a key that is not an option of the
     subcommand, or a null for an option that needs a value, exits with
-    status 2."""
+    status 2.
+
+    A run of a known subcommand builds only that subcommand's parser.  All
+    five are built where the output may depend on them: without a known
+    command (an error names the choices), with any argument that may be a
+    help flag (top-level help lists every subcommand's help line), and with
+    a "--" (argparse then reads "--" as the command, an invalid choice)."""
+    argv = sys.argv[1:] if argv is None else argv
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     pre.add_argument("command", nargs="?")
@@ -320,8 +333,16 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     parser.add_argument(
         "--version", action="version", version=f"strqkd {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (run, help_text, _) in _COMMANDS.items():
+    lean = known.command in _COMMANDS and not any(
+        arg == "--" or arg.startswith(("-h", "--h")) for arg in argv
+    )
+    # The metavar keeps every subcommand in a lean parser's usage line.  Only
+    # a lean parser takes it: argparse also names the argument by it in its
+    # "invalid choice" and "required" errors, which say "command".
+    metavar = "{" + ",".join(_COMMANDS) + "}" if lean else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for command in [known.command] if lean else _COMMANDS:
+        run, help_text, _ = _COMMANDS[command]
         sub.add_parser(command, help=help_text).set_defaults(func=run)
     if known.command in _COMMANDS:
         options = {flag[2:].replace("-", "_"): (flag, kwargs)

@@ -192,13 +192,6 @@ def _link(phys: LinkPhysics) -> _Link:
     return _Link(eta, y0, y1, e1, phys.intrinsic_error, phys.loss_db)
 
 
-def _live_link(phys: LinkPhysics, mu: float) -> _Link:
-    """:func:`_link`, for a link whose gain at ``mu`` is positive."""
-    link = _link(phys)
-    _statistics(link, mu)  # raises when the gain is zero
-    return link
-
-
 def _statistics(link: _Link, mu: float | np.ndarray, exact: bool = True) -> LinkStatistics:
     """The closed forms of :func:`link_statistics`; the quantities of
     ``link`` and ``mu`` broadcast against each other.  ``exact`` takes the
@@ -485,11 +478,21 @@ def _optimize_block(
     # equal links are within one chain.
     slot: dict[tuple[LinkPhysics, ...], int] = {}
     index = [slot.setdefault(column, len(slot)) for column in zip(*chains)]
-    # The gain is smallest at the lowest intensity: checking each link there,
-    # on floats and in sweep order, fails a sweep on its first dead link, as
-    # the scan of that chain alone would.
-    per_chain = [[_live_link(phys, lo) for phys in chain] for chain in zip(*slot)]
-    per_position = [_Link(*map(np.array, zip(*links))) for links in zip(*per_chain)]
+    # The gain is smallest at the lowest intensity, so one exact evaluation
+    # there per position covers the whole scan.  On a dead link, or one
+    # without transmittance, the links are checked again one at a time on
+    # floats and in sweep order, so that a sweep fails on its first such
+    # link, as the scan of that chain alone would.
+    try:
+        per_chain = [[_link(phys) for phys in chain] for chain in zip(*slot)]
+        per_position = [_Link(*map(np.array, zip(*links))) for links in zip(*per_chain)]
+        for link in per_position:
+            _statistics(link, lo)
+    except ValueError:
+        for chain in zip(*slot):
+            for phys in chain:
+                _statistics(_link(phys), lo)
+        raise
 
     def report(links: Sequence[_Link], mu, exact: bool = False) -> KeyRateReport:
         stats = [_statistics(link, mu, exact) for link in links]

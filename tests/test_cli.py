@@ -1,16 +1,19 @@
 """Tests for the command-line surface: subcommands, CSV emission, config
 handling, determinism."""
 
+import argparse
 import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -73,6 +76,19 @@ class TestEmitCsv:
         parsed = [float(line) for line in read_lines(path)[1:]]
         for v, p in zip(values, parsed):
             assert abs(v - p) <= 1e-12 * max(1.0, abs(v))
+
+    def test_value_formats(self, tmp_path):
+        # Floats, np.float64 among them, take 12 significant digits; ints of
+        # any size, numpy ints, bools and strings print as str().  Each row
+        # is formatted by its own value types.
+        row = [0.1, np.float64(2.0) / 3.0, 10**13, np.int64(-7), True, "u=XZ",
+               math.nan, math.inf, -0.0]
+        path = tmp_path / "formats.csv"
+        cli.emit_csv(str(path), list("abcdefghi"), [row, row[::-1]])
+        assert read_lines(path)[1:] == [
+            "0.1,0.666666666667,10000000000000,-7,True,u=XZ,nan,inf,-0",
+            "-0,inf,nan,u=XZ,True,-7,10000000000000,0.666666666667,0.1",
+        ]
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "lf.csv"
@@ -285,6 +301,72 @@ class TestOptionTable:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert [flag for flag in cli._COMMANDS[command][2] if flag not in out] == []
+
+
+def reference_parse(argv):
+    """The CLI's parser as built before a run of a known subcommand built only
+    that subcommand's parser: all five subparsers, and the chosen one's
+    options (no --config handling)."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("command", nargs="?")
+    command = pre.parse_known_args(argv)[0].command
+    parser = argparse.ArgumentParser(
+        prog="strqkd",
+        description="Simplified trusted relay QKD simulation and key-rate toolkit",
+    )
+    parser.add_argument("--config", help="JSON config file with default values")
+    parser.add_argument("--version", action="version", version=f"strqkd {strqkd.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, help_text, _) in cli._COMMANDS.items():
+        sub.add_parser(name, help=help_text).set_defaults(func=run)
+    if command in cli._COMMANDS:
+        for flag, kwargs in cli._COMMANDS[command][2].items():
+            sub.choices[command].add_argument(flag, **kwargs)
+    return parser.parse_args(argv)
+
+
+PARSER_ARGVS = [
+    ["--help"], *([command, "--help"] for command in cli._COMMANDS), ["--version"],
+    [], ["bogus"], ["mont"], ["--bogus", "montecarlo"], ["montecarlo", "--bogus"],
+    ["montecarlo", "--rounds", "x"], ["qubit-rate"], ["montecarlo", "--roun", "10"],
+    ["decoy-sweep", "--scenario", "x"], ["verify", "--seed", "3"],
+    ["qubit-rate", "--e-link", "0.1", "extra"], ["--version", "fig2-sweep"],
+    # A help flag or "--" before a known command: top-level help lists every
+    # subcommand, and "--" is read as an invalid command.
+    ["--help", "montecarlo"], ["-h", "verify"], ["--he", "qubit-rate"], ["-hx", "verify"],
+    ["--", "montecarlo"], ["montecarlo", "--", "--rounds", "5"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("columns", ["60", "100"])
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_same_as_parser_with_every_subcommand(self, argv, columns, monkeypatch, capsys):
+        # The reference is built in this process, so both sides share the
+        # interpreter's argparse wording.
+        monkeypatch.setenv("COLUMNS", columns)
+        outcomes = []
+        for parse in (reference_parse, cli._parse_args):
+            try:
+                result = vars(parse(argv))
+            except SystemExit as exc:
+                result = exc.code
+            outcomes.append((result, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_known_subcommand_builds_three_parsers(self, monkeypatch, capsys):
+        # The pre-parser, the top-level parser and the chosen subcommand's.
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli.main(["qubit-rate", "--e-link", "0.01"]) == 0
+        assert len(built) <= 3, built
 
 
 class TestConfigFile:
@@ -525,6 +607,24 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig2-sweep", "--e-link", "0:0.6:0.1"],
+            ["fig2-sweep", "--nodes", "0,17"],
+            ["decoy-sweep", "--loss-db", "0:0:1", "--mu", "nan"],
+            ["decoy-sweep", "--loss-db", "0:0:1", "--p-z", "nan"],
+            ["decoy-sweep", "--loss-db", "0:0:1", "--eta-det", "nan"],
+            ["decoy-sweep", "--loss-db", "3200:3200:1", "--dark", "0"],
+        ],
+    )
+    def test_rejected_sweep_prints_no_config(self, argv, capsys):
+        # The rows are computed before the resolved config is printed.
+        assert exit_code([*argv, "--output", os.devnull]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_workers_prints_no_config(self, workers, capsys):
         # Rejected before the resolved config is printed, as --rounds 0 is.
@@ -669,5 +769,7 @@ def test_every_subcommand_exits_0_or_2_with_one_error_line(argv):
         code = exit_code(argv)
     errors = [line for line in err.getvalue().splitlines() if "error:" in line]
     assert code == 0 and not errors or code == 2 and len(errors) == 1, (code, err.getvalue())
+    # Input is checked before the resolved config is printed.
+    assert code == 0 or out.getvalue() == "", out.getvalue()
     if code == 0 and argv[0] != "montecarlo":  # nan is its unobserved error rate
         assert not re.search(r"\b(nan|inf)\b", out.getvalue()), out.getvalue()
