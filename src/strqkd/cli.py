@@ -133,10 +133,8 @@ def _cmd_fig2_sweep(args: argparse.Namespace) -> int:
         "fig2-sweep",
         {"e_link": args.e_link, "nodes": args.nodes, "output": args.output},
     )
-    header = ["e_link"] + [
-        "rate_conventional" if m == 0 else f"rate_str{m}" for m in node_counts
-    ]
-    emit_csv(args.output, header, ([row[col] for col in header] for row in rows))
+    # parse_grid never returns an empty grid, so there is a first row.
+    emit_csv(args.output, list(rows[0]), (row.values() for row in rows))
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -310,9 +308,11 @@ _COMMANDS = {
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     """Parse ``argv``.  Only the chosen subcommand's parser gets its options,
     with the --config values as their defaults, so explicit flags win.  A
-    value is read as if given as a flag; a key that is not an option of the
-    subcommand, or a null for an option that needs a value, exits with
-    status 2.
+    value is read as if given as a flag.  A key that is not an option of
+    the subcommand, a null for an option that needs a value, a value outside
+    an option's choices or a switch's value other than true or false exits
+    with status 2, whatever the flags (argparse checks no default against
+    choices, and takes any default of a switch as its value).
 
     A run of a known subcommand builds only that subcommand's parser.  All
     five are built where the output may depend on them: without a known
@@ -358,8 +358,16 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                     # default is None can take.
                     if "default" not in kwargs or kwargs["default"] is not None:
                         _fail(f"{known.command} option {dest} needs a value, got null")
-                elif kwargs.get("action") != "store_true":
+                elif kwargs.get("action") == "store_true":
+                    if not isinstance(value, bool):
+                        _fail(f"{known.command} option {dest} must be true or "
+                              f"false, got {json.dumps(value)}")
+                else:
                     value = str(value)  # read as if given as a flag
+                    choices = kwargs.get("choices", [value])
+                    if value not in choices:
+                        _fail(f"{known.command} option {dest} must be one of "
+                              f"{', '.join(choices)}, got {value!r}")
                 kwargs = {**kwargs, "default": value, "required": False}
             sub.choices[known.command].add_argument(flag, **kwargs)
     return parser.parse_args(argv)

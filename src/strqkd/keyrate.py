@@ -210,26 +210,16 @@ def uniform_str_rate(
 
 def _uniform_report(h_e: np.ndarray, links: int) -> KeyRateReport:
     """The report of :func:`uniform_str_rate` at uniform bases and f_EC = 1
-    for each entry of ``h_e``, with array terms.  Every weight is 2^-links,
-    so the weights sum to exactly 1 and the Holevo sum, added up in code
-    order as :func:`_code_order_report` adds it, is the leak sum."""
-    leak = _code_order_sums(np.array(_basis_weights(0.5, links)), h_e)
+    for each entry of ``h_e``, with array terms.  Every weight is exactly
+    2^-links, so every term is ``0.5**links * h_e``; adding the 2^links
+    equal terms one by one rounds each entry as :func:`_code_order_report`
+    rounds it.  The weights sum to exactly 1, and the Holevo sum is the
+    leak sum."""
+    term = 0.5**links * h_e
+    leak = term
+    for _ in range((1 << links) - 1):
+        leak = leak + term
     return KeyRateReport(entropy_term=1.0, leak_term=leak, holevo_term=leak)
-
-
-# Entries of the (points x codes) matrix of terms summed in one step.
-_SUM_BLOCK = 1 << 16
-
-
-def _code_order_sums(coeffs: np.ndarray, h_e: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] * h_e in increasing k, for each entry of ``h_e``.
-    Accumulate, unlike sum, adds strictly in order, so each sum is rounded
-    as a scalar loop rounds it."""
-    step = max(1, _SUM_BLOCK // len(coeffs))
-    return np.concatenate([
-        np.add.accumulate(np.multiply.outer(h_e[i : i + step], coeffs), axis=1)[:, -1]
-        for i in range(0, len(h_e), step)
-    ])
 
 
 def _each(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
@@ -245,17 +235,19 @@ def fig2_curves(
 ) -> list[dict[str, float]]:
     """Rate-vs-link-error curves for the qubit model.
 
-    For each per-link error rate: the conventional baseline (equal links, so
-    a single-link rate) plus one STR curve per node count >= 1, each with all
-    basis-vector error rates set to the compound per-link value, uniform
-    bases, and Shannon-limit error correction.  A node count of 0 is the
-    conventional baseline itself.  Each node count names one curve, so a
-    repeated one is a ValueError.
+    For each per-link error rate, one curve per node count m: the STR rate
+    over m + 1 equal links, with all basis-vector error rates set to the
+    compound per-link value, uniform bases, and Shannon-limit error
+    correction.  Node count 0 is one link, whose two terms h(e)/2 sum to
+    exactly h(e): the conventional baseline (equal links, so a single-link
+    rate), in the column ``rate_conventional``; node count m >= 1 is
+    ``rate_str{m}``.  Each node count names one curve, so a repeated one is
+    a ValueError.
 
-    Each curve is evaluated over the whole grid in array steps, with the
-    roundings of :func:`conventional_relay_rate` and
-    :func:`uniform_str_rate` at every point; the first point those would
-    reject raises their error.
+    Each curve is one loop of array additions over its 2^(m + 1) equal
+    terms (see :func:`_uniform_report`), with the roundings of
+    :func:`conventional_relay_rate` and :func:`uniform_str_rate` at every
+    point; the first point those would reject raises their error.
     """
     if len(set(node_counts)) != len(node_counts):
         raise ValueError(f"repeated node count in {list(node_counts)}")
@@ -277,13 +269,10 @@ def fig2_curves(
                 uniform_str_rate(first, m)
     columns = {"e_link": e_links}
     for m in node_counts:
-        if m == 0:
-            h_e = _each(binary_entropy, e)
-            # f_ec = 1, so the leak is h_e itself.
-            report = KeyRateReport(entropy_term=1.0, leak_term=h_e, holevo_term=h_e)
-        else:
-            links = m + 1
-            report = _uniform_report(_each(binary_entropy, compound_error([e] * links)), links)
+        # compound_error([e]) may differ from e in the last bit, so a single
+        # link takes e itself.
+        e_end = e if m == 0 else compound_error([e] * (m + 1))
+        report = _uniform_report(_each(binary_entropy, e_end), m + 1)
         unclamped = report.unclamped
         # KeyRateReport.rate, max(0.0, x), on each entry.
         rates = np.where(unclamped > 0.0, unclamped, 0.0).tolist()

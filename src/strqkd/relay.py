@@ -233,34 +233,27 @@ def _draw(
     return basis, raw[kept : kept + packed], flips
 
 
-def _link_block(cfg: ChainConfig, link: int, block: int) -> SiftedLinkData:
-    basis, packed, flips = _draw(cfg, link, block)
-    sent = np.unpackbits(packed, count=len(basis))
-    return SiftedLinkData(
-        basis=basis.view(np.uint8), sent=sent, received=sent ^ flips.view(np.uint8)
-    )
-
-
 def _num_blocks(cfg: ChainConfig) -> int:
     return (cfg.rounds + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-
-def _concatenate(pieces: list[SiftedLinkData]) -> SiftedLinkData:
-    return SiftedLinkData(
-        basis=np.concatenate([p.basis for p in pieces]),
-        sent=np.concatenate([p.sent for p in pieces]),
-        received=np.concatenate([p.received for p in pieces]),
-    )
 
 
 def run_quantum_phase(cfg: ChainConfig) -> list[SiftedLinkData]:
     """Every link's whole sifted stream: the blocks :func:`run_protocol`
     streams, concatenated per link."""
-    blocks = range(_num_blocks(cfg))
-    return [
-        _concatenate([_link_block(cfg, link, block) for block in blocks])
-        for link in range(cfg.num_links)
-    ]
+    streams = []
+    for link in range(cfg.num_links):
+        bases, packed, flips = zip(
+            *(_draw(cfg, link, block) for block in range(_num_blocks(cfg)))
+        )
+        sent = np.concatenate(
+            [np.unpackbits(bits, count=len(basis)) for basis, bits in zip(bases, packed)]
+        )
+        streams.append(SiftedLinkData(
+            basis=np.concatenate(bases).view(np.uint8),
+            sent=sent,
+            received=sent ^ np.concatenate(flips).view(np.uint8),
+        ))
+    return streams
 
 
 def pair_and_announce(links: list[SiftedLinkData]) -> PairedData:

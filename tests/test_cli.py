@@ -129,11 +129,15 @@ class TestFig2Sweep:
         assert all(len(line.split(",")) == 4 for line in lines[1:])
 
     def test_benchmark_sweep_matches_golden_csv(self, tmp_path, capsys):
-        # The fig2 sweep of the rate-curves benchmark, pinned byte for byte.
-        out = tmp_path / "fig2.csv"
-        argv = ["fig2-sweep", "--e-link", "0:0.12:0.0005", "--nodes", "0,1,2"]
-        assert cli.main(argv + ["--output", str(out)]) == 0
-        assert out.read_bytes() == (DATA / "fig2.csv").read_bytes()
+        # The fig2 sweep of the rate-curves benchmark, pinned byte for byte,
+        # and one over both ends of the link error range, with unsorted node
+        # counts and the longest chain (2^17 terms per point).
+        for golden, e_link, nodes in [("fig2.csv", "0:0.12:0.0005", "0,1,2"),
+                                      ("fig2_long.csv", "0:0.5:0.005", "3,0,16")]:
+            out = tmp_path / golden
+            argv = ["fig2-sweep", "--e-link", e_link, "--nodes", nodes]
+            assert cli.main(argv + ["--output", str(out)]) == 0
+            assert out.read_bytes() == (DATA / golden).read_bytes(), golden
 
 
 class TestDecoySweep:
@@ -293,6 +297,30 @@ class TestOptionTable:
             assert getattr(args, dest) == expected
         if not kwargs.get("required"):  # else parsing without the config exits
             assert getattr(cli._parse_args(argv), dest) != cases[0][2]
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flag in OPTIONS
+        if {"choices", "action"} & set(cli._COMMANDS[command][2][flag])
+    ])
+    def test_config_value_outside_the_option_exits_2(self, command, flag, tmp_path, capsys):
+        # argparse checks no default against choices and takes any default of
+        # a switch as its value: "bogus" once ran as a scenario, and "false"
+        # turned the switch on.  The flag given as well does not mend it.
+        options = cli._COMMANDS[command][2]
+        kwargs, dest = options[flag], flag[2:].replace("-", "_")
+        argv = [command] + [f"{f}=1" for f, kw in options.items() if kw.get("required")]
+        if kwargs.get("action") == "store_true":
+            values, flags = ["false", 1, 0, "true"], [flag]
+        else:
+            values, flags = ["bogus", 1, kwargs["choices"][0].upper()], [
+                f"{flag}={kwargs['choices'][0]}"]
+        config = tmp_path / "cfg.json"
+        for value, extra in [(v, f) for v in values for f in ([], flags)]:
+            config.write_text(json.dumps({dest: value}))
+            assert exit_code(["--config", str(config), *argv, *extra]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {command} option {dest} ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_help_lists_every_option(self, command, capsys):
