@@ -1,12 +1,15 @@
 """Shared numerical checks used by the verify subcommand and the test suite.
 
 Each returns its worst deviation; callers choose the samples and the bound.
+The decoy oracles rebuild the link model from photon numbers and use only
+the public names of :mod:`strqkd.decoy`.
 :func:`run_verification` runs them all as the suites of ``verify``.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -16,7 +19,8 @@ from . import decoy, keyrate, qubit, relay
 __all__ = [
     "FIG2_TARGETS", "FIG2_TOLERANCE", "twirl_deviations", "rotated_basis_deviation",
     "holevo_gap", "relabeling_deviation", "montecarlo_max_z", "fig2_zero_crossings",
-    "fig2_crossing_deviation", "poisson_oracle_deviation", "fraction_identity_residual",
+    "fig2_crossing_deviation", "poisson_oracle_deviation", "tagging_oracle_deviation",
+    "fraction_identity_residual",
     "decoy_cutoff_loss", "MAX_TRIALS", "run_verification",
 ]
 
@@ -143,12 +147,78 @@ def fig2_crossing_deviation(crossings: Mapping[str, float]) -> float:
     return max(abs(crossings[name] - e) for name, e in FIG2_TARGETS.items())
 
 
+# Photons per link that the decoy oracles sum over; the Poisson tail beyond
+# them is below 1e-14 for intensities up to 5.
+ORACLE_PHOTONS = 30
+
+
+def _photon_number_events(links: Sequence[decoy.LinkPhysics]) -> tuple[np.ndarray, ...]:
+    """Per link (rows) and photon number n (columns): the probability that
+    the source emits n photons, that the link then clicks, and that it
+    clicks in error.  Each photon is detected with probability eta, with
+    error e_int; with none detected, either of two detectors may
+    dark-click, with error 1/2."""
+    mu, eta_det, loss_db, dark, e_int = np.array([
+        (p.mu, p.detector_efficiency, p.loss_db, p.dark_count_prob, p.intrinsic_error)
+        for p in links
+    ]).T[..., None]
+    n = np.arange(ORACLE_PHOTONS + 1)
+    emit = np.exp(-mu) * mu**n / np.cumprod(np.maximum(n, 1.0))
+    eta = eta_det * 10.0 ** (-loss_db / 10.0)
+    missed = (1.0 - eta) ** n
+    # Photon k + 1 is the first detected with probability (1 - eta)^k eta;
+    # their sum keeps every digit when eta is tiny.
+    detected = np.cumsum(eta * missed, axis=1) - eta * missed
+    dark_only = missed * (1.0 - (1.0 - dark) ** 2)
+    return emit, detected + dark_only, e_int * detected + 0.5 * dark_only
+
+
 def poisson_oracle_deviation(links: Iterable[decoy.LinkPhysics]) -> float:
-    """Largest gain or QBER gap between the closed forms and the truncated
-    Poisson sum."""
-    pairs = ((decoy.link_statistics(p), decoy.poisson_sum_statistics(p)) for p in links)
-    gaps = (max(abs(c.gain - o.gain), abs(c.qber - o.qber)) for c, o in pairs)
-    return max(gaps, default=0.0)
+    """Largest gap in any LinkStatistics field between the closed forms of
+    :func:`decoy.link_statistics` and photon-number sums of the link model."""
+    links = list(links)
+    if not links:
+        return 0.0
+    fields = attrgetter("gain", "qber", "y0", "y1", "e1", "c0", "c1")
+    closed = [fields(decoy.link_statistics(p)) for p in links]
+    emit, click, error = _photon_number_events(links)
+    gain = (emit * click).sum(axis=1)
+    oracle = np.column_stack([
+        gain, (emit * error).sum(axis=1) / gain, click[:, 0], click[:, 1],
+        error[:, 1] / click[:, 1], *(emit[:, :2] * click[:, :2]).T / gain,
+    ])
+    return float(np.abs(np.subtract(closed, oracle)).max())
+
+
+def tagging_oracle_deviation(chains: Iterable[Sequence[decoy.LinkPhysics]]) -> float:
+    """Largest gap in any DecoyFractions field between
+    :func:`decoy.decoy_fractions` and sums over the joint photon numbers of
+    chains of 1 to 3 links.  A detected joint event is untagged when the
+    first link sent vacuum (f_v), or one photon while every other link sent
+    at most one (f_s_vs; f_s_s when all sent one), and tagged (f_m)
+    otherwise; its key bit is wrong when an odd number of links erred."""
+    fields = attrgetter("f_v", "f_s_s", "f_s_vs", "f_m", "e_s_s", "e_s_vs")
+    worst = 0.0
+    for chain in chains:
+        if not 1 <= len(chain) <= 3:
+            raise ValueError(f"chains need 1 to 3 links, got {len(chain)}")
+        emit, click, error = _photon_number_events(chain)
+        # Per joint event, first link's axis outermost: the probability that
+        # every link clicks, and that times each link's +1 (right bit) or -1
+        # (wrong bit).
+        joint = np.ones((2, 1))
+        for factor in np.stack((emit * click, emit * (click - 2.0 * error)), axis=1):
+            joint = (joint[:, :, None] * factor[:, None, :]).reshape(2, -1)
+        n = np.indices((ORACLE_PHOTONS + 1,) * len(chain)).reshape(len(chain), -1)
+        vacuum, single = n[0] == 0, (n[0] == 1) & (n[1:] <= 1).all(axis=0)
+        classes = [vacuum, (n == 1).all(axis=0), single, ~(vacuum | single)]
+        detected, signed = np.transpose([joint.sum(axis=1, where=c) for c in classes])
+        errors = np.divide(detected - signed, 2.0 * detected,
+                           out=np.full(4, 0.5), where=detected > 0.0)
+        oracle = [*detected / joint[0].sum(), *errors[1:3]]
+        closed = fields(decoy.decoy_fractions(chain))
+        worst = max(worst, float(np.abs(np.subtract(closed, oracle)).max()))
+    return worst
 
 
 def fraction_identity_residual(chains: Iterable[Sequence[decoy.LinkPhysics]]) -> float:
@@ -187,10 +257,11 @@ def run_verification(trials: int = 100, seed: int = 2024) -> list[tuple[str, boo
     max_z = montecarlo_max_z([(1, 0.05), (2, 0.01)], 200_000, seed)
     crossings = fig2_zero_crossings()
     grid = product((0.0, 10.0, 20.0), (0.05, 0.3, 1.0), (0.0, 6e-6, 1e-4))
-    oracle = poisson_oracle_deviation(
-        decoy.LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
-        for loss, mu, dark in grid
-    )
+    links = [decoy.LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
+             for loss, mu, dark in grid]
+    # The grid's diagonal is a chain of links unequal in loss, intensity and
+    # dark counts.
+    oracle = max(poisson_oracle_deviation(links), tagging_oracle_deviation([links[2::11]]))
     chain = [decoy.LinkPhysics(loss_db=5.0, mu=0.2)] * 2
     suites = [  # (name, worst deviation, bound, detail format)
         ("twirl-diagonality", off_diag, 1e-12, "max off-diagonal {:.3g}"),

@@ -95,10 +95,12 @@ def _print_report(label: str, report: keyrate.KeyRateReport) -> None:
 def _load_config(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
+    # ValueError covers a file that is not UTF-8 or not JSON and an int too
+    # long to convert; RecursionError, nesting too deep to decode.
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         _fail(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         _fail(f"config {path} must be a JSON object")
@@ -308,11 +310,14 @@ _COMMANDS = {
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     """Parse ``argv``.  Only the chosen subcommand's parser gets its options,
     with the --config values as their defaults, so explicit flags win.  A
-    value is read as if given as a flag.  A key that is not an option of
-    the subcommand, a null for an option that needs a value, a value outside
-    an option's choices or a switch's value other than true or false exits
-    with status 2, whatever the flags (argparse checks no default against
-    choices, and takes any default of a switch as its value).
+    value is read as if given as a flag: its option's type converts
+    str(value).  A key that is not an option of the subcommand, a null for
+    an option that needs a value, a value that the option's type rejects or
+    outside its choices, or a switch's value other than true or false exits
+    with status 2 and one error line, whatever the flags (argparse checks
+    no default against choices, takes any default of a switch as its value,
+    and reports a string default that its type rejects as an error of the
+    flag, with its usage).
 
     A run of a known subcommand builds only that subcommand's parser.  All
     five are built where the output may depend on them: without a known
@@ -363,11 +368,16 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                         _fail(f"{known.command} option {dest} must be true or "
                               f"false, got {json.dumps(value)}")
                 else:
-                    value = str(value)  # read as if given as a flag
-                    choices = kwargs.get("choices", [value])
-                    if value not in choices:
-                        _fail(f"{known.command} option {dest} must be one of "
-                              f"{', '.join(choices)}, got {value!r}")
+                    convert, choices = kwargs.get("type", str), kwargs.get("choices")
+                    try:
+                        value = convert(str(value))  # read as if given as a flag
+                        if choices and value not in choices:
+                            raise ValueError
+                    except ValueError:
+                        kind = (f"one of {', '.join(choices)}" if choices
+                                else "an integer" if convert is int else "a number")
+                        _fail(f"{known.command} option {dest} must be {kind}, "
+                              f"got {json.dumps(config[dest])}")
                 kwargs = {**kwargs, "default": value, "required": False}
             sub.choices[known.command].add_argument(flag, **kwargs)
     return parser.parse_args(argv)

@@ -2,25 +2,24 @@
 
 Each link is a Poissonian source into a lossy channel with a threshold
 detector: dark counts, finite detector efficiency, and an intrinsic optical
-error rate.  Closed-form gains/QBERs come with a truncated Poisson-sum
-counterpart used for cross-checking.  The vacuum and single-photon yields
-and error rates enter the rates exactly, as known quantities: this is the
-infinite-decoy limit of Lo, Ma and Chen (PRL 94, 230504, 2005), not a
-finite-decoy estimate.  The tagged-signal accounting follows GLLP: Eve gets
-full information on any detected event in which some link emitted a
-multi-photon pulse (vacuum in the first link excepted), which is subtracted
-outright from the key rate; per-loss intensity optimization reproduces the
-rate-vs-loss sweeps.  A sweep is optimized as a batch: one array scan of
-the intensity grid covers all its loss points, and golden-section
-refinement runs as array steps over the points still open, each point
-taking the steps its own scalar search would.  The private statistics,
-fraction and rate helpers therefore take arrays (intensities, and link
-quantities with one entry per chain) in place of floats; the public
-functions take and return floats.  Floats go through ``math``.  The
-reports of a sweep are one array evaluation of the same formulas at the
-chosen intensities, with each exponential and entropy taken through
-``math`` entry by entry, so every reported value equals its evaluation on
-floats.
+error rate.  Gains, QBERs, yields and error rates are closed forms.  The
+vacuum and single-photon yields and error rates enter the rates exactly, as
+known quantities: this is the infinite-decoy limit of Lo, Ma and Chen (PRL
+94, 230504, 2005), not a finite-decoy estimate.  The tagged-signal
+accounting follows GLLP: Eve gets full information on any detected event in
+which some link emitted a multi-photon pulse (vacuum in the first link
+excepted), which is subtracted outright from the key rate; per-loss
+intensity optimization reproduces the rate-vs-loss sweeps.  A sweep is
+optimized as a batch: one array scan of the intensity grid covers all its
+loss points, and golden-section refinement runs as array steps over the
+points still open, each point taking the steps its own scalar search would.
+The private statistics, fraction and rate helpers therefore take arrays
+(intensities, and link quantities with one entry per chain) in place of
+floats; the public functions take and return floats.  Floats go through
+``math``.  The reports of a sweep are one array evaluation of the same
+formulas at the chosen intensities, with each exponential and entropy taken
+through ``math`` entry by entry, so every reported value equals its
+evaluation on floats.
 
 Dark-count coincidences carry error 1/2 (a dark click is an uncorrelated
 bit); the dark-count error term is weighted by the probability that no
@@ -51,7 +50,6 @@ __all__ = [
     "LinkStatistics",
     "DecoyFractions",
     "link_statistics",
-    "poisson_sum_statistics",
     "decoy_fractions",
     "decoy_rate",
     "conventional_decoy_rate",
@@ -139,25 +137,6 @@ class DecoyFractions:
     e_s_vs: float
 
 
-def _miss_m1(eta: float, n: int) -> float:
-    # (1 - eta)^n - 1, minus the probability that one of n photons is
-    # detected; expm1 keeps it from cancelling at high loss.
-    if eta == 1.0:
-        return -1.0 if n else 0.0
-    return math.expm1(n * math.log1p(-eta))
-
-
-def _yield_n(y0: float, eta: float, n: int) -> float:
-    return y0 - (1.0 - y0) * _miss_m1(eta, n)
-
-
-def _error_yield_n(phys: LinkPhysics, y0: float, eta: float, n: int) -> float:
-    # e_n * Y_n: dark-count error when no signal photon arrived, intrinsic
-    # error when one did.
-    miss_m1 = _miss_m1(eta, n)
-    return E_DARK * y0 * (1.0 + miss_m1) - phys.intrinsic_error * miss_m1
-
-
 def _all(cond) -> bool:
     """Whether ``cond`` holds everywhere; one reduction for an array cond."""
     return bool(cond.all()) if isinstance(cond, np.ndarray) else cond
@@ -187,8 +166,10 @@ def _link(phys: LinkPhysics) -> _Link:
     if eta <= 0.0:
         raise ValueError("link transmittance must be positive")
     y0 = 1.0 - (1.0 - phys.dark_count_prob) ** 2
-    y1 = _yield_n(y0, eta, 1)  # at least eta, so positive
-    e1 = _error_yield_n(phys, y0, eta, 1) / y1
+    # A single photon is detected with probability eta, error e_int; when it
+    # is missed, a dark click (probability y0) carries error 1/2.
+    y1 = y0 + (1.0 - y0) * eta  # at least eta, so positive
+    e1 = (E_DARK * y0 * (1.0 - eta) + phys.intrinsic_error * eta) / y1
     return _Link(eta, y0, y1, e1, phys.intrinsic_error, phys.loss_db)
 
 
@@ -227,29 +208,6 @@ def link_statistics(phys: LinkPhysics) -> LinkStatistics:
     """Closed-form gain, QBER, and n in {0, 1} yields/errors for one link at
     its intensity ``phys.mu``; ValueError when the gain is zero."""
     return _statistics(_link(phys), phys.mu)
-
-
-def poisson_sum_statistics(phys: LinkPhysics, n_max: int = 30) -> LinkStatistics:
-    """Photon-number-resolved route to the same statistics: truncated Poisson
-    sums over per-n yields and error yields.  Independent cross-check for
-    the closed forms in :func:`link_statistics`."""
-    link = _link(phys)
-    mu = phys.mu
-    gain = 0.0
-    err = 0.0
-    for n in range(n_max + 1):
-        p_n = math.exp(-mu) * mu**n / math.factorial(n)
-        gain += p_n * _yield_n(link.y0, link.eta, n)
-        err += p_n * _error_yield_n(phys, link.y0, link.eta, n)
-    return LinkStatistics(
-        gain=gain,
-        qber=err / gain,
-        y0=link.y0,
-        y1=link.y1,
-        e1=link.e1,
-        c0=math.exp(-mu) * link.y0 / gain,
-        c1=mu * math.exp(-mu) * link.y1 / gain,
-    )
 
 
 def decoy_fractions(links: Sequence[LinkPhysics]) -> DecoyFractions:

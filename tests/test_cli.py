@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -300,17 +301,23 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command, flag in OPTIONS
-        if {"choices", "action"} & set(cli._COMMANDS[command][2][flag])
+        if {"choices", "action", "type"} & set(cli._COMMANDS[command][2][flag])
     ])
     def test_config_value_outside_the_option_exits_2(self, command, flag, tmp_path, capsys):
         # argparse checks no default against choices and takes any default of
         # a switch as its value: "bogus" once ran as a scenario, and "false"
-        # turned the switch on.  The flag given as well does not mend it.
+        # turned the switch on.  A typed default it rejected with its usage,
+        # as an error of a flag never given.  The flag given as well does not
+        # mend it.
         options = cli._COMMANDS[command][2]
         kwargs, dest = options[flag], flag[2:].replace("-", "_")
         argv = [command] + [f"{f}=1" for f, kw in options.items() if kw.get("required")]
         if kwargs.get("action") == "store_true":
             values, flags = ["false", 1, 0, "true"], [flag]
+        elif "type" in kwargs:
+            values, flags = ["x", True, [1], {"a": 1}], [f"{flag}=1"]
+            if kwargs["type"] is int:
+                values += [2.0, 1e3, "1.5"]
         else:
             values, flags = ["bogus", 1, kwargs["choices"][0].upper()], [
                 f"{flag}={kwargs['choices'][0]}"]
@@ -449,11 +456,16 @@ class TestConfigFile:
             cli.main(["--config", str(config), "qubit-rate", "--e-link", "0.03"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("content", [None, "[1, 2]"])
+    # Not UTF-8, an int too long to convert and nesting too deep to decode
+    # once ended in tracebacks.
+    @pytest.mark.parametrize("content", [
+        None, b"[1, 2]", b"\xff{}", b'{"seed": ' + b"1" * 5000 + b"}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
         config = tmp_path / "cfg.json"
         if content is not None:
-            config.write_text(content)
+            config.write_bytes(content)
         with pytest.raises(SystemExit) as exc:
             cli.main(["--config", str(config), "fig2-sweep"])
         assert exc.value.code == 2
@@ -770,8 +782,21 @@ CLI_FLAGS = {
 }
 
 
+# --config values of every JSON type: ints and floats (edge ones included),
+# the option's own flag strings or malformed ones, bools, null and lists.
+CONFIG_VALUES = (
+    st.integers(-1, 3) | st.sampled_from([17, 2**64])
+    | st.sampled_from([0.5, 2.0, -0.0, 1e308, math.nan, math.inf])
+    | st.sampled_from(["x", "", "true"]) | st.booleans() | st.none()
+    | st.lists(st.integers(0, 2), max_size=2)
+)
+
+
 @st.composite
 def cli_argvs(draw):
+    """(argv, config): a config of None runs without --config; its keys are
+    the subcommand's options, output excepted (it would name a file to write),
+    and sometimes one that is not."""
     command = draw(st.sampled_from(sorted(CLI_FLAGS)))
     argv = [command]
     for flag, values in CLI_FLAGS[command].items():
@@ -782,22 +807,54 @@ def cli_argvs(draw):
         argv.append("--conservative")
     if command in ("fig2-sweep", "decoy-sweep"):
         argv.append(f"--output={os.devnull}")  # their default is a file here
-    return argv
+    if not draw(st.booleans()):
+        return argv, None
+    keys = [flag[2:].replace("-", "_") for flag in cli._COMMANDS[command][2]]
+    config = {}
+    for key in draw(st.lists(st.sampled_from([*keys, "bogus"]), max_size=4, unique=True)):
+        if key == "output":
+            continue
+        flag_values = CLI_FLAGS[command].get("--" + key.replace("_", "-"), st.nothing())
+        config[key] = draw(CONFIG_VALUES | flag_values)
+    return argv, config
 
 
-@given(argv=cli_argvs())
-# Both ended in exit 0 with a non-finite number printed before their bounds.
-@example(argv=["qubit-rate", "--e-link=0", "--f-ec=inf"])
-@example(argv=["verify", "--trials=0"])
-@settings(max_examples=500, deadline=None, derandomize=True)
-def test_every_subcommand_exits_0_or_2_with_one_error_line(argv):
-    # Any other exception propagates and fails the test.
+def run_captured(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = exit_code(argv)
-    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
-    assert code == 0 and not errors or code == 2 and len(errors) == 1, (code, err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(run=cli_argvs())
+# Both ended in exit 0 with a non-finite number printed before their bounds.
+@example(run=(["qubit-rate", "--e-link=0", "--f-ec=inf"], None))
+@example(run=(["verify", "--trials=0"], None))
+# Config values that their option's type rejects once reached argparse as
+# defaults, which it reported with its usage block as errors of the flag.
+@example(run=(["decoy-sweep", "--mu=0.3", "--loss-db=0:0:1", f"--output={os.devnull}"],
+              {"nodes": "x"}))
+@example(run=(["montecarlo", "--rounds=10"], {"seed": 2.0}))
+@example(run=(["montecarlo", "--rounds=10"], {"nodes": True}))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_every_subcommand_exits_0_or_2_with_one_error_line(run):
+    argv, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            argv = ["--config", str(path), *argv]
+        # Any other exception propagates and fails the test.
+        code, out, err = run_captured(argv)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert code == 0 and not errors or code == 2 and len(errors) == 1, (code, err)
     # Input is checked before the resolved config is printed.
-    assert code == 0 or out.getvalue() == "", out.getvalue()
-    if code == 0 and argv[0] != "montecarlo":  # nan is its unobserved error rate
-        assert not re.search(r"\b(nan|inf)\b", out.getvalue()), out.getvalue()
+    assert code == 0 or out == "", out
+    if code == 0 and "montecarlo" not in argv:  # nan is its unobserved error rate
+        assert not re.search(r"\b(nan|inf)\b", out), out
+    # argparse names the flag whose value it rejects, which must be one given.
+    named = re.search(r"error: argument (--[a-z-]+)", err)
+    assert not named or any(arg.startswith(named[1] + "=") for arg in argv), err
+    # A failure that the config alone brings about is one line on stderr.
+    if code == 2 and config is not None and run_captured(argv[2:])[0] == 0:
+        assert len(err.splitlines()) == 1, err

@@ -3,6 +3,7 @@ rates, and intensity optimization."""
 
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strqkd import decoy, keyrate
-from strqkd.acceptance_checks import fraction_identity_residual, poisson_oracle_deviation
+from strqkd.acceptance_checks import (
+    fraction_identity_residual,
+    poisson_oracle_deviation,
+    tagging_oracle_deviation,
+)
 from strqkd.decoy import LinkPhysics
 
 FIG3B = dict(detector_efficiency=0.5, dark_count_prob=6e-6, intrinsic_error=0.0185)
@@ -32,12 +37,35 @@ class TestLinkStatistics:
         assert stats.gain == pytest.approx(y0, rel=1e-3)
         assert stats.qber == pytest.approx(0.5, abs=1e-3)
 
-    @pytest.mark.parametrize("loss", [0.0, 10.0, 20.0])
-    @pytest.mark.parametrize("mu", [0.05, 0.5, 1.0])
-    @pytest.mark.parametrize("dark", [0.0, 6e-6, 1e-4])
-    def test_closed_forms_match_poisson_oracle(self, loss, mu, dark):
-        phys = LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu)
+    @pytest.mark.parametrize("phys", [
+        *(pytest.param(LinkPhysics(loss_db=loss, dark_count_prob=dark, mu=mu),
+                       id=f"{dark}-{mu}-{loss}")
+          for loss, mu, dark in product((0.0, 10.0, 20.0), (0.05, 0.5, 1.0), (0.0, 6e-6, 1e-4))),
+        # Every single photon detected: y1 = 1 and e1 = e_int, dark counts
+        # or not.
+        pytest.param(LinkPhysics(loss_db=0.0, detector_efficiency=1.0), id="eta-1"),
+        # Far out in loss without dark counts: y1 = eta = 5e-301, e1 = e_int.
+        pytest.param(LinkPhysics(loss_db=3000.0, dark_count_prob=0.0), id="3000dB-no-dark"),
+    ])
+    def test_closed_forms_match_poisson_oracle(self, phys):
         assert poisson_oracle_deviation([phys]) <= 1e-9
+        stats = decoy.link_statistics(phys)
+        if phys.transmittance == 1.0:
+            assert (stats.y1, stats.e1) == (1.0, phys.intrinsic_error)
+        if phys.dark_count_prob == 0.0:
+            assert (stats.y1, stats.e1) == (phys.transmittance, phys.intrinsic_error)
+
+    def test_poisson_oracle_shares_no_link_quantity(self, monkeypatch):
+        # A single-photon error rate without its dark-count term must show:
+        # the oracle takes no link quantity from decoy.
+        link = decoy._link
+
+        def e1_without_dark_counts(phys):
+            quantities = link(phys)
+            return quantities._replace(e1=phys.intrinsic_error * quantities.eta / quantities.y1)
+
+        monkeypatch.setattr(decoy, "_link", e1_without_dark_counts)
+        assert poisson_oracle_deviation([LinkPhysics(loss_db=10.0)]) > 1e-9
 
     @pytest.mark.parametrize("loss", [60.0, 80.0])
     def test_single_photon_yield_exact_without_dark_counts(self, loss):
@@ -112,6 +140,34 @@ class TestDecoyFractions:
     def test_requires_links(self):
         with pytest.raises(ValueError):
             decoy.decoy_fractions([])
+
+    @pytest.mark.parametrize("num_links", [1, 2, 3])
+    def test_tagging_matches_photon_number_sums(self, num_links):
+        rng = np.random.default_rng(num_links)
+        chains = [
+            [LinkPhysics(loss_db=float(rng.uniform(0.0, 30.0)),
+                         detector_efficiency=float(rng.uniform(0.1, 1.0)),
+                         dark_count_prob=float(rng.choice([0.0, 6e-6, 1e-4])),
+                         intrinsic_error=float(rng.uniform(0.0, 0.1)),
+                         mu=float(rng.uniform(0.01, 2.0))) for _ in range(num_links)]
+            for _ in range(5)
+        ]
+        assert tagging_oracle_deviation(chains) <= 1e-9
+
+    def test_tagging_oracle_sees_a_later_vacuum_tagged(self, monkeypatch):
+        fractions = decoy._fractions
+
+        def later_vacuum_tagged(stats):
+            return fractions([stats[0], *(replace(s, c0=0.0) for s in stats[1:])])
+
+        monkeypatch.setattr(decoy, "_fractions", later_vacuum_tagged)
+        chain = [LinkPhysics(loss_db=loss, dark_count_prob=1e-4, mu=0.3) for loss in (3.0, 12.0)]
+        assert tagging_oracle_deviation([chain]) > 1e-9
+
+    @pytest.mark.parametrize("num_links", [0, 4])
+    def test_tagging_oracle_takes_one_to_three_links(self, num_links):
+        with pytest.raises(ValueError, match="1 to 3 links"):
+            tagging_oracle_deviation([[LinkPhysics(loss_db=0.0)] * num_links])
 
 
 class TestDecoyRate:
