@@ -12,15 +12,18 @@ and Bob's corrected key is compared against Alice's to fill the
 
 Only the sifted events are sampled.  Rounds are i.i.d. and sifting reads
 neither bit, so a round survives with ``p_keep = detect * (p_z^2 +
-(1 - p_z)^2)`` independently of the others and of its bits.  Each block of
-``BLOCK_SIZE = 2^20`` rounds therefore draws its survivor count from
-Binomial(block, p_keep), and then, for the survivors only, the shared basis
-(X with probability ``(1 - p_z)^2 / (p_z^2 + (1 - p_z)^2)``, Z otherwise),
-a uniform sent bit and a flip with probability ``flip_prob``.  Given
-survival these are independent and have exactly these laws, so the sifted
-stream has the same joint law as drawing every round and discarding the
-unsifted ones, at a cost that scales with the survivors instead of the
-rounds.
+(1 - p_z)^2)`` independently of the others and of its bits.  Each block
+therefore draws its survivor count from Binomial(block, p_keep), then, for
+the survivors only, the shared basis (X with probability ``(1 - p_z)^2 /
+(p_z^2 + (1 - p_z)^2)``, Z otherwise), a uniform sent bit and a flip with
+probability ``flip_prob``.  Given survival these are independent and have
+exactly these laws, so the sifted stream has the same joint law as drawing
+every round and discarding the unsifted ones, at a cost that scales with
+the survivors instead of the rounds.  A block spans ``BLOCK_SIZE * 2^k``
+rounds, with the largest k >= 0 that keeps its expected survivors at most
+``BLOCK_SIZE / 2``, up to 2^40 (at least ``MAX_ROUNDS``): ``BLOCK_SIZE``
+for ``p_keep > 1/4``, and for a sparse run a few full blocks, not many
+nearly empty ones at a fixed cost each.
 
 Each basis and flip decision compares one random byte with the leading
 byte of the binary expansion of its probability, and only the 1 in 256
@@ -58,15 +61,13 @@ the reference pipeline, but they are never unpacked.
 
 :func:`run_protocol` streams the blocks in order and XORs each link's
 tokens into one buffer of codes, at that link's next unpaired position.
-Once the shortest link holds ``_MIN_PAIRED`` unpaired survivors, or after
-the last block, the complete codes at the head of the buffer are counted
-and the partial ones behind them, the lead of the longer links, move to
-the front.  Pairing by survival order gives the same pairs however the
-stream is cut, so the table is exactly that of the reference pipeline on
-the whole stream.  The memory held is one block and the buffer, whatever
-the number of rounds: the buffer holds the pending survivors and the lead
-of the longest link over the shortest, a random walk whose typical size is
-at most sqrt(rounds / 2) survivors, below a block up to ``MAX_ROUNDS``.
+After each block the complete codes at the head of the buffer are counted
+and the partial ones behind them, the lead of the longer links, move to the
+front.  Pairing by survival order gives the same pairs however the stream is
+cut, so the table is exactly that of the reference pipeline on the whole
+stream.  The memory held is one block and the lead, whatever the number of
+rounds: a random walk whose typical size is at most sqrt(rounds / 2)
+survivors, below a block up to ``MAX_ROUNDS``.
 
 Everything runs on one thread: on two cores, neither a thread pool over
 each block's links nor a thread drawing the next block during pairing beat
@@ -96,19 +97,11 @@ __all__ = [
 BLOCK_SIZE = 1 << 20
 
 # Longest run accepted.  It leaves millions of samples in each of the 2^17
-# basis-vector codes of the longest chain.  For that chain, on two cores, a
-# run at the bound takes about a quarter of an hour when almost nothing
-# survives (~10^6 blocks per link, ~50 us each) and about 10 hours when
-# every round is detected (~5e8 link-rounds/s).  Without it a mistyped exponent
-# would loop over blocks for weeks.
+# basis-vector codes of the longest chain, for which a run at the bound on
+# two cores took 3.1 s at detect 1e-4 and would take about 9.4 hours with
+# every round detected (2^26 rounds took 2.3 s).  Without it a mistyped
+# exponent would loop over blocks for weeks.
 MAX_ROUNDS = 10**12
-
-# Fewest survivors per link that run_protocol pairs at once, except at the
-# last block.  A pairing has a fixed cost (timeit, two cores: ~15 us at 3
-# links, ~0.3 ms at 17, most of it the histogram's 2^(links+1) bins), so
-# pairing every block would slow a sparse run; pairing only at much larger
-# buffers would hold more memory.
-_MIN_PAIRED = BLOCK_SIZE // 16
 
 
 @dataclass(frozen=True)
@@ -140,6 +133,19 @@ class ChainConfig:
     @property
     def num_links(self) -> int:
         return self.num_nodes + 1
+
+    @property
+    def p_keep(self) -> float:
+        """Probability that a round is detected with matching bases."""
+        return self.detect_prob * (self.p_z**2 + (1.0 - self.p_z) ** 2)
+
+    @property
+    def block_rounds(self) -> int:
+        """Rounds per block, as the module docstring defines them."""
+        rounds = BLOCK_SIZE
+        while rounds < 1 << 40 and 2 * rounds * self.p_keep <= BLOCK_SIZE / 2:
+            rounds *= 2
+        return rounds
 
 
 @dataclass
@@ -218,14 +224,13 @@ def _draw(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One (link, block) substream: the survivors' bases (True = X), their
     packed sent bits and their flips."""
-    start = block * BLOCK_SIZE
-    n = min(BLOCK_SIZE, cfg.rounds - start)
+    size = cfg.block_rounds
+    n = min(size, cfg.rounds - block * size)
     bit_generator = np.random.PCG64DXSM(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(link, block))
     )
     z_weight, x_weight = cfg.p_z**2, (1.0 - cfg.p_z) ** 2
-    p_keep = cfg.detect_prob * (z_weight + x_weight)
-    kept = int(np.random.Generator(bit_generator).binomial(n, p_keep))
+    kept = int(np.random.Generator(bit_generator).binomial(n, cfg.p_keep))
     packed = (kept + 7) // 8
     raw = _raw_bytes(bit_generator, 2 * kept + packed)
     basis = _bernoulli(bit_generator, raw[:kept], x_weight / (z_weight + x_weight))
@@ -234,7 +239,7 @@ def _draw(
 
 
 def _num_blocks(cfg: ChainConfig) -> int:
-    return (cfg.rounds + BLOCK_SIZE - 1) // BLOCK_SIZE
+    return -(-cfg.rounds // cfg.block_rounds)
 
 
 def run_quantum_phase(cfg: ChainConfig) -> list[SiftedLinkData]:
@@ -333,23 +338,18 @@ def run_protocol(cfg: ChainConfig) -> tuple[ErrorRateTable, list[int]]:
     # every link that has drawn it; unwritten entries are zero.
     codes = np.zeros(0, dtype=dtype)
     paired = 0  # survivors of each link paired so far
-    last = _num_blocks(cfg) - 1
-    for block in range(last + 1):
+    for block in range(_num_blocks(cfg)):
         for link in range(links):
             basis, _, flips = _draw(cfg, link, block)
             start = survivors[link] - paired
             survivors[link] += len(basis)
             end = survivors[link] - paired
             if end > len(codes):
-                grown = np.zeros(max(end, 2 * len(codes)), dtype=dtype)
-                grown[: len(codes)] = codes
-                codes = grown
+                codes = np.pad(codes, (0, max(end - len(codes), len(codes))))
             token = basis * dtype.type(1 << (links - link))
             token |= flips
             segment = codes[start:end]
             segment ^= token
-        if block < last and min(survivors) - paired < _MIN_PAIRED:
-            continue
         n = min(survivors) - paired
         counts += _count_codes(codes[:n], links)
         held = max(survivors) - paired

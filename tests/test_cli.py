@@ -212,8 +212,9 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "golden,detect,rounds",
         [
-            # Three 2^20-round blocks per link, paired once, at the last.
-            ("montecarlo.csv", "0.01", "3000000"),
+            # Three 2^26-round blocks per link, the last one partial, each
+            # paired: at detect 0.01 a block holds about 3.4e5 survivors.
+            ("montecarlo.csv", "0.01", "150000000"),
             # Three blocks that each pair and leave a carry, about 1.1 M rows.
             ("montecarlo_dense.csv", "1", "2200000"),
             # The same with 8 links, the shortest chain whose codes need uint16.
@@ -236,6 +237,15 @@ class TestMonteCarlo:
         out = capsys.readouterr().out
         assert "u=0: 0/0 rate=nan" in out
         assert "u=1: 0/0 rate=nan" in out
+
+    def test_no_survivors_at_max_rounds(self, capsys):
+        # p_keep underflows to 0: one capped block per link, no survivor, and
+        # nan rates without a RuntimeWarning (an error under this suite).
+        argv = ["montecarlo", "--detect", "5e-324", "--rounds", "1000000000000"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "survivors per link: [0, 0]" in out
+        assert out.count("0/0 rate=nan") == 4
 
     def test_summary_printed(self, capsys):
         assert cli.main(

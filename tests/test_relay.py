@@ -2,11 +2,12 @@
 compound error model."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strqkd import keyrate, relay
@@ -306,6 +307,18 @@ class TestCorrectionAndEstimation:
         for rate, samples in zip(table.rates, table.samples):
             assert binomial_z(rate, expected, samples) < 3
 
+    def test_sparse_rates_match_compound_model(self):
+        # Four blocks of 2^29 rounds per link, the last one partial, with
+        # about 1e6 survivors per link and 1.2e5 samples per basis vector.
+        cfg = relay.ChainConfig(
+            num_nodes=2, rounds=2_000_000_000, flip_prob=0.05, detect_prob=1e-3, seed=2026
+        )
+        assert 3 * cfg.block_rounds < cfg.rounds < 4 * cfg.block_rounds
+        table, _ = relay.run_protocol(cfg)
+        expected = keyrate.compound_error([0.05] * 3)
+        for rate, samples in zip(table.rates, table.samples):
+            assert binomial_z(rate, expected, samples) < 4
+
     def test_single_node_table_shape(self):
         cfg = relay.ChainConfig(num_nodes=1, rounds=1000, flip_prob=0.0, seed=7)
         table, survivors = relay.run_protocol(cfg)
@@ -331,20 +344,24 @@ class TestDeterminism:
 
 class TestBlockBoundaries:
     # Three blocks per link, the last one partial, at a low detection
-    # probability so the run stays cheap.
-    ROUNDS = 2 * relay.BLOCK_SIZE + 4321
-
+    # probability: each block spans 2^26 rounds with about 3.4e5 survivors.
     @staticmethod
     def config(rounds):
         return relay.ChainConfig(
             num_nodes=1, rounds=rounds, flip_prob=0.05, detect_prob=0.01, seed=11
         )
 
+    BLOCK = config(1).block_rounds
+    ROUNDS = 2 * BLOCK + 4321
+
+    def test_block_size_ignores_rounds(self):
+        assert self.BLOCK == relay.BLOCK_SIZE << 6 == self.config(self.ROUNDS).block_rounds
+
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_leading_blocks_are_a_prefix(self, blocks):
         # Block b of link l draws from substream (l, b) whatever the run's
         # length, so a shorter run is a prefix of a longer one.
-        short = relay.run_quantum_phase(self.config(blocks * relay.BLOCK_SIZE))
+        short = relay.run_quantum_phase(self.config(blocks * self.BLOCK))
         full = relay.run_quantum_phase(self.config(self.ROUNDS))
         for head, link in zip(short, full):
             assert 0 < len(head) < len(link)
@@ -352,25 +369,64 @@ class TestBlockBoundaries:
                 assert (getattr(link, name)[: len(head)] == getattr(head, name)).all()
 
 
+class TestBlockSize:
+    @given(
+        detect=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        p_z=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    # The dense goldens and verify, then just above and at p_keep = 1/4.
+    @example(detect=1.0, p_z=0.5)
+    @example(detect=0.5000001, p_z=0.5)
+    @example(detect=0.5, p_z=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_expected_survivors_per_block(self, detect, p_z):
+        # Above p_keep = 1/4 a block keeps BLOCK_SIZE rounds, so every dense
+        # run keeps its stream.  Below, it doubles until its expected
+        # survivors lie in (BLOCK_SIZE / 4, BLOCK_SIZE / 2], unless capped.
+        cfg = relay.ChainConfig(num_nodes=0, rounds=1, flip_prob=0.0, detect_prob=detect, p_z=p_z)
+        size, survivors = cfg.block_rounds, cfg.p_keep * cfg.block_rounds
+        if cfg.p_keep > 0.25:
+            assert size == relay.BLOCK_SIZE
+        elif size < 1 << 40:
+            assert relay.BLOCK_SIZE / 4 < survivors <= relay.BLOCK_SIZE / 2
+        else:
+            assert survivors <= relay.BLOCK_SIZE / 2
+        assert relay.BLOCK_SIZE <= size <= 1 << 40 and size.bit_count() == 1
+
+    @pytest.mark.parametrize("detect", [5e-324, 1e-9])
+    def test_tiny_survival_takes_one_block_at_max_rounds(self, detect, monkeypatch):
+        # p_keep underflows to 0 at 5e-324 and is 5e-10 at 1e-9: the size is
+        # capped at 2^40 rounds, so a run at the bound draws one block per link.
+        cfg = relay.ChainConfig(
+            num_nodes=2, rounds=relay.MAX_ROUNDS, flip_prob=0.05, detect_prob=detect
+        )
+        draws, draw = [], relay._draw
+        monkeypatch.setattr(relay, "_draw", lambda *args: draws.append(args) or draw(*args))
+        start = time.perf_counter()
+        table, survivors = relay.run_protocol(cfg)
+        assert time.perf_counter() - start < 1.0
+        assert cfg.block_rounds == 1 << 40 and len(draws) == cfg.num_links
+        assert sum(survivors) < 5000 and table.samples.sum() == min(survivors)
+
+
 class TestStreaming:
-    # run_protocol pairs and estimates as the blocks are drawn; its result
-    # must be exactly that of the reference pipeline on the whole
-    # materialised stream.  Each case: (config, rounds, pairing calls).
+    # run_protocol pairs and estimates after every block; its result must
+    # be exactly that of the reference pipeline on the whole materialised
+    # stream.  Each case: (config, full blocks, extra rounds, pairing calls),
+    # the blocks being the config's own.
     CASES = {
         # Every block pairs, each time leaving a carry.
-        "every-block": (dict(num_nodes=1, detect_prob=1.0), 3 * relay.BLOCK_SIZE + 777, 4),
-        # Too few survivors to pair before the last block.
-        "deferred": (dict(num_nodes=1, detect_prob=0.01), 3 * relay.BLOCK_SIZE + 777, 1),
-        "biased": (dict(num_nodes=3, p_z=0.3, detect_prob=0.37), 2 * relay.BLOCK_SIZE + 55, 3),
+        "every-block": (dict(num_nodes=1, detect_prob=1.0), 3, 777, 4),
+        # Blocks of 2^29 rounds, each with about 2.7e5 survivors.
+        "sparse": (dict(num_nodes=1, detect_prob=1e-3), 3, 777, 4),
+        "biased": (dict(num_nodes=3, p_z=0.3, detect_prob=0.37), 2, 55, 3),
     }
     # Each edge of the token dtype: 7 links fill uint8, 8 links take
     # uint16 and 17 uint32.  The first two blocks each pair; the last one,
     # of 3 rounds, leaves some links without a survivor.
     CASES |= {
         f"{nodes + 1}-links-flip-{flip}": (
-            dict(num_nodes=nodes, p_z=0.3, flip_prob=flip, detect_prob=0.2),
-            2 * relay.BLOCK_SIZE + 3,
-            3,
+            dict(num_nodes=nodes, p_z=0.3, flip_prob=flip, detect_prob=0.2), 2, 3, 3
         )
         for nodes in (6, 7, 16)
         for flip in (0.0, 0.5)
@@ -378,8 +434,10 @@ class TestStreaming:
 
     @pytest.mark.parametrize("case", CASES)
     def test_equals_pairing_the_whole_stream(self, case, monkeypatch):
-        kwargs, rounds, pairings = self.CASES[case]
-        cfg = relay.ChainConfig(rounds=rounds, seed=12, **{"flip_prob": 0.05, **kwargs})
+        kwargs, blocks, extra, pairings = self.CASES[case]
+        kwargs = {"flip_prob": 0.05, "seed": 12, **kwargs}
+        size = relay.ChainConfig(rounds=1, **kwargs).block_rounds
+        cfg = relay.ChainConfig(rounds=blocks * size + extra, **kwargs)
         links = relay.run_quantum_phase(cfg)
         whole = relay.correct_and_estimate(relay.pair_and_announce(links))
         drawn, paired, carries = [], [], []
@@ -403,7 +461,7 @@ class TestStreaming:
         assert table.samples.tolist() == whole.samples.tolist()
         assert survivors == [len(link) for link in links]
         assert len(carries) == pairings
-        if case == "every-block" or "links" in case:
+        if case in ("every-block", "sparse") or "links" in case:
             assert min(carries) > 0
         if "links" in case:
             assert any(k == 0 for _, k in drawn)
