@@ -78,10 +78,15 @@ def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) ->
         _fail(f"cannot write {path}: {exc}")
 
 
-def _print_config(name: str, config: dict[str, Any]) -> None:
-    print(f"strqkd {__version__} :: {name}")
-    for key in sorted(config):
-        print(f"  {key} = {config[key]}")
+def _print_config(args: argparse.Namespace, **derived: Any) -> None:
+    """Print the run's resolved config: each parsed option under its dest,
+    the library's name where the flag's differs, and each ``derived`` value,
+    sorted by key."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "config", "func")}
+    print(f"strqkd {__version__} :: {args.command}")
+    for key, value in sorted({**config, **derived}.items()):
+        print(f"  {key} = {value}")
 
 
 def _print_report(label: str, report: keyrate.KeyRateReport) -> None:
@@ -109,16 +114,8 @@ def _load_config(path: str | None) -> dict[str, Any]:
 
 def _cmd_qubit_rate(args: argparse.Namespace) -> int:
     report = keyrate.uniform_str_rate(args.e_link, args.nodes, args.p_z, args.f_ec)
-    _print_config(
-        "qubit-rate",
-        {
-            "nodes": args.nodes,
-            "e_link": args.e_link,
-            "e_end_to_end": keyrate.compound_error([args.e_link] * (args.nodes + 1)),
-            "f_ec": args.f_ec,
-            "p_z": args.p_z,
-        },
-    )
+    e_end_to_end = keyrate.compound_error([args.e_link] * (args.nodes + 1))
+    _print_config(args, e_end_to_end=e_end_to_end)
     _print_report(f"STR-{args.nodes}", report)
     return 0
 
@@ -131,10 +128,7 @@ def _cmd_fig2_sweep(args: argparse.Namespace) -> int:
         _fail(f"--nodes must be comma-separated integers, got {args.nodes!r}")
     # Computed first, so that rejected input prints no config.
     rows = keyrate.fig2_curves(grid, node_counts=node_counts)
-    _print_config(
-        "fig2-sweep",
-        {"e_link": args.e_link, "nodes": args.nodes, "output": args.output},
-    )
+    _print_config(args)
     # parse_grid never returns an empty grid, so there is a first row.
     emit_csv(args.output, list(rows[0]), (row.values() for row in rows))
     print(f"wrote {len(rows)} rows to {args.output}")
@@ -159,9 +153,9 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
         [
             decoy.LinkPhysics(
                 loss_db=loss,
-                detector_efficiency=args.eta_det,
-                dark_count_prob=args.dark,
-                intrinsic_error=args.e_det,
+                detector_efficiency=args.detector_efficiency,
+                dark_count_prob=args.dark_count_prob,
+                intrinsic_error=args.intrinsic_error,
                 mu=mu_fixed if mu_fixed is not None else 0.5,
             )
         ]
@@ -184,22 +178,7 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
         results = [(mu_fixed, rate(links, f_ec=args.f_ec, p_z=args.p_z)) for links in chains]
     values = operator.attrgetter(*terms)
     rows = [[loss, mu, *values(report)] for loss, (mu, report) in zip(grid, results)]
-    _print_config(
-        "decoy-sweep",
-        {
-            "loss_db": args.loss_db,
-            "nodes": args.nodes,
-            "scenario": args.scenario,
-            "mu": args.mu,
-            "f_ec": args.f_ec,
-            "p_z": args.p_z,
-            "detector_efficiency": args.eta_det,
-            "dark_count_prob": args.dark,
-            "intrinsic_error": args.e_det,
-            "conservative": args.conservative,
-            "output": args.output,
-        },
-    )
+    _print_config(args)
     emit_csv(args.output, ["loss_db", "mu", *terms], rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
@@ -209,26 +188,14 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = relay.ChainConfig(
         num_nodes=args.nodes,
         rounds=args.rounds,
-        flip_prob=args.flip,
-        detect_prob=args.detect,
+        flip_prob=args.flip_prob,
+        detect_prob=args.detect_prob,
         p_z=args.p_z,
         seed=args.seed,
     )
     if args.workers < 1:
         _fail(f"workers must be >= 1, got {args.workers}")
-    _print_config(
-        "montecarlo",
-        {
-            "nodes": cfg.num_nodes,
-            "rounds": cfg.rounds,
-            "flip_prob": cfg.flip_prob,
-            "detect_prob": cfg.detect_prob,
-            "p_z": cfg.p_z,
-            "seed": cfg.seed,
-            "workers": args.workers,
-            "output": args.output,
-        },
-    )
+    _print_config(args)
     table, survivors = relay.run_protocol(cfg)
     print(f"survivors per link: {survivors}")
     analytic = keyrate.compound_error([cfg.flip_prob] * cfg.num_links)
@@ -252,7 +219,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # Run first, so that a rejected --trials or --seed prints no config.
     results = run_verification(trials=args.trials, seed=args.seed)
-    _print_config("verify", {"trials": args.trials, "seed": args.seed})
+    _print_config(args)
     failures = 0
     for name, passed, detail in results:
         status = "PASS" if passed else "FAIL"
@@ -263,8 +230,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 # Each subcommand's handler, help line and options, the options as argparse
-# keywords by flag.  The options feed both the chosen subcommand's parser and
-# the check of --config keys.
+# keywords by flag.  The options feed the chosen subcommand's parser, the
+# check of --config keys (a flag without its dashes) and the printed config
+# (the option's dest).  An option that sets a library field takes the
+# field's name as its dest where the flag's differs.
 _COMMANDS = {
     "qubit-rate": (_cmd_qubit_rate, "STR qubit rate for one scenario", {
         "--nodes": dict(type=int, default=1),
@@ -284,17 +253,17 @@ _COMMANDS = {
         "--mu": dict(default="auto", help="'auto' (optimized) or a value"),
         "--f-ec": dict(type=float, default=1.2),
         "--p-z": dict(type=float, default=0.5),
-        "--eta-det": dict(type=float, default=0.5),
-        "--dark": dict(type=float, default=6e-6),
-        "--e-det": dict(type=float, default=0.0185),
+        "--eta-det": dict(type=float, default=0.5, dest="detector_efficiency"),
+        "--dark": dict(type=float, default=6e-6, dest="dark_count_prob"),
+        "--e-det": dict(type=float, default=0.0185, dest="intrinsic_error"),
         "--conservative": dict(action="store_true"),
         "--output": dict(default="decoy.csv"),
     }),
     "montecarlo": (_cmd_montecarlo, "protocol Monte Carlo simulation", {
         "--rounds": dict(type=int, default=100_000),
         "--seed": dict(type=int, default=0),
-        "--flip": dict(type=float, default=0.0),
-        "--detect": dict(type=float, default=1.0),
+        "--flip": dict(type=float, default=0.0, dest="flip_prob"),
+        "--detect": dict(type=float, default=1.0, dest="detect_prob"),
         "--nodes": dict(type=int, default=1),
         "--p-z": dict(type=float, default=0.5),
         "--workers": dict(type=int, default=1),

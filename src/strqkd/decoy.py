@@ -39,10 +39,10 @@ import numpy as np
 from .keyrate import (
     MAX_NODES,
     KeyRateReport,
-    _each,
     binary_entropy,
     check_protocol_parameters,
     compound_error,
+    elementwise,
 )
 
 __all__ = [
@@ -162,14 +162,15 @@ class _Link(NamedTuple):
 
 
 def _link(phys: LinkPhysics) -> _Link:
+    # The transmittance underflows to 0 at a few thousand dB, where dark
+    # counts alone give y1 = y0 and e1 = 1/2.  Without them y1 = 0 as well:
+    # e1 takes its limit 1/2, and _statistics rejects the zero gain.
     eta = phys.transmittance
-    if eta <= 0.0:
-        raise ValueError("link transmittance must be positive")
     y0 = 1.0 - (1.0 - phys.dark_count_prob) ** 2
     # A single photon is detected with probability eta, error e_int; when it
     # is missed, a dark click (probability y0) carries error 1/2.
-    y1 = y0 + (1.0 - y0) * eta  # at least eta, so positive
-    e1 = (E_DARK * y0 * (1.0 - eta) + phys.intrinsic_error * eta) / y1
+    y1 = y0 + (1.0 - y0) * eta
+    e1 = (E_DARK * y0 * (1.0 - eta) + phys.intrinsic_error * eta) / y1 if y1 else E_DARK
     return _Link(eta, y0, y1, e1, phys.intrinsic_error, phys.loss_db)
 
 
@@ -180,7 +181,8 @@ def _statistics(link: _Link, mu: float | np.ndarray, exact: bool = True) -> Link
     values need; ``exact=False`` takes numpy's, which may differ by an ulp,
     for the optimiser's scan."""
     if exact:
-        exp, expm1 = functools.partial(_each, math.exp), functools.partial(_each, math.expm1)
+        exp = functools.partial(elementwise, math.exp)
+        expm1 = functools.partial(elementwise, math.expm1)
     else:
         exp, expm1 = np.exp, np.expm1
     vac = exp(-mu * link.eta)
@@ -278,7 +280,7 @@ def _rate(
     """The key rate of a chain from its links' statistics, in chain order
     (equal links may share one object); array statistics give array terms.
     ``exact`` takes the entropies of arrays through the float path."""
-    entropy = functools.partial(_each, binary_entropy) if exact else binary_entropy
+    entropy = functools.partial(elementwise, binary_entropy) if exact else binary_entropy
     if mode == "conventional":
         worst = None
         for s in {id(s): s for s in stats}.values():
@@ -368,13 +370,9 @@ def conventional_decoy_rate(
     return _chain_rate(links, "conventional", f_ec, p_z, per_clock=per_clock)
 
 
-@functools.lru_cache(maxsize=8)
 def _mu_grid(lo: float, hi: float) -> np.ndarray:
-    """The coarse scan's log-spaced intensities as a read-only array, built
-    once per pair of bounds."""
-    grid = np.array([lo * (hi / lo) ** (i / (GRID_POINTS - 1)) for i in range(GRID_POINTS)])
-    grid.flags.writeable = False
-    return grid
+    """The coarse scan's log-spaced intensities."""
+    return np.array([lo * (hi / lo) ** (i / (GRID_POINTS - 1)) for i in range(GRID_POINTS)])
 
 
 def optimize_intensities(

@@ -20,6 +20,7 @@ __all__ = [
     "RateInputs",
     "MAX_NODES",
     "binary_entropy",
+    "elementwise",
     "check_protocol_parameters",
     "compound_error",
     "basis_label",
@@ -222,7 +223,7 @@ def _uniform_report(h_e: np.ndarray, links: int) -> KeyRateReport:
     return KeyRateReport(entropy_term=1.0, leak_term=leak, holevo_term=leak)
 
 
-def _each(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
+def elementwise(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
     """``fn`` of a float, or of each entry of a 1-D array through Python
     floats, so that each entry is bit for bit ``fn`` of that float: numpy's
     ``log2``, ``exp`` and ``expm1`` differ from ``math``'s in the last bit
@@ -272,7 +273,7 @@ def fig2_curves(
         # compound_error([e]) may differ from e in the last bit, so a single
         # link takes e itself.
         e_end = e if m == 0 else compound_error([e] * (m + 1))
-        report = _uniform_report(_each(binary_entropy, e_end), m + 1)
+        report = _uniform_report(elementwise(binary_entropy, e_end), m + 1)
         unclamped = report.unclamped
         # KeyRateReport.rate, max(0.0, x), on each entry.
         rates = np.where(unclamped > 0.0, unclamped, 0.0).tolist()

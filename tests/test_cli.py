@@ -2,6 +2,7 @@
 handling, determinism."""
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -198,6 +199,22 @@ class TestDecoySweep:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: link with loss 3200.0 dB has zero gain\n"
 
+    def test_dark_counts_keep_a_link_past_transmittance_underflow(self, tmp_path):
+        # eta = 0.5 * 10^(-loss/10) underflows to 0 between 3000 and 3500 dB;
+        # dark counts still give such a link a gain, and the sweep rate 0.
+        out = tmp_path / "decoy.csv"
+        assert cli.main(["decoy-sweep", "--loss-db", "0:4000:500", "--output", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in read_lines(out)[1:]]
+        assert [row[0] for row in rows] == [500.0 * i for i in range(9)]
+        assert [row[2] for row in rows[7:]] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("mu", ["auto", "0.3"])
+    def test_link_without_transmittance_or_dark_counts_names_its_loss(self, mu, capsys):
+        argv = ["decoy-sweep", "--loss-db", "0:4000:500", "--dark", "0", "--mu", mu,
+                "--output", os.devnull]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: link with loss 3500.0 dB has zero gain\n"
+
 
 class TestMonteCarlo:
     def test_determinism_byte_identical(self, tmp_path):
@@ -277,6 +294,36 @@ class TestImports:
         mod = importlib.import_module(f"strqkd.{module}")
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
+    @pytest.mark.parametrize(
+        "path", sorted(Path(strqkd.__file__).parent.glob("*.py")), ids=lambda path: path.name
+    )
+    def test_no_private_name_of_another_module(self, path):
+        # Imports of another strqkd module's underscore names, and attribute
+        # reads of them through a strqkd module; dunders such as __version__
+        # are public.
+        def private(name):
+            return name.startswith("_") and not name.endswith("__")
+
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules, used = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "strqkd"
+            ):
+                from_package = node.module in (None, "strqkd")
+                for alias in node.names:
+                    if from_package:
+                        modules.add(alias.asname or alias.name)
+                    elif private(alias.name):
+                        used.append(f"{node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname for alias in node.names
+                               if alias.asname and alias.name.startswith("strqkd."))
+        used += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules and private(node.attr)]
+        assert used == []
+
 
 OPTIONS = [(command, flag) for command, (_, _, options) in cli._COMMANDS.items()
            for flag in options]
@@ -305,9 +352,9 @@ class TestOptionTable:
             config = tmp_path / "cfg.json"
             config.write_text(json.dumps({dest: value}))
             args = cli._parse_args(["--config", str(config), *argv, *flags])
-            assert getattr(args, dest) == expected
+            assert getattr(args, kwargs.get("dest", dest)) == expected
         if not kwargs.get("required"):  # else parsing without the config exits
-            assert getattr(cli._parse_args(argv), dest) != cases[0][2]
+            assert getattr(cli._parse_args(argv), kwargs.get("dest", dest)) != cases[0][2]
 
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command, flag in OPTIONS
@@ -382,6 +429,41 @@ PARSER_ARGVS = [
     ["--help", "montecarlo"], ["-h", "verify"], ["--he", "qubit-rate"], ["-hx", "verify"],
     ["--", "montecarlo"], ["montecarlo", "--", "--rounds", "5"],
 ]
+
+
+# Runs pinned with their stdout, their resolved config included, as the CLI
+# printed them before the config was rendered from the parsed options.  Each
+# runs in an empty directory, where a --config run finds its config.json.
+PRINTED_RUNS = json.loads((DATA / "printed_config.json").read_text(encoding="utf-8"))
+
+
+def run_printed(run, directory):
+    argv = run["argv"]
+    if run["config"] is not None:
+        (directory / "config.json").write_text(json.dumps(run["config"]), encoding="utf-8")
+        argv = ["--config", "config.json", *argv]
+    assert cli.main(argv) == 0
+
+
+class TestPrintedConfig:
+    @pytest.mark.parametrize(
+        "run", PRINTED_RUNS,
+        ids=lambda run: " ".join(run["argv"][:1] + ["--config"] * (run["config"] is not None)),
+    )
+    def test_stdout_matches_golden(self, run, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run_printed(run, tmp_path)
+        assert capsys.readouterr().out == run["stdout"]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_keys_are_the_option_dests(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run_printed(next(run for run in PRINTED_RUNS if run["argv"][0] == command), tmp_path)
+        out = capsys.readouterr().out
+        keys = [line.split(" = ")[0].strip() for line in out.splitlines() if line.startswith("  ")]
+        dests = [kwargs.get("dest", flag[2:].replace("-", "_"))
+                 for flag, kwargs in cli._COMMANDS[command][2].items()]
+        assert keys == sorted(dests + ["e_end_to_end"] * (command == "qubit-rate"))
 
 
 class TestParser:

@@ -46,10 +46,14 @@ class TestLinkStatistics:
         pytest.param(LinkPhysics(loss_db=0.0, detector_efficiency=1.0), id="eta-1"),
         # Far out in loss without dark counts: y1 = eta = 5e-301, e1 = e_int.
         pytest.param(LinkPhysics(loss_db=3000.0, dark_count_prob=0.0), id="3000dB-no-dark"),
+        # eta underflows to 0: dark counts alone give y1 = y0 and e1 = 1/2.
+        pytest.param(LinkPhysics(loss_db=3300.0), id="3300dB-eta-0"),
     ])
     def test_closed_forms_match_poisson_oracle(self, phys):
         assert poisson_oracle_deviation([phys]) <= 1e-9
         stats = decoy.link_statistics(phys)
+        if phys.transmittance == 0.0:
+            assert (stats.y1, stats.e1) == (stats.y0, 0.5)
         if phys.transmittance == 1.0:
             assert (stats.y1, stats.e1) == (1.0, phys.intrinsic_error)
         if phys.dark_count_prob == 0.0:
@@ -78,11 +82,14 @@ class TestLinkStatistics:
     def test_zero_gain_rejected_before_dividing(self):
         # Without dark counts a link works as long as mu * eta does not
         # underflow: at 300 dB its single-photon yield is still eta exactly,
-        # at 3200 dB and mu = 1e-4 its gain is zero.
+        # at 3200 dB and mu = 1e-4 its gain is zero, and at 3300 dB, where eta
+        # itself is 0, at any mu.
         phys = LinkPhysics(loss_db=300.0, dark_count_prob=0.0)
         assert decoy.link_statistics(phys).y1 == phys.transmittance
         with pytest.raises(ValueError, match="zero gain"):
             decoy.link_statistics(LinkPhysics(loss_db=3200.0, dark_count_prob=0.0, mu=1e-4))
+        with pytest.raises(ValueError, match="^link with loss 3300.0 dB has zero gain$"):
+            decoy.link_statistics(LinkPhysics(loss_db=3300.0, dark_count_prob=0.0))
 
     def test_invalid_physics_rejected(self):
         with pytest.raises(ValueError):
