@@ -8,11 +8,13 @@ decoy-sweep  Rate-vs-loss curves for the weak-coherent model.
 montecarlo   Protocol simulation; emits the basis-vector error table.
 verify       Numerical verification suites for the module invariants.
 
-Grids are start:stop:step strings.  A JSON config file may provide any
-defaults; explicit flags take precedence.  Every run prints its fully
-resolved configuration for reproducibility, after its input has been
-checked.  This module only parses and renders: the subcommands' work is
-done by the library modules, and
+Grids are start:stop:step strings, holding the points that do not pass
+stop (see :func:`parse_grid`).  A JSON config file may provide any
+defaults; explicit flags take precedence, and a file that names one option
+twice, under one key or under both spellings, is rejected.  Every run
+prints its fully resolved configuration for reproducibility, after its
+input has been checked.  This module only parses and renders: the
+subcommands' work is done by the library modules, and
 :func:`strqkd.acceptance_checks.run_verification` runs the verify suites.
 A run of a known subcommand builds only that subcommand's parser, and CSV
 rows are written with one %-format per row type.
@@ -45,18 +47,23 @@ def _fail(message: str) -> NoReturn:
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Parse a start:stop:step grid string (stop inclusive up to rounding);
-    exit with status 2 on a malformed, non-finite or too long grid."""
+    """Parse a start:stop:step grid string into the points ``start + i *
+    step`` that do not pass ``stop``: a point within 1e-9 of a step past it
+    counts as on it, so that rounding keeps a stop that lies on the grid.
+    Exit with status 2 on a malformed, non-finite or too long grid."""
     try:
         start, stop, step = (float(part) for part in spec.split(":"))
     except ValueError:
         _fail(f"grid must be start:stop:step, got {spec!r}")
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         _fail(f"invalid grid {spec!r}")
-    steps = (stop - start) / step  # inf when the quotient overflows
-    if steps > MAX_GRID_POINTS - 1:
+    # The last point's index up to the tolerance (inf when the quotient
+    # overflows); below MAX_GRID_POINTS the quotient's rounding lies far
+    # inside the tolerance.
+    last = (stop - start) / step + 1e-9
+    if last >= MAX_GRID_POINTS:
         _fail(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    return [start + i * step for i in range(int(round(steps)) + 1)]
+    return [start + i * step for i in range(math.floor(last) + 1)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -98,18 +105,32 @@ def _print_report(label: str, report: keyrate.KeyRateReport) -> None:
 
 
 def _load_config(path: str | None) -> dict[str, Any]:
+    """The config file's top-level values, each under its key with dashes
+    read as underscores; exit with status 2 when two keys read the same."""
     if path is None:
         return {}
+    objects = []  # each object's key-value pairs, in the order objects close
+
+    def keep_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        objects.append(pairs)
+        return dict(pairs)
+
     # ValueError covers a file that is not UTF-8 or not JSON and an int too
     # long to convert; RecursionError, nesting too deep to decode.
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=keep_pairs)
     except (OSError, ValueError, RecursionError) as exc:
         _fail(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         _fail(f"config {path} must be a JSON object")
-    return data
+    config = {}
+    for key, value in objects[-1]:  # the top-level object closes last
+        dest = key.replace("-", "_")
+        if dest in config:
+            _fail(f"config {path} sets {dest} twice")
+        config[dest] = value
+    return config
 
 
 def _cmd_qubit_rate(args: argparse.Namespace) -> int:
@@ -298,7 +319,7 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     pre.add_argument("--config")
     pre.add_argument("command", nargs="?")
     known, _ = pre.parse_known_args(argv)
-    config = {k.replace("-", "_"): v for k, v in _load_config(known.config).items()}
+    config = _load_config(known.config)
     parser = argparse.ArgumentParser(
         prog="strqkd",
         description="Simplified trusted relay QKD simulation and key-rate toolkit",

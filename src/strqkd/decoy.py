@@ -39,6 +39,7 @@ import numpy as np
 from .keyrate import (
     MAX_NODES,
     KeyRateReport,
+    basis_law,
     binary_entropy,
     check_protocol_parameters,
     compound_error,
@@ -251,10 +252,6 @@ def _fractions(stats: Sequence[LinkStatistics]) -> DecoyFractions:
     )
 
 
-def _sift_factor(p_z: float) -> float:
-    return p_z * p_z + (1.0 - p_z) * (1.0 - p_z)
-
-
 def _check_chain(links: Sequence[LinkPhysics], mode: str) -> None:
     if not links:
         raise ValueError("need at least one link")
@@ -281,6 +278,7 @@ def _rate(
     (equal links may share one object); array statistics give array terms.
     ``exact`` takes the entropies of arrays through the float path."""
     entropy = functools.partial(elementwise, binary_entropy) if exact else binary_entropy
+    sift = basis_law(p_z)[0]
     if mode == "conventional":
         worst = None
         for s in {id(s): s for s in stats}.values():
@@ -291,7 +289,7 @@ def _rate(
                 tagged_term=0.0,
             )
             if per_clock:
-                report = report.scaled(s.gain * _sift_factor(p_z))
+                report = report.scaled(s.gain * sift)
             if worst is None:
                 worst = report
             else:
@@ -317,7 +315,7 @@ def _rate(
     if per_clock:
         scale = 1.0
         for s in stats:
-            scale = scale * (s.gain * _sift_factor(p_z))
+            scale = scale * (s.gain * sift)
         report = report.scaled(scale)
     return report
 

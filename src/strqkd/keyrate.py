@@ -22,6 +22,7 @@ __all__ = [
     "binary_entropy",
     "elementwise",
     "check_protocol_parameters",
+    "basis_law",
     "compound_error",
     "basis_label",
     "str_rate_qubit",
@@ -121,12 +122,19 @@ class RateInputs:
                 raise ValueError(f"error rate of basis vector {code} not in [0, 1]: {e}")
 
 
-def _basis_weights(p_z: float, links: int) -> list[float]:
-    # Probability p_u of each basis vector, indexed by code.  Per link, a
-    # sifted event used basis Z or X when both parties chose it, renormalized
-    # over the two matching combinations; the links multiply left to right.
+def basis_law(p_z: float) -> tuple[float, float]:
+    """The per-link basis law, when each end of a link picks Z with
+    probability ``p_z``: the probability that both ends pick the same
+    basis, and the share of Z among those matched rounds (X takes the
+    rest, ``1 - share``)."""
     match = p_z * p_z + (1.0 - p_z) * (1.0 - p_z)
-    w_z = p_z * p_z / match
+    return match, p_z * p_z / match
+
+
+def _basis_weights(p_z: float, links: int) -> list[float]:
+    # Probability p_u of each basis vector, indexed by code: the product of
+    # the links' matched-basis shares, multiplied left to right.
+    w_z = basis_law(p_z)[1]
     link_weights = (w_z, 1.0 - w_z)
     weights = [1.0]
     for _ in range(links):
@@ -209,20 +217,6 @@ def uniform_str_rate(
     return _code_order_report(weights, [h_e] * len(weights), f_ec)
 
 
-def _uniform_report(h_e: np.ndarray, links: int) -> KeyRateReport:
-    """The report of :func:`uniform_str_rate` at uniform bases and f_EC = 1
-    for each entry of ``h_e``, with array terms.  Every weight is exactly
-    2^-links, so every term is ``0.5**links * h_e``; adding the 2^links
-    equal terms one by one rounds each entry as :func:`_code_order_report`
-    rounds it.  The weights sum to exactly 1, and the Holevo sum is the
-    leak sum."""
-    term = 0.5**links * h_e
-    leak = term
-    for _ in range((1 << links) - 1):
-        leak = leak + term
-    return KeyRateReport(entropy_term=1.0, leak_term=leak, holevo_term=leak)
-
-
 def elementwise(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
     """``fn`` of a float, or of each entry of a 1-D array through Python
     floats, so that each entry is bit for bit ``fn`` of that float: numpy's
@@ -245,10 +239,10 @@ def fig2_curves(
     ``rate_str{m}``.  Each node count names one curve, so a repeated one is
     a ValueError.
 
-    Each curve is one loop of array additions over its 2^(m + 1) equal
-    terms (see :func:`_uniform_report`), with the roundings of
-    :func:`conventional_relay_rate` and :func:`uniform_str_rate` at every
-    point; the first point those would reject raises their error.
+    Each curve adds its terms in the code order of :func:`str_rate_qubit`,
+    with the whole grid as one array per term, so each point is the value
+    of :func:`conventional_relay_rate` (m = 0) or :func:`uniform_str_rate`;
+    the first point those would reject raises their error.
     """
     if len(set(node_counts)) != len(node_counts):
         raise ValueError(f"repeated node count in {list(node_counts)}")
@@ -273,8 +267,9 @@ def fig2_curves(
         # compound_error([e]) may differ from e in the last bit, so a single
         # link takes e itself.
         e_end = e if m == 0 else compound_error([e] * (m + 1))
-        report = _uniform_report(elementwise(binary_entropy, e_end), m + 1)
-        unclamped = report.unclamped
+        weights = _basis_weights(0.5, m + 1)
+        h_e = elementwise(binary_entropy, e_end)
+        unclamped = _code_order_report(weights, [h_e] * len(weights), 1.0).unclamped
         # KeyRateReport.rate, max(0.0, x), on each entry.
         rates = np.where(unclamped > 0.0, unclamped, 0.0).tolist()
         columns["rate_conventional" if m == 0 else f"rate_str{m}"] = rates

@@ -11,12 +11,14 @@ and Bob's corrected key is compared against Alice's to fill the
 2^(m+1)-entry basis-vector error table.
 
 Only the sifted events are sampled.  Rounds are i.i.d. and sifting reads
-neither bit, so a round survives with ``p_keep = detect * (p_z^2 +
-(1 - p_z)^2)`` independently of the others and of its bits.  Each block
-therefore draws its survivor count from Binomial(block, p_keep), then, for
-the survivors only, the shared basis (X with probability ``(1 - p_z)^2 /
-(p_z^2 + (1 - p_z)^2)``, Z otherwise), a uniform sent bit and a flip with
-probability ``flip_prob``.  Given survival these are independent and have
+neither bit, so a round survives with ``p_keep = detect * match``
+independently of the others and of its bits; ``match``, the probability
+that both ends pick the same basis, and the Z share of such rounds come
+from :func:`strqkd.keyrate.basis_law`, the law's one definition.  Each
+block therefore draws its survivor count from Binomial(block, p_keep),
+then, for the survivors only, the shared basis (Z with that share, X
+otherwise), a uniform sent bit and a flip with probability ``flip_prob``.
+Given survival these are independent and have
 exactly these laws, so the sifted stream has the same joint law as drawing
 every round and discarding the unsifted ones, at a cost that scales with
 the survivors instead of the rounds.  A block spans ``BLOCK_SIZE * 2^k``
@@ -80,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keyrate import MAX_NODES, check_protocol_parameters
+from .keyrate import MAX_NODES, basis_law, check_protocol_parameters
 
 __all__ = [
     "ChainConfig",
@@ -137,7 +139,7 @@ class ChainConfig:
     @property
     def p_keep(self) -> float:
         """Probability that a round is detected with matching bases."""
-        return self.detect_prob * (self.p_z**2 + (1.0 - self.p_z) ** 2)
+        return self.detect_prob * basis_law(self.p_z)[0]
 
     @property
     def block_rounds(self) -> int:
@@ -229,11 +231,10 @@ def _draw(
     bit_generator = np.random.PCG64DXSM(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(link, block))
     )
-    z_weight, x_weight = cfg.p_z**2, (1.0 - cfg.p_z) ** 2
     kept = int(np.random.Generator(bit_generator).binomial(n, cfg.p_keep))
     packed = (kept + 7) // 8
     raw = _raw_bytes(bit_generator, 2 * kept + packed)
-    basis = _bernoulli(bit_generator, raw[:kept], x_weight / (z_weight + x_weight))
+    basis = _bernoulli(bit_generator, raw[:kept], 1.0 - basis_law(cfg.p_z)[1])
     flips = _bernoulli(bit_generator, raw[kept + packed : 2 * kept + packed], cfg.flip_prob)
     return basis, raw[kept : kept + packed], flips
 

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,53 @@ class TestParseGrid:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "spec,points",
+        # A stop off the grid ends the grid at the point below it; these once
+        # got the point above when the quotient rounded up.
+        [("0:3.5:1", [0.0, 1.0, 2.0, 3.0]), ("0:2.5:1", [0.0, 1.0, 2.0]),
+         ("0:1.1:0.2", [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0])],
+    )
+    def test_stop_off_the_grid_is_not_passed(self, spec, points):
+        assert cli.parse_grid(spec) == points
+
+    @pytest.mark.parametrize(
+        "spec,count",
+        # Stops on the grid that rounding puts just past or just before its
+        # last point: the sweeps of the tests, CI and the benchmark.
+        [("0:0.12:0.0005", 241), ("0:40:0.5", 81), ("0:0.6:0.1", 7),
+         ("3:33:0.1", 301), ("0:0.5:0.005", 101), ("0:0.12:0.002", 61)],
+    )
+    def test_stop_on_the_grid_is_kept(self, spec, count):
+        grid = cli.parse_grid(spec)
+        assert len(grid) == count
+        assert grid[-1] == pytest.approx(float(spec.split(":")[1]), rel=1e-12)
+
+    def test_point_limit_counts_the_points_built(self):
+        # MAX_GRID_POINTS points up to a stop half a step past the last one.
+        grid = cli.parse_grid(f"0:{cli.MAX_GRID_POINTS - 0.5}:1")
+        assert len(grid) == cli.MAX_GRID_POINTS
+
+    @given(
+        start=st.floats(-1e6, 1e6),
+        step=st.floats(1e-6, 1e6),
+        points=st.integers(0, 2000),
+        fraction=st.sampled_from([0.0, 0.5, 0.999999]) | st.floats(0.0, 1.0),
+    )
+    @example(start=0.0, step=1.0, points=3, fraction=0.5)
+    def test_no_point_past_stop_and_the_next_one_would_be(
+        self, start, step, points, fraction
+    ):
+        # Checked in exact arithmetic on the parsed floats: the last point
+        # lies at most a rounding tolerance past stop, the next one past it.
+        stop = start + (points + fraction) * step
+        grid = cli.parse_grid(f"{start!r}:{stop!r}:{step!r}")
+        assert grid == [start + i * step for i in range(len(grid))]
+        last = Fraction(start) + (len(grid) - 1) * Fraction(step)
+        assert last <= Fraction(stop) + Fraction(2e-9) * Fraction(step)
+        assert last + Fraction(step) > Fraction(stop)
 
 
 class TestEmitCsv:
@@ -170,11 +218,14 @@ class TestDecoySweep:
          ("str1", ["--mu", "auto", "--nodes", "1"]),
          ("str2", ["--mu", "auto", "--nodes", "2"]),
          ("fixed_str2", ["--mu", "0.3", "--nodes", "2"]),
-         ("fixed_conventional", ["--mu", "0.3", "--scenario", "conventional"])],
+         ("fixed_conventional", ["--mu", "0.3", "--scenario", "conventional"]),
+         ("str2_pz03", ["--mu", "auto", "--nodes", "2", "--p-z", "0.3", "--f-ec", "1.1"])],
     )
     def test_optimized_sweep_matches_golden_csv(self, name, flags, tmp_path, capsys):
-        # The decoy sweeps of the rate-curves benchmark, and at a fixed
-        # intensity those of the public float rates, pinned byte for byte.
+        # The decoy sweeps of the rate-curves benchmark, at a fixed
+        # intensity those of the public float rates, and one with biased
+        # bases, whose sifting factor is not a power of two, pinned byte for
+        # byte.
         out = tmp_path / "decoy.csv"
         argv = ["decoy-sweep", "--loss-db", "0:40:0.5", *flags]
         assert cli.main(argv + ["--output", str(out)]) == 0
@@ -227,23 +278,27 @@ class TestMonteCarlo:
         assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize(
-        "golden,detect,rounds",
+        "golden,detect,rounds,p_z",
         [
             # Three 2^26-round blocks per link, the last one partial, each
             # paired: at detect 0.01 a block holds about 3.4e5 survivors.
-            ("montecarlo.csv", "0.01", "150000000"),
+            ("montecarlo.csv", "0.01", "150000000", "0.5"),
             # Three blocks that each pair and leave a carry, about 1.1 M rows.
-            ("montecarlo_dense.csv", "1", "2200000"),
+            ("montecarlo_dense.csv", "1", "2200000", "0.5"),
             # The same with 8 links, the shortest chain whose codes need uint16.
-            ("montecarlo_wide.csv", "1", "2200000"),
+            ("montecarlo_wide.csv", "1", "2200000", "0.5"),
+            # The first two with biased bases, where the survival and X-basis
+            # probabilities are not dyadic and their float forms round.
+            ("montecarlo_pz03.csv", "0.01", "150000000", "0.3"),
+            ("montecarlo_pz03_dense.csv", "1", "2200000", "0.3"),
         ],
     )
-    def test_stream_matches_golden_csv(self, golden, detect, rounds, tmp_path, capsys):
+    def test_stream_matches_golden_csv(self, golden, detect, rounds, p_z, tmp_path, capsys):
         # Pinned byte for byte.
         out = tmp_path / golden
         nodes = "7" if golden == "montecarlo_wide.csv" else "2"
         argv = ["montecarlo", "--nodes", nodes, "--flip", "0.05", "--detect", detect,
-                "--rounds", rounds, "--seed", "5"]
+                "--rounds", rounds, "--seed", "5", "--p-z", p_z]
         assert cli.main(argv + ["--output", str(out)]) == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()
 
@@ -585,6 +640,21 @@ class TestConfigFile:
             assert err.startswith("error: ") and err.count("\n") == 1
         else:
             assert err == ""
+
+    @pytest.mark.parametrize(
+        "content,dest",
+        # Each ran once with the value that came last in the file.
+        [('{"nodes": 1, "nodes": 2, "e_link": 0.02}', "nodes"),
+         ('{"e-link": 0.02, "e_link": 0.2}', "e_link"),
+         ('{"e_link": 0.2, "e-link": 0.02}', "e_link")],
+    )
+    def test_option_named_twice_rejected(self, tmp_path, capsys, content, dest):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        assert exit_code(["--config", str(config), "qubit-rate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config {config} sets {dest} twice\n"
 
     def test_object_value_read_as_its_str(self, tmp_path, monkeypatch, capsys):
         # A value is read as if given as a flag, str(value): an object keeps

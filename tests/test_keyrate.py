@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strqkd import keyrate
+from strqkd import decoy, keyrate, relay
 from strqkd.acceptance_checks import (
     FIG2_TARGETS,
     FIG2_TOLERANCE,
@@ -185,6 +185,28 @@ class TestConventionalRelayRate:
         assert combined.rate == pytest.approx(worst.rate)
 
 
+class TestBasisLaw:
+    def test_values(self):
+        # Uniform bases are exact in any float form; at p_z = 0.3 a round
+        # matches with 0.09 + 0.49 and the match is Z for 0.09 of it.
+        assert keyrate.basis_law(0.5) == (0.5, 0.5)
+        match, z_share = keyrate.basis_law(0.3)
+        assert match == pytest.approx(0.58, rel=1e-15)
+        assert z_share == pytest.approx(0.09 / 0.58, rel=1e-15)
+
+    @given(p_z=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=50, deadline=None)
+    def test_relay_and_decoy_take_its_values(self, p_z):
+        # The Monte Carlo's survival probability and the decoy rate's
+        # per-clock factor are the law's match, bit for bit.
+        match = keyrate.basis_law(p_z)[0]
+        cfg = relay.ChainConfig(num_nodes=0, rounds=1, flip_prob=0.0, detect_prob=0.3, p_z=p_z)
+        assert cfg.p_keep == 0.3 * match
+        link = decoy.LinkPhysics(loss_db=10.0)
+        per_clock = decoy.decoy_rate([link], p_z=p_z).entropy_term
+        assert per_clock == decoy.link_statistics(link).gain * match
+
+
 class TestFig2Curves:
     def test_error_free_point(self):
         (row,) = keyrate.fig2_curves([0.0])
@@ -193,8 +215,8 @@ class TestFig2Curves:
         assert row["rate_str2"] == pytest.approx(1.0)
 
     def test_rows_equal_pointwise_rates(self):
-        # The curves are array steps over the grid, rounded as the scalar
-        # rates are: equal, not close, at 0, 1/2 and the three crossings.
+        # The curves add the scalar rates' terms in their order, with arrays
+        # over the grid: equal, not close, at 0, 1/2 and the three crossings.
         # numpy's log2 differs from math's in the last bit of the rate at
         # 0.02569 itself and at the (1 - 2e)-compounds of 0.0135 (4 links),
         # 0.053 (2 links) and 0.102 (1 link).
