@@ -10,11 +10,13 @@ verify       Numerical verification suites for the module invariants.
 
 Grids are start:stop:step strings, holding the points that do not pass
 stop (see :func:`parse_grid`).  A JSON config file may provide any
-defaults; explicit flags take precedence, and a file that names one option
-twice, under one key or under both spellings, is rejected.  Every run
-prints its fully resolved configuration for reproducibility, after its
-input has been checked.  This module only parses and renders: the
-subcommands' work is done by the library modules, and
+defaults, each under its flag's name or the name a run prints it under, so
+a printed config can be fed back as a config file; explicit flags take
+precedence, and a file that names one option twice, under one key, under
+both spellings of a key or under both names, is rejected.  Every run prints
+its fully resolved configuration for reproducibility, after its input has
+been checked.  This module only parses and renders: the subcommands' work
+is done by the library modules, and
 :func:`strqkd.acceptance_checks.run_verification` runs the verify suites.
 A run of a known subcommand builds only that subcommand's parser, and CSV
 rows are written with one %-format per row type.
@@ -252,9 +254,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # Each subcommand's handler, help line and options, the options as argparse
 # keywords by flag.  The options feed the chosen subcommand's parser, the
-# check of --config keys (a flag without its dashes) and the printed config
-# (the option's dest).  An option that sets a library field takes the
-# field's name as its dest where the flag's differs.
+# check of --config keys (a flag without its dashes, or the dest) and the
+# printed config (the option's dest).  An option that sets a library field
+# takes the field's name as its dest where the flag's differs.
 _COMMANDS = {
     "qubit-rate": (_cmd_qubit_rate, "STR qubit rate for one scenario", {
         "--nodes": dict(type=int, default=1),
@@ -300,14 +302,15 @@ _COMMANDS = {
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     """Parse ``argv``.  Only the chosen subcommand's parser gets its options,
     with the --config values as their defaults, so explicit flags win.  A
-    value is read as if given as a flag: its option's type converts
-    str(value).  A key that is not an option of the subcommand, a null for
-    an option that needs a value, a value that the option's type rejects or
-    outside its choices, or a switch's value other than true or false exits
-    with status 2 and one error line, whatever the flags (argparse checks
-    no default against choices, takes any default of a switch as its value,
-    and reports a string default that its type rejects as an error of the
-    flag, with its usage).
+    config key is an option's flag without its dashes or its dest.  A value
+    is read as if given as a flag: its option's type converts str(value).
+    A key that is not an option of the subcommand, one option under both
+    its keys, a null for an option that needs a value, a value that the
+    option's type rejects or outside its choices, or a switch's value other
+    than true or false exits with status 2 and one error line, whatever the
+    flags (argparse checks no default against choices, takes any default of
+    a switch as its value, and reports a string default that its type
+    rejects as an error of the flag, with its usage).
 
     A run of a known subcommand builds only that subcommand's parser.  All
     five are built where the output may depend on them: without a known
@@ -340,22 +343,31 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
         run, help_text, _ = _COMMANDS[command]
         sub.add_parser(command, help=help_text).set_defaults(func=run)
     if known.command in _COMMANDS:
-        options = {flag[2:].replace("-", "_"): (flag, kwargs)
-                   for flag, kwargs in _COMMANDS[known.command][2].items()}
-        unknown = sorted(set(config) - set(options))
+        options = _COMMANDS[known.command][2]
+        # An option's config keys: its flag without the dashes and its dest,
+        # the name under which a run prints it.
+        names = {}
+        for flag, kwargs in options.items():
+            name = flag[2:].replace("-", "_")
+            names[flag] = dict.fromkeys((name, kwargs.get("dest", name)))
+        unknown = sorted(set(config).difference(*names.values()))
         if unknown:
             _fail(f"{known.command} has no option {', '.join(unknown)}")
-        for dest, (flag, kwargs) in options.items():
-            if dest in config:
-                value = config[dest]
+        for flag, kwargs in options.items():
+            keys = [key for key in names[flag] if key in config]
+            if len(keys) > 1:
+                _fail(f"config {known.config} sets {keys[1]} twice")
+            if keys:
+                key = keys[0]
+                value = config[key]
                 if value is None:
                     # null means "no value", which only an option whose own
                     # default is None can take.
                     if "default" not in kwargs or kwargs["default"] is not None:
-                        _fail(f"{known.command} option {dest} needs a value, got null")
+                        _fail(f"{known.command} option {key} needs a value, got null")
                 elif kwargs.get("action") == "store_true":
                     if not isinstance(value, bool):
-                        _fail(f"{known.command} option {dest} must be true or "
+                        _fail(f"{known.command} option {key} must be true or "
                               f"false, got {json.dumps(value)}")
                 else:
                     convert, choices = kwargs.get("type", str), kwargs.get("choices")
@@ -366,8 +378,8 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                     except ValueError:
                         kind = (f"one of {', '.join(choices)}" if choices
                                 else "an integer" if convert is int else "a number")
-                        _fail(f"{known.command} option {dest} must be {kind}, "
-                              f"got {json.dumps(config[dest])}")
+                        _fail(f"{known.command} option {key} must be {kind}, "
+                              f"got {json.dumps(config[key])}")
                 kwargs = {**kwargs, "default": value, "required": False}
             sub.choices[known.command].add_argument(flag, **kwargs)
     return parser.parse_args(argv)

@@ -27,7 +27,10 @@ gives floats and (2, 2) arrays.  Likewise the density-matrix kernels,
 stack.  Each of the twirl's 16 correlated Pauli conjugations permutes the
 matrix entries and flips some signs, so the twirl gathers the entries with
 a sign per entry for each unitary and sums the terms in the unitaries'
-order, with exactly the result of the matrix products.
+order, with exactly the result of the matrix products.  The basis error
+rate is linear in the state: it is the trace Tr(rho E) against the error
+operator E of the basis pair, the sum of the projectors onto the 8 outcomes
+that count as errors, built once at import like the tables above.
 
 Qubit ordering throughout is (A, T, T', B): Alice's half of the first link,
 the node's receive and send halves, Bob's half of the second link.  All
@@ -193,17 +196,33 @@ _SIGNAL_PROBS = _diagonal_weights(np.einsum(
     "UxA,VyB,UViabAB->UViabxy", _BB84_BRA, _BB84_BRA, _BRANCH_AMPS, order="C"
 ))
 
-# _ERROR_BRA[u1, u2][(x, t, t', y)]: outcome bras of basis_error_rate.
-_ERROR_BRA = np.array(
-    [[_multi_kron(_BB84_BRA[u1], _BB84_BRA[u1], _BB84_BRA[u2], _BB84_BRA[u2])
-      for u2 in (0, 1)] for u1 in (0, 1)]
-)
-
 # _ODD[b, x, y]: Alice's bit x and Bob's bit y disagree after his b-correction.
 _ODD = np.indices((2, 2, 2)).sum(axis=0) % 2
 
-# Indices of the error outcomes (x, t, t', y) of basis_error_rate, in lex order.
-_ODD_16 = np.flatnonzero(np.indices((2,) * 4).sum(axis=0).reshape(16) % 2)
+# _ANNOUNCEMENT_TABLE[u1, u2, i, a, b, k]: for tensored Bell state i, the
+# probability of announcement (a, b) (k = 0) and of (a, b) with Alice's and
+# Bob's corrected bits disagreeing (k = 1).
+_ANNOUNCEMENT_TABLE = np.stack(
+    (_SIGNAL_PROBS.sum(axis=(-2, -1)), (_SIGNAL_PROBS * _ODD).sum(axis=(-2, -1))), axis=-1
+)
+
+
+def _error_operator(u1: int, u2: int) -> np.ndarray:
+    # Sum of the projectors onto the outcomes (x, t, t', y) with x + t + t'
+    # + y odd, A and T measured in basis u1 and T' and B in basis u2.
+    bras = _multi_kron(_BB84_BRA[u1], _BB84_BRA[u1], _BB84_BRA[u2], _BB84_BRA[u2])
+    odd = bras[np.indices((2,) * 4).sum(axis=0).reshape(16) % 2 == 1]
+    # einsum, not a matrix product: a first BLAS call would allocate its
+    # buffers (about 0.4 MiB resident) at import.
+    return np.einsum("kb,kc->bc", odd.conj(), odd)
+
+
+# _ERROR_OPERATOR_T[u1, u2]: the transpose of the error operator E of
+# basis_error_rate, flattened, so that Tr(rho E) is the sum of the entrywise
+# product with the flattened rho.
+_ERROR_OPERATOR_T = np.array(
+    [[_error_operator(u1, u2).T.reshape(256) for u2 in (0, 1)] for u1 in (0, 1)]
+)
 
 
 def _unstack(x: np.ndarray) -> float | np.ndarray:
@@ -274,11 +293,8 @@ def basis_error_rate(rho, u1: int, u2: int) -> float | np.ndarray:
     (..., 16, 16) stack gives one rate per matrix.
     """
     arr = _as_matrices(rho)
-    bra = _ERROR_BRA[u1, u2]
-    outcome_probs = np.real(((bra @ arr) * bra.conj()).sum(axis=-1))
-    # np.take keeps the outcome axis innermost, so each rate is summed in the
-    # order of a single matrix's.
-    errors = np.take(outcome_probs, _ODD_16, axis=-1).sum(axis=-1)
+    flat = arr.reshape(arr.shape[:-2] + (256,))
+    errors = np.real((flat * _ERROR_OPERATOR_T[u1, u2]).sum(axis=-1))
     return _unstack(np.clip(errors, 0.0, 1.0))
 
 
@@ -312,9 +328,9 @@ def bell_announcement_stats(alpha, u1: int, u2: int):
     error rate between Alice's bit (basis u1) and Bob's b-corrected bit
     (basis u2).
     """
-    joint = _per_state(alpha, _SIGNAL_PROBS[u1, u2])  # ..., a, b, x, y
-    p = joint.sum(axis=(-2, -1))
-    return p, (joint * _ODD).sum(axis=(-2, -1)) / p
+    stats = _per_state(alpha, _ANNOUNCEMENT_TABLE[u1, u2])  # ..., a, b, k
+    p = stats[..., 0]
+    return p, stats[..., 1] / p
 
 
 def conditional_end_user_state(alpha, u1: int, u2: int, a: int, b: int):

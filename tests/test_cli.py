@@ -403,11 +403,13 @@ class TestOptionTable:
         else:
             kind = kwargs.get("type", str)
             cases = [(kind("3"), [], kind("3")), (kind("3"), [f"{flag}=4"], kind("4"))]
-        for value, flags, expected in cases:
-            config = tmp_path / "cfg.json"
-            config.write_text(json.dumps({dest: value}))
-            args = cli._parse_args(["--config", str(config), *argv, *flags])
-            assert getattr(args, kwargs.get("dest", dest)) == expected
+        # The config may name the option by its flag or by its dest.
+        for key in {dest, kwargs.get("dest", dest)}:
+            for value, flags, expected in cases:
+                config = tmp_path / "cfg.json"
+                config.write_text(json.dumps({key: value}))
+                args = cli._parse_args(["--config", str(config), *argv, *flags])
+                assert getattr(args, kwargs.get("dest", dest)) == expected
         if not kwargs.get("required"):  # else parsing without the config exits
             assert getattr(cli._parse_args(argv), kwargs.get("dest", dest)) != cases[0][2]
 
@@ -656,6 +658,48 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err == f"error: config {config} sets {dest} twice\n"
 
+    @pytest.mark.parametrize(
+        "content,command,dest",
+        [('{"eta_det": 0.4, "detector_efficiency": 0.3}', "decoy-sweep",
+          "detector_efficiency"),
+         ('{"dark_count_prob": 0, "dark": 1e-5}', "decoy-sweep", "dark_count_prob"),
+         ('{"detect": 0.5, "detect-prob": 0.5}', "montecarlo", "detect_prob")],
+    )
+    def test_option_under_both_names_rejected(self, tmp_path, capsys, content, command, dest):
+        # Under its flag's name and its dest, as under a repeated key.
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        assert exit_code(["--config", str(config), command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config {config} sets {dest} twice\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["decoy-sweep", "--loss-db", "0:10:5", "--nodes", "2", "--mu", "0.3", "--f-ec", "1.1",
+         "--p-z", "0.6", "--eta-det", "0.4", "--dark", "1e-5", "--e-det", "0.02",
+         "--conservative"],
+        ["montecarlo", "--rounds", "20000", "--nodes", "2", "--flip", "0.05",
+         "--detect", "0.5", "--p-z", "0.3", "--seed", "9"],
+    ], ids=lambda argv: argv[0])
+    def test_printed_config_fed_back_reproduces_the_run(self, argv, tmp_path, monkeypatch,
+                                                        capsys):
+        def run_in(directory, args):
+            # Each run writes out.csv in its own directory.
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            assert cli.main(args) == 0
+            return capsys.readouterr().out, Path("out.csv").read_bytes()
+
+        by_flags = run_in(tmp_path / "flags", [*argv, "--output", "out.csv"])
+        # The printed values go back as JSON strings, read as flags are, the
+        # switches' as booleans and None as null.
+        printed = [line[2:].split(" = ", 1) for line in by_flags[0].splitlines()
+                   if line.startswith("  ")]
+        literals = {"True": True, "False": False, "None": None}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: literals.get(value, value) for key, value in printed}))
+        assert run_in(tmp_path / "config", ["--config", str(config), argv[0]]) == by_flags
+
     def test_object_value_read_as_its_str(self, tmp_path, monkeypatch, capsys):
         # A value is read as if given as a flag, str(value): an object keeps
         # its key order, in the echo and in the file name.
@@ -692,6 +736,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert "suites passed" in out
+
+    def test_reference_run_matches_golden(self, capsys):
+        # verify's reference run, pinned byte for byte: a change that moves
+        # one of its lines regenerates the file and names the line.
+        assert cli.main(["verify", "--trials", "200", "--seed", "2024"]) == 0
+        golden = (DATA / "verify_reference.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
 
 
 

@@ -216,6 +216,19 @@ def product_alpha(weights1, weights2):
     return alpha.reshape(16)
 
 
+def odd_outcome_projectors(u1, u2):
+    """The projectors |x t t' y><x t t' y| onto the error outcomes of
+    basis_error_rate (x + t + t' + y odd), A and T in basis u1, T' and B in
+    basis u2, built from the BB84 kets alone."""
+    projectors = []
+    for x, t, t_send, y in itertools.product((0, 1), repeat=4):
+        if (x + t + t_send + y) % 2:
+            ket = kron(qubit.bb84_vector(u1, x), qubit.bb84_vector(u1, t),
+                       qubit.bb84_vector(u2, t_send), qubit.bb84_vector(u2, y))
+            projectors.append(np.outer(ket, ket.conj()))
+    return projectors
+
+
 class TestBasisErrorRate:
     def test_perfect_bell_pairs(self):
         alpha = np.zeros(16)
@@ -260,6 +273,25 @@ class TestBasisErrorRate:
         assert rates.shape == (20,) and np.array_equal(rates, single)
         grid = qubit.basis_error_rate(stack.reshape(2, 10, 16, 16), u1, u2)
         assert np.array_equal(grid, rates.reshape(2, 10))
+
+    @pytest.mark.parametrize("u1,u2", list(itertools.product((0, 1), repeat=2)))
+    def test_general_states_match_outcome_projectors(self, u1, u2):
+        # Full-rank states, not Bell-diagonal: the twirl-invariance suite of
+        # verify cannot tell the odd outcomes from the even ones, this can.
+        stack = qubit.random_density_matrix(16, np.random.default_rng(23), size=12)
+        expected = sum(np.real(np.trace(stack @ proj, axis1=-2, axis2=-1))
+                       for proj in odd_outcome_projectors(u1, u2))
+        assert np.abs(qubit.basis_error_rate(stack, u1, u2) - expected).max() <= 1e-15
+        for rho, rate in zip(stack, expected):
+            assert abs(qubit.basis_error_rate(rho, u1, u2) - rate) <= 1e-15
+
+    @pytest.mark.parametrize("u1,u2", list(itertools.product((0, 1), repeat=2)))
+    def test_error_operator_is_a_twirl_invariant_projector_sum(self, u1, u2):
+        op = qubit._ERROR_OPERATOR_T[u1, u2].reshape(16, 16).T
+        assert np.array_equal(op, op.conj().T)
+        assert np.trace(op) == pytest.approx(8.0, abs=1e-13)
+        assert np.abs(qubit.twirl(op) - op).max() <= 1e-15
+        assert np.abs(op - sum(odd_outcome_projectors(u1, u2))).max() <= 1e-15
 
 
 def entropy(rho):
