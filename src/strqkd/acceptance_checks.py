@@ -20,8 +20,7 @@ __all__ = [
     "FIG2_TARGETS", "FIG2_TOLERANCE", "twirl_deviations", "rotated_basis_deviation",
     "holevo_gap", "relabeling_deviation", "montecarlo_max_z", "fig2_zero_crossings",
     "fig2_crossing_deviation", "poisson_oracle_deviation", "tagging_oracle_deviation",
-    "fraction_identity_residual",
-    "decoy_cutoff_loss", "MAX_TRIALS", "run_verification",
+    "fraction_identity_residual", "MAX_TRIALS", "run_verification",
 ]
 
 # Per-link error rates where the Fig. 2 qubit-model curves cross zero.
@@ -42,7 +41,7 @@ def twirl_deviations(rng: np.random.Generator, samples: int) -> tuple[float, ...
     """Largest Bell-basis off-diagonal element, idempotence error and basis
     error-rate change of the twirl over random 16x16 states."""
     basis = qubit.tensored_bell_basis_matrix()
-    rho = qubit.random_density_matrix(16, rng, size=samples)
+    rho = qubit.random_density_matrix(rng, size=samples)
     tw = qubit.twirl(rho)
     diag = basis.conj().T @ tw @ basis
     worst_off = np.abs(diag[..., ~np.eye(16, dtype=bool)]).max(initial=0.0)
@@ -130,7 +129,7 @@ def fig2_zero_crossings() -> dict[str, float]:
     """Per-link error rates where the qubit-model curves hit zero."""
 
     def conventional(e: float) -> float:
-        return keyrate.conventional_relay_rate([e], f_ec=1.0).unclamped
+        return keyrate.conventional_relay_rate([e]).unclamped
 
     def str_rate(e_link: float, nodes: int) -> float:
         return keyrate.uniform_str_rate(e_link, nodes).unclamped
@@ -225,18 +224,6 @@ def fraction_identity_residual(chains: Iterable[Sequence[decoy.LinkPhysics]]) ->
     """Largest |f_v + f_s_vs + f_m - 1| over the chains."""
     fractions = map(decoy.decoy_fractions, chains)
     return max((abs(fr.f_v + fr.f_s_vs + fr.f_m - 1.0) for fr in fractions), default=0.0)
-
-
-def decoy_cutoff_loss(mode: str, num_links: int) -> float:
-    """Smallest per-link loss, on a 1 dB grid up to 80 dB, with zero optimized
-    rate for the default link physics and f_EC = 1.2."""
-    losses = [float(loss) for loss in range(81)]
-    chains = [[decoy.LinkPhysics(loss_db=loss)] * num_links for loss in losses]
-    results = decoy.optimize_intensities(chains, f_ec=1.2, mode=mode)
-    return next(
-        (loss for loss, (_, report) in zip(losses, results) if report.rate <= 0.0),
-        float("inf"),
-    )
 
 
 def run_verification(trials: int = 100, seed: int = 2024) -> list[tuple[str, bool, str]]:

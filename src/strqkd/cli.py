@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import operator
+import os
 import sys
 from typing import Any, Iterable, NoReturn, Sequence
 
@@ -216,8 +217,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         p_z=args.p_z,
         seed=args.seed,
     )
-    if args.workers < 1:
-        _fail(f"workers must be >= 1, got {args.workers}")
     _print_config(args)
     table, survivors = relay.run_protocol(cfg)
     print(f"survivors per link: {survivors}")
@@ -289,7 +288,6 @@ _COMMANDS = {
         "--detect": dict(type=float, default=1.0, dest="detect_prob"),
         "--nodes": dict(type=int, default=1),
         "--p-z": dict(type=float, default=0.5),
-        "--workers": dict(type=int, default=1),
         "--output": dict(default=None),
     }),
     "verify": (_cmd_verify, "run numerical verification suites", {
@@ -386,12 +384,29 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse_args(argv)
+    """Run the command line ``argv``: exit status 0 on success, 1 when a
+    verify suite fails and 2 on bad input or output that cannot be written,
+    a closed stdout included."""
     try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            args = _parse_args(argv)
+            return args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            # Output still buffered for a closed stdout fails here, not at exit.
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Python's SIGPIPE recipe: stdout goes to devnull, so that the flush
+        # at exit does not fail again.  A run that had already failed (on an
+        # --output of /dev/stdout) has printed its error line.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc.__context__, SystemExit) and exc.__context__.code:
+            raise exc.__context__ from None
+        _fail(f"cannot write stdout: {exc}")
 
 
 if __name__ == "__main__":

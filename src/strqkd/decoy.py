@@ -271,12 +271,12 @@ def _rate(
     f_ec: float,
     p_z: float,
     conservative: bool,
-    per_clock: bool = True,
     exact: bool = False,
 ) -> KeyRateReport:
-    """The key rate of a chain from its links' statistics, in chain order
-    (equal links may share one object); array statistics give array terms.
-    ``exact`` takes the entropies of arrays through the float path."""
+    """The key rate per clock cycle of a chain from its links' statistics,
+    in chain order (equal links may share one object); array statistics give
+    array terms.  ``exact`` takes the entropies of arrays through the float
+    path."""
     entropy = functools.partial(elementwise, binary_entropy) if exact else binary_entropy
     sift = basis_law(p_z)[0]
     if mode == "conventional":
@@ -287,9 +287,7 @@ def _rate(
                 leak_term=f_ec * entropy(s.qber),
                 holevo_term=s.c1 * entropy(s.e1),
                 tagged_term=0.0,
-            )
-            if per_clock:
-                report = report.scaled(s.gain * sift)
+            ).scaled(s.gain * sift)
             if worst is None:
                 worst = report
             else:
@@ -306,18 +304,15 @@ def _rate(
     else:
         f_single, e_single = fractions.f_s_vs, fractions.e_s_vs
         f_tagged = fractions.f_m
-    report = KeyRateReport(
+    scale = 1.0
+    for s in stats:
+        scale = scale * (s.gain * sift)
+    return KeyRateReport(
         entropy_term=1.0,
         leak_term=f_ec * entropy(e_total),
         holevo_term=f_single * entropy(e_single),
         tagged_term=f_tagged,
-    )
-    if per_clock:
-        scale = 1.0
-        for s in stats:
-            scale = scale * (s.gain * sift)
-        report = report.scaled(scale)
-    return report
+    ).scaled(scale)
 
 
 def _chain_rate(
@@ -326,13 +321,12 @@ def _chain_rate(
     f_ec: float,
     p_z: float,
     conservative: bool = False,
-    per_clock: bool = True,
 ) -> KeyRateReport:
     check_protocol_parameters(p_z, f_ec)
     _check_chain(links, mode)
     # Chains of equal links are the common case: one computation per link.
     computed = {phys: link_statistics(phys) for phys in dict.fromkeys(links)}
-    return _rate([computed[phys] for phys in links], mode, f_ec, p_z, conservative, per_clock)
+    return _rate([computed[phys] for phys in links], mode, f_ec, p_z, conservative)
 
 
 def decoy_rate(
@@ -340,24 +334,22 @@ def decoy_rate(
     f_ec: float = 1.2,
     p_z: float = 0.5,
     conservative: bool = False,
-    per_clock: bool = True,
 ) -> KeyRateReport:
-    """STR decoy-state key rate for a chain of links.
+    """STR decoy-state key rate per clock cycle for a chain of links.
 
-    Per sifted signal: 1 - f_EC h(E_total) - f_s h(e_s) - f_m, where E_total
-    is the compound all-photon-number QBER, (f_s, e_s) are the untagged
-    single-photon quantities (the f_s_s/e_s_s lower bound in conservative
-    mode), and f_m the tagged fraction.  ``per_clock`` rescales by the
+    prod_i (Q_i sift) [1 - f_EC h(E_total) - f_s h(e_s) - f_m]: the rate
+    per sifted signal, where E_total is the compound all-photon-number QBER,
+    (f_s, e_s) are the untagged single-photon quantities (the f_s_s/e_s_s
+    lower bound in conservative mode) and f_m the tagged fraction, times the
     all-links coincidence gain and the per-link sifting factors.
     """
-    return _chain_rate(links, "str", f_ec, p_z, conservative, per_clock)
+    return _chain_rate(links, "str", f_ec, p_z, conservative)
 
 
 def conventional_decoy_rate(
     links: Sequence[LinkPhysics],
     f_ec: float = 1.2,
     p_z: float = 0.5,
-    per_clock: bool = True,
 ) -> KeyRateReport:
     """Conventional trusted-relay baseline with tagged-signal analysis.
 
@@ -365,7 +357,7 @@ def conventional_decoy_rate(
     the single-photon detected fraction; a chain takes its worst link (the
     first of equal ones).
     """
-    return _chain_rate(links, "conventional", f_ec, p_z, per_clock=per_clock)
+    return _chain_rate(links, "conventional", f_ec, p_z)
 
 
 def _mu_grid(lo: float, hi: float) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "KeyRateReport",
-    "RateInputs",
     "MAX_NODES",
     "binary_entropy",
     "elementwise",
@@ -101,27 +100,6 @@ def check_protocol_parameters(p_z: float, f_ec: float = 1.0) -> None:
         raise ValueError(f"f_ec must be >= 1 and finite, got {f_ec}")
 
 
-@dataclass(frozen=True)
-class RateInputs:
-    """Inputs for the STR qubit rate.
-
-    ``error_rates[code]`` is the observed error rate between Alice's raw key
-    and Bob's corrected raw key for the basis vector spelled by ``code`` (see
-    :func:`basis_label`); code ``2^links - 1 - code`` is its complement.  Key
-    bits are uniformly random, one bit of entropy per signal.
-    """
-
-    error_rates: Sequence[float]
-    p_z: float = 0.5
-    f_ec: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_protocol_parameters(self.p_z, self.f_ec)
-        for code, e in enumerate(self.error_rates):
-            if not 0.0 <= e <= 1.0:
-                raise ValueError(f"error rate of basis vector {code} not in [0, 1]: {e}")
-
-
 def basis_law(p_z: float) -> tuple[float, float]:
     """The per-link basis law, when each end of a link picks Z with
     probability ``p_z``: the probability that both ends pick the same
@@ -142,23 +120,33 @@ def _basis_weights(p_z: float, links: int) -> list[float]:
     return weights
 
 
-def str_rate_qubit(inputs: RateInputs, num_nodes: int) -> KeyRateReport:
-    """STR key rate for a chain with ``num_nodes`` intermediate nodes.
+def str_rate_qubit(
+    error_rates: Sequence[float], p_z: float = 0.5, f_ec: float = 1.0
+) -> KeyRateReport:
+    """STR key rate of a chain from its basis-vector error table.
+
+    ``error_rates[code]`` is the observed error rate between Alice's raw key
+    and Bob's corrected raw key for the basis vector spelled by ``code`` (see
+    :func:`basis_label`); code ``2^links - 1 - code`` is its complement.  The
+    table's length, 2^links for 1 to ``MAX_NODES + 1`` links, gives the
+    chain.  Key bits are uniformly random, one bit of entropy per signal.
 
     rate = sum_u p_u H(K^u) - f_EC sum_u p_u h(e^u) - sum_u p_~u h(e^u),
     where ~u complements every link's basis choice, p_u is the product of
     per-link basis weights and H(K^u) is one bit.
     """
-    links = num_nodes + 1
-    expected = 1 << links
-    if len(inputs.error_rates) != expected:
+    check_protocol_parameters(p_z, f_ec)
+    for code, e in enumerate(error_rates):
+        if not 0.0 <= e <= 1.0:
+            raise ValueError(f"error rate of basis vector {code} not in [0, 1]: {e}")
+    links = len(error_rates).bit_length() - 1
+    if not 1 <= links <= MAX_NODES + 1 or len(error_rates) != 1 << links:
         raise ValueError(
-            f"error-rate table must have {expected} entries for "
-            f"{num_nodes} node(s), got {len(inputs.error_rates)}"
+            f"error-rate table must have 2^links entries for 1 to {MAX_NODES + 1} "
+            f"links, got {len(error_rates)}"
         )
-    weights = _basis_weights(inputs.p_z, links)
-    entropies = map(binary_entropy, inputs.error_rates)
-    return _code_order_report(weights, entropies, inputs.f_ec)
+    weights = _basis_weights(p_z, links)
+    return _code_order_report(weights, map(binary_entropy, error_rates), f_ec)
 
 
 def _code_order_report(
@@ -175,9 +163,10 @@ def _code_order_report(
     return KeyRateReport(entropy_term=entropy, leak_term=leak, holevo_term=holevo)
 
 
-def conventional_relay_rate(e_links: Sequence[float], f_ec: float = 1.0) -> KeyRateReport:
+def conventional_relay_rate(e_links: Sequence[float]) -> KeyRateReport:
     """Conventional trusted-relay baseline: standard asymptotic BB84 rate per
-    link, the chain limited by its worst link."""
+    link with Shannon-limit error correction, the chain limited by its worst
+    link."""
     if not e_links:
         raise ValueError("need at least one link")
     reports = []
@@ -185,9 +174,7 @@ def conventional_relay_rate(e_links: Sequence[float], f_ec: float = 1.0) -> KeyR
         if not 0.0 <= e <= 0.5:
             raise ValueError(f"per-link error rate must lie in [0, 1/2], got {e}")
         h_e = binary_entropy(e)
-        reports.append(
-            KeyRateReport(entropy_term=1.0, leak_term=f_ec * h_e, holevo_term=h_e)
-        )
+        reports.append(KeyRateReport(entropy_term=1.0, leak_term=h_e, holevo_term=h_e))
     return min(reports, key=lambda r: r.unclamped)
 
 
@@ -259,7 +246,7 @@ def fig2_curves(
         first = grid[bad[0] if nodes_ok else 0]
         for m in node_counts:
             if m == 0:
-                conventional_relay_rate([first], f_ec=1.0)
+                conventional_relay_rate([first])
             else:
                 uniform_str_rate(first, m)
     columns = {"e_link": e_links}

@@ -383,13 +383,11 @@ def holevo_bound(alpha, u1: int, u2: int) -> float | np.ndarray:
     return _unstack((p * h).sum(axis=(-2, -1)))
 
 
-def random_density_matrix(
-    dim: int, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Haar-ish random full-rank density matrix (Ginibre construction); a
-    (size, dim, dim) stack, drawn as ``size`` single draws are, if ``size``
+def random_density_matrix(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Haar-ish random full-rank 16x16 density matrix (Ginibre construction);
+    a (size, 16, 16) stack, drawn as ``size`` single draws are, if ``size``
     is given."""
-    parts = rng.normal(size=(2, dim, dim) if size is None else (size, 2, dim, dim))
+    parts = rng.normal(size=(2, 16, 16) if size is None else (size, 2, 16, 16))
     g = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
     rho = g @ g.conj().swapaxes(-1, -2)
     return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]

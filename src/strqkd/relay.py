@@ -39,7 +39,10 @@ block))`` (O'Neill, 2014).  Each block takes its survivor count,
 then one raw draw holding the basis bytes, the packed sent bits and the
 flip bytes in that order, then the bytes that resolve basis ties and then
 flip ties.  Bytes are read from the raw 64-bit words in little-endian
-order on every host, so results are bit-identical on any host.
+order on every host, so results are bit-identical on any host for one
+numpy version.  The survivor count comes from ``Generator.binomial``,
+whose stream NEP 19 lets numpy change between versions; the stream
+goldens were drawn with numpy 2.4.6.
 
 The three stage functions :func:`run_quantum_phase`, :func:`pair_and_announce`
 and :func:`correct_and_estimate` are the reference pipeline: they spell the

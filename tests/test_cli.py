@@ -25,6 +25,8 @@ import strqkd
 from strqkd import cli
 
 DATA = Path(__file__).parent / "data"
+# The numpy whose Generator.binomial stream the Monte Carlo goldens were drawn with.
+GOLDEN_NUMPY = "2.4.6"
 
 
 def read_lines(path):
@@ -274,7 +276,7 @@ class TestMonteCarlo:
         base = ["montecarlo", "--rounds", "100000", "--seed", "42", "--flip",
                 "0.05", "--nodes", "1"]
         assert cli.main(base + ["--output", str(out1)]) == 0
-        assert cli.main(base + ["--output", str(out2), "--workers", "4"]) == 0
+        assert cli.main(base + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize(
@@ -300,7 +302,11 @@ class TestMonteCarlo:
         argv = ["montecarlo", "--nodes", nodes, "--flip", "0.05", "--detect", detect,
                 "--rounds", rounds, "--seed", "5", "--p-z", p_z]
         assert cli.main(argv + ["--output", str(out)]) == 0
-        assert out.read_bytes() == (DATA / golden).read_bytes()
+        # The survivor counts come from Generator.binomial, whose stream NEP 19
+        # lets numpy change between versions.
+        assert out.read_bytes() == (DATA / golden).read_bytes(), (
+            f"{golden} was drawn with numpy {GOLDEN_NUMPY}; this run has numpy {np.__version__}"
+        )
 
     def test_basis_vector_without_samples_has_nan_rate(self, capsys):
         assert cli.main(
@@ -598,6 +604,15 @@ class TestConfigFile:
         assert err.count("\n") == 1
         assert "nodse" in err
 
+    def test_removed_workers_option_rejected(self, tmp_path, capsys):
+        # --workers had no effect on the run; a config that sets it is stale.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"workers": 1}))
+        assert exit_code(["--config", str(config), "montecarlo", "--rounds", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: montecarlo has no option workers\n"
+
     def test_bad_config_rejected(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text("not json")
@@ -730,6 +745,43 @@ class TestConfigFile:
         assert "nodes = 2" in resolved(runs[0])
 
 
+class TestClosedStdout:
+    # Each subcommand with its output on stdout alone, and a sweep that also
+    # writes its CSV there.
+    ARGVS = {
+        "qubit-rate": ["qubit-rate", "--e-link", "0.01"],
+        "fig2-sweep": ["fig2-sweep", "--output", os.devnull],
+        "decoy-sweep": ["decoy-sweep", "--loss-db", "0:2:1", "--output", os.devnull],
+        "montecarlo": ["montecarlo", "--rounds", "1000", "--nodes", "3"],
+        "verify": ["verify", "--trials", "1"],
+        "fig2-sweep-csv": ["fig2-sweep", "--output", "/dev/stdout"],
+    }
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("case", list(ARGVS))
+    def test_ends_in_one_error_line(self, case, buffered):
+        # Once a BrokenPipeError traceback and exit 1 unbuffered, and
+        # "Exception ignored" with exit 120 buffered.
+        if case == "fig2-sweep-csv" and not os.path.exists("/dev/stdout"):
+            pytest.skip("no /dev/stdout")
+        src = str(Path(strqkd.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [sys.executable, *([] if buffered else ["-u"]), "-m", "strqkd.cli"]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([*argv, *self.ARGVS[case]], stdout=write,
+                                    stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert result.returncode == 2
+        # The CSV's own write may fail first, naming its path.
+        target = "/dev/stdout" if case == "fig2-sweep-csv" and buffered else "stdout"
+        assert result.stderr.startswith(f"error: cannot write {target}: ")
+        assert result.stderr.count("\n") == 1
+
+
 class TestVerify:
     def test_verify_passes(self, capsys):
         assert cli.main(["verify", "--trials", "10"]) == 0
@@ -776,8 +828,6 @@ class TestBoundary:
             (["decoy-sweep", "--loss-db", "3200:3200:1", "--dark", "0"], 2),
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "800"], 0),
             (["decoy-sweep", "--loss-db", "0:2:2", "--mu", "0.3", "--e-det", "0.5"], 0),
-            (["montecarlo", "--rounds", "1000", "--workers", "0"], 2),
-            (["montecarlo", "--rounds", "1000", "--workers", "-3"], 2),
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--p-z", "5"], 2),
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--p-z", "0"], 2),
             (["decoy-sweep", "--loss-db", "0:0:1", "--mu", "0.3", "--f-ec", "0.9"], 2),
@@ -878,14 +928,6 @@ class TestBoundary:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_bad_workers_prints_no_config(self, workers, capsys):
-        # Rejected before the resolved config is printed, as --rounds 0 is.
-        assert exit_code(["montecarlo", "--rounds", "1000", "--workers", workers]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: workers must be >= 1, got {workers}\n"
-
     @pytest.mark.parametrize(
         "argv", [["montecarlo", "--rounds", "10"], ["verify", "--trials", "5"]]
     )
@@ -984,7 +1026,7 @@ CLI_FLAGS = {
         "--rounds": st.sampled_from(["-1", "0", "10000000000000", "1e3", "x"])
         | st.sampled_from(["1", "1000"]),
         "--seed": SEED_FLAG, "--flip": FLOAT_FLAG, "--detect": FLOAT_FLAG,
-        "--nodes": INT_FLAG, "--p-z": FLOAT_FLAG, "--workers": INT_FLAG,
+        "--nodes": INT_FLAG, "--p-z": FLOAT_FLAG,
         "--output": st.just(os.devnull),
     },
     "verify": {

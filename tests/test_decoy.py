@@ -2,7 +2,7 @@
 rates, and intensity optimization."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import product
 
 import numpy as np
@@ -20,6 +20,15 @@ from strqkd.decoy import LinkPhysics
 
 FIG3B = dict(detector_efficiency=0.5, dark_count_prob=6e-6, intrinsic_error=0.0185)
 NOISELESS = dict(detector_efficiency=0.5, dark_count_prob=0.0, intrinsic_error=0.0)
+
+
+def per_sifted_signal(report, links):
+    """A per-clock-cycle decoy rate at the default p_z = 1/2 per sifted
+    signal: every term divided by the product over the links of gain times
+    the basis match probability."""
+    match = keyrate.basis_law(0.5)[0]
+    scale = math.prod(decoy.link_statistics(phys).gain * match for phys in links)
+    return keyrate.KeyRateReport(**{term: v / scale for term, v in asdict(report).items()})
 
 
 class TestLinkStatistics:
@@ -183,13 +192,13 @@ class TestDecoyRate:
         # photon, so the per-sifted-signal rate approaches 1.
         links = [LinkPhysics(loss_db=0.0, detector_efficiency=1.0, mu=1e-4,
                              dark_count_prob=0.0, intrinsic_error=0.0)] * 2
-        report = decoy.decoy_rate(links, f_ec=1.0, per_clock=False)
+        report = per_sifted_signal(decoy.decoy_rate(links, f_ec=1.0), links)
         assert report.rate == pytest.approx(1.0, abs=1e-3)
 
     def test_fully_tagged_gives_zero(self):
         # Large mu: multi-photon emissions dominate and tagging kills the key.
         links = [LinkPhysics(loss_db=0.0, mu=20.0, **FIG3B)] * 2
-        report = decoy.decoy_rate(links, per_clock=False)
+        report = per_sifted_signal(decoy.decoy_rate(links), links)
         assert report.rate == 0.0
         assert report.tagged_term > 0.9
 
@@ -200,8 +209,8 @@ class TestDecoyRate:
         links = [LinkPhysics(loss_db=5.0, mu=0.3, **FIG3B)] * 2
         fractions = decoy.decoy_fractions(links)
         sliver = fractions.f_s_vs - fractions.f_s_s
-        exact = decoy.decoy_rate(links, per_clock=False)
-        conservative = decoy.decoy_rate(links, per_clock=False, conservative=True)
+        exact = per_sifted_signal(decoy.decoy_rate(links), links)
+        conservative = per_sifted_signal(decoy.decoy_rate(links, conservative=True), links)
         assert conservative.tagged_term >= exact.tagged_term
         assert abs(conservative.unclamped - exact.unclamped) <= 2 * sliver + 1e-12
 
@@ -212,10 +221,8 @@ class TestDecoyRate:
             stats = [decoy.link_statistics(p) for p in links]
             e_total = keyrate.compound_error([s.qber for s in stats])
             table = [e_total] * 4
-            qubit_report = keyrate.str_rate_qubit(
-                keyrate.RateInputs(error_rates=table, f_ec=1.2), num_nodes=1
-            )
-            decoy_report = decoy.decoy_rate(links, per_clock=False)
+            qubit_report = keyrate.str_rate_qubit(table, f_ec=1.2)
+            decoy_report = per_sifted_signal(decoy.decoy_rate(links), links)
             assert decoy_report.rate <= qubit_report.rate + 1e-12
 
     def test_per_clock_rates_in_unit_interval(self):

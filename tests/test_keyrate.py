@@ -1,6 +1,7 @@
 """Tests for the asymptotic key-rate formulas."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from strqkd.acceptance_checks import (
     fig2_crossing_deviation,
     fig2_zero_crossings,
 )
-from strqkd.keyrate import KeyRateReport, RateInputs
+from strqkd.keyrate import KeyRateReport
 
 
 def uniform_table(e, links):
@@ -63,16 +64,12 @@ class TestKeyRateReport:
 
 class TestStrRateQubit:
     def test_error_free(self):
-        report = keyrate.str_rate_qubit(
-            RateInputs(error_rates=uniform_table(0.0, 2)), num_nodes=1
-        )
+        report = keyrate.str_rate_qubit(uniform_table(0.0, 2))
         assert report.rate == pytest.approx(1.0)
 
     def test_uniform_rates_reduce_to_two_entropy_terms(self):
         e = 0.05
-        report = keyrate.str_rate_qubit(
-            RateInputs(error_rates=uniform_table(e, 2)), num_nodes=1
-        )
+        report = keyrate.str_rate_qubit(uniform_table(e, 2))
         assert report.unclamped == pytest.approx(
             1.0 - 2.0 * keyrate.binary_entropy(e), abs=1e-12
         )
@@ -82,9 +79,7 @@ class TestStrRateQubit:
         lo, hi = 0.05, 0.2
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            value = keyrate.str_rate_qubit(
-                RateInputs(error_rates=uniform_table(mid, 2)), num_nodes=1
-            ).unclamped
+            value = keyrate.str_rate_qubit(uniform_table(mid, 2)).unclamped
             if value > 0:
                 lo = mid
             else:
@@ -96,19 +91,14 @@ class TestStrRateQubit:
     def test_compound_link_error_near_crossing(self):
         e_total = keyrate.compound_error([FIG2_TARGETS["str1"]] * 2)
         assert e_total == pytest.approx(FIG2_TARGETS["conventional"], abs=FIG2_TOLERANCE)
-        report = keyrate.str_rate_qubit(
-            RateInputs(error_rates=uniform_table(e_total, 2)), num_nodes=1
-        )
+        report = keyrate.str_rate_qubit(uniform_table(e_total, 2))
         assert abs(report.unclamped) < 0.01
 
     def test_m_node_equal_rates_identity(self):
         e = 0.04
         f_ec = 1.15
         for m in (0, 1, 2, 3):
-            report = keyrate.str_rate_qubit(
-                RateInputs(error_rates=uniform_table(e, m + 1), f_ec=f_ec),
-                num_nodes=m,
-            )
+            report = keyrate.str_rate_qubit(uniform_table(e, m + 1), f_ec=f_ec)
             assert report.unclamped == pytest.approx(
                 1.0 - (1.0 + f_ec) * keyrate.binary_entropy(e), abs=1e-12
             )
@@ -120,9 +110,7 @@ class TestStrRateQubit:
         # is the reference, to the last bit.
         e_link = 0.0037
         table = uniform_table(keyrate.compound_error([e_link] * (nodes + 1)), nodes + 1)
-        expected = keyrate.str_rate_qubit(
-            RateInputs(error_rates=table, p_z=p_z, f_ec=f_ec), num_nodes=nodes
-        )
+        expected = keyrate.str_rate_qubit(table, p_z=p_z, f_ec=f_ec)
         assert keyrate.uniform_str_rate(e_link, nodes, p_z, f_ec) == expected
 
     def test_complement_symmetry_with_uniform_bases(self):
@@ -130,18 +118,18 @@ class TestStrRateQubit:
         # every basis choice in the table, i.e. reading it backwards.
         rng_rates = [0.01, 0.07, 0.03, 0.09]
         flipped = rng_rates[::-1]
-        r1 = keyrate.str_rate_qubit(RateInputs(error_rates=rng_rates), num_nodes=1)
-        r2 = keyrate.str_rate_qubit(RateInputs(error_rates=flipped), num_nodes=1)
+        r1 = keyrate.str_rate_qubit(rng_rates)
+        r2 = keyrate.str_rate_qubit(flipped)
         assert r1.holevo_term == pytest.approx(r2.holevo_term, abs=1e-12)
         assert r1.leak_term == pytest.approx(r2.leak_term, abs=1e-12)
 
     def test_monotone_in_each_error_rate(self):
         base = uniform_table(0.03, 2)
-        r0 = keyrate.str_rate_qubit(RateInputs(error_rates=base), num_nodes=1)
+        r0 = keyrate.str_rate_qubit(base)
         for code in range(len(base)):
             bumped = list(base)
             bumped[code] = 0.05
-            r1 = keyrate.str_rate_qubit(RateInputs(error_rates=bumped), num_nodes=1)
+            r1 = keyrate.str_rate_qubit(bumped)
             assert r1.unclamped < r0.unclamped
 
     @pytest.mark.parametrize("code", range(4))
@@ -158,18 +146,35 @@ class TestStrRateQubit:
 
         rates = [0.0] * 4
         rates[code] = e
-        report = keyrate.str_rate_qubit(
-            RateInputs(error_rates=rates, p_z=p_z, f_ec=f_ec), num_nodes=1
-        )
+        report = keyrate.str_rate_qubit(rates, p_z=p_z, f_ec=f_ec)
         h = keyrate.binary_entropy(e)
         assert report.leak_term == pytest.approx(f_ec * weight(code) * h, rel=1e-12)
         assert report.holevo_term == pytest.approx(weight(3 - code) * h, rel=1e-12)
 
-    def test_table_size_mismatch(self):
-        with pytest.raises(ValueError):
-            keyrate.str_rate_qubit(
-                RateInputs(error_rates=uniform_table(0.0, 2)), num_nodes=2
-            )
+    @pytest.mark.parametrize("size", [0, 1, 3, 6, 2**18])
+    def test_table_length_not_a_chain_rejected(self, size):
+        # A table holds 2^links entries for 1 to MAX_NODES + 1 links.
+        with pytest.raises(ValueError, match=f"for 1 to 17 links, got {size}$"):
+            keyrate.str_rate_qubit([0.0] * size)
+
+    @pytest.mark.parametrize("links", [1, keyrate.MAX_NODES + 1])
+    def test_longest_and_shortest_chain_accepted(self, links):
+        assert keyrate.str_rate_qubit(uniform_table(0.0, links)).rate == 1.0
+
+    @pytest.mark.parametrize("p_z,f_ec,message", [
+        (0.0, 1.0, "p_z must lie in (0, 1), got 0.0"),
+        (0.5, 0.9, "f_ec must be >= 1 and finite, got 0.9"),
+        (0.5, math.nan, "f_ec must be >= 1 and finite, got nan"),
+    ])
+    def test_protocol_parameters_checked(self, p_z, f_ec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            keyrate.str_rate_qubit(uniform_table(0.0, 2), p_z=p_z, f_ec=f_ec)
+
+    @pytest.mark.parametrize("e", [-0.1, 1.5, math.nan])
+    def test_error_rate_outside_unit_interval_rejected(self, e):
+        rates = [0.0, 0.0, e, 0.0]
+        with pytest.raises(ValueError, match=re.escape(f"basis vector 2 not in [0, 1]: {e}")):
+            keyrate.str_rate_qubit(rates)
 
 
 class TestConventionalRelayRate:
@@ -177,7 +182,7 @@ class TestConventionalRelayRate:
         assert keyrate.conventional_relay_rate([0.0, 0.0]).rate == pytest.approx(1.0)
 
     def test_near_zero_at_011(self):
-        assert keyrate.conventional_relay_rate([0.11], f_ec=1.0).rate < 1e-3
+        assert keyrate.conventional_relay_rate([0.11]).rate < 1e-3
 
     def test_min_rule(self):
         combined = keyrate.conventional_relay_rate([0.01, 0.05])

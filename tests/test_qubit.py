@@ -120,7 +120,7 @@ class TestTwirl:
     def test_diagonal_matches_bell_diagonal_of_input(self):
         # Independent oracle: direct change of basis of the input.
         basis = qubit.tensored_bell_basis_matrix()
-        rho = qubit.random_density_matrix(16, RNG)
+        rho = qubit.random_density_matrix(RNG)
         expected = np.diag(basis.conj().T @ rho @ basis)
         got = np.diag(basis.conj().T @ qubit.twirl(rho) @ basis)
         assert np.abs(expected - got).max() < 1e-12
@@ -138,7 +138,7 @@ class TestTwirl:
             qubit.twirl(np.eye(4) / 4)
 
     def test_stack_matches_per_matrix_loop(self):
-        stack = qubit.random_density_matrix(16, np.random.default_rng(17), size=6)
+        stack = qubit.random_density_matrix(np.random.default_rng(17), size=6)
         grid = stack.reshape(2, 3, 16, 16)
         assert np.array_equal(qubit.twirl(stack), [qubit.twirl(m) for m in stack])
         assert np.array_equal(qubit.twirl(grid), qubit.twirl(stack).reshape(grid.shape))
@@ -146,7 +146,7 @@ class TestTwirl:
     def test_stack_matches_pauli_conjugations(self):
         # Independent reference: the mean over the 16 correlated Pauli pairs
         # of U rho U^dagger, built here from pauli().
-        stack = qubit.random_density_matrix(16, np.random.default_rng(18), size=4)
+        stack = qubit.random_density_matrix(np.random.default_rng(18), size=4)
         unitaries = [
             kron(qubit.pauli(r, s), qubit.pauli(r, s), qubit.pauli(rp, sp), qubit.pauli(rp, sp))
             for r, s, rp, sp in itertools.product((0, 1), repeat=4)
@@ -265,7 +265,7 @@ class TestBasisErrorRate:
 
     @pytest.mark.parametrize("u1,u2", list(itertools.product((0, 1), repeat=2)))
     def test_stack_matches_per_matrix_loop(self, u1, u2):
-        stack = qubit.random_density_matrix(16, np.random.default_rng(19), size=10)
+        stack = qubit.random_density_matrix(np.random.default_rng(19), size=10)
         stack = np.concatenate([stack, qubit.twirl(stack)])
         rates = qubit.basis_error_rate(stack, u1, u2)
         single = [qubit.basis_error_rate(m, u1, u2) for m in stack]
@@ -278,7 +278,7 @@ class TestBasisErrorRate:
     def test_general_states_match_outcome_projectors(self, u1, u2):
         # Full-rank states, not Bell-diagonal: the twirl-invariance suite of
         # verify cannot tell the odd outcomes from the even ones, this can.
-        stack = qubit.random_density_matrix(16, np.random.default_rng(23), size=12)
+        stack = qubit.random_density_matrix(np.random.default_rng(23), size=12)
         expected = sum(np.real(np.trace(stack @ proj, axis1=-2, axis2=-1))
                        for proj in odd_outcome_projectors(u1, u2))
         assert np.abs(qubit.basis_error_rate(stack, u1, u2) - expected).max() <= 1e-15
@@ -529,9 +529,9 @@ class TestStackedStates:
 
     def test_stacked_density_matrices_equal_single_draws(self):
         batched, single = np.random.default_rng(15), np.random.default_rng(15)
-        stack = qubit.random_density_matrix(16, batched, size=5)
+        stack = qubit.random_density_matrix(batched, size=5)
         assert stack.shape == (5, 16, 16)
-        assert np.array_equal(stack, [qubit.random_density_matrix(16, single) for _ in range(5)])
+        assert np.array_equal(stack, [qubit.random_density_matrix(single) for _ in range(5)])
         assert batched.bit_generator.state == single.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -539,7 +539,7 @@ class TestStackedStates:
         [
             (holevo_gap, qubit.random_bell_diagonal),
             (relabeling_deviation, qubit.random_bell_diagonal),
-            (twirl_deviations, lambda rng: qubit.random_density_matrix(16, rng)),
+            (twirl_deviations, lambda rng: qubit.random_density_matrix(rng)),
         ],
     )
     def test_checks_leave_the_rng_as_single_draws_do(self, check, draw):
