@@ -18,8 +18,9 @@ its fully resolved configuration for reproducibility, after its input has
 been checked.  This module only parses and renders: the subcommands' work
 is done by the library modules, and
 :func:`strqkd.acceptance_checks.run_verification` runs the verify suites.
-A run of a known subcommand builds only that subcommand's parser, and CSV
-rows are written with one %-format per row type.
+Parsers are built once per process for each subcommand and config, a
+known subcommand's parser holding only its own subparser, and CSV rows are
+written with one %-format per row type.
 """
 
 from __future__ import annotations
@@ -297,6 +298,12 @@ _COMMANDS = {
 }
 
 
+# Finds --config and the command ahead of the full parser.
+_PRE_PARSER = argparse.ArgumentParser(add_help=False)
+_PRE_PARSER.add_argument("--config")
+_PRE_PARSER.add_argument("command", nargs="?")
+
+
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     """Parse ``argv``.  Only the chosen subcommand's parser gets its options,
     with the --config values as their defaults, so explicit flags win.  A
@@ -310,38 +317,18 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     a switch as its value, and reports a string default that its type
     rejects as an error of the flag, with its usage).
 
-    A run of a known subcommand builds only that subcommand's parser.  All
-    five are built where the output may depend on them: without a known
-    command (an error names the choices), with any argument that may be a
-    help flag (top-level help lists every subcommand's help line), and with
-    a "--" (argparse then reads "--" as the command, an invalid choice)."""
+    The config file is read and checked on every call; the parsers are
+    built once per process for each subcommand and config (:func:`_parser`)."""
     argv = sys.argv[1:] if argv is None else argv
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    pre.add_argument("command", nargs="?")
-    known, _ = pre.parse_known_args(argv)
+    known, _ = _PRE_PARSER.parse_known_args(argv)
     config = _load_config(known.config)
-    parser = argparse.ArgumentParser(
-        prog="strqkd",
-        description="Simplified trusted relay QKD simulation and key-rate toolkit",
-    )
-    parser.add_argument("--config", help="JSON config file with default values")
-    parser.add_argument(
-        "--version", action="version", version=f"strqkd {__version__}"
-    )
-    lean = known.command in _COMMANDS and not any(
+    command = known.command if known.command in _COMMANDS else None
+    lean = command is not None and not any(
         arg == "--" or arg.startswith(("-h", "--h")) for arg in argv
     )
-    # The metavar keeps every subcommand in a lean parser's usage line.  Only
-    # a lean parser takes it: argparse also names the argument by it in its
-    # "invalid choice" and "required" errors, which say "command".
-    metavar = "{" + ",".join(_COMMANDS) + "}" if lean else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for command in [known.command] if lean else _COMMANDS:
-        run, help_text, _ = _COMMANDS[command]
-        sub.add_parser(command, help=help_text).set_defaults(func=run)
-    if known.command in _COMMANDS:
-        options = _COMMANDS[known.command][2]
+    defaults = []
+    if command is not None:
+        options = _COMMANDS[command][2]
         # An option's config keys: its flag without the dashes and its dest,
         # the name under which a run prints it.
         names = {}
@@ -350,7 +337,7 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
             names[flag] = dict.fromkeys((name, kwargs.get("dest", name)))
         unknown = sorted(set(config).difference(*names.values()))
         if unknown:
-            _fail(f"{known.command} has no option {', '.join(unknown)}")
+            _fail(f"{command} has no option {', '.join(unknown)}")
         for flag, kwargs in options.items():
             keys = [key for key in names[flag] if key in config]
             if len(keys) > 1:
@@ -362,10 +349,10 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                     # null means "no value", which only an option whose own
                     # default is None can take.
                     if "default" not in kwargs or kwargs["default"] is not None:
-                        _fail(f"{known.command} option {key} needs a value, got null")
+                        _fail(f"{command} option {key} needs a value, got null")
                 elif kwargs.get("action") == "store_true":
                     if not isinstance(value, bool):
-                        _fail(f"{known.command} option {key} must be true or "
+                        _fail(f"{command} option {key} must be true or "
                               f"false, got {json.dumps(value)}")
                 else:
                     convert, choices = kwargs.get("type", str), kwargs.get("choices")
@@ -376,11 +363,44 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                     except ValueError:
                         kind = (f"one of {', '.join(choices)}" if choices
                                 else "an integer" if convert is int else "a number")
-                        _fail(f"{known.command} option {key} must be {kind}, "
+                        _fail(f"{command} option {key} must be {kind}, "
                               f"got {json.dumps(config[key])}")
-                kwargs = {**kwargs, "default": value, "required": False}
-            sub.choices[known.command].add_argument(flag, **kwargs)
-    return parser.parse_args(argv)
+                defaults.append((flag, value, repr(value)))
+    return _parser(command, lean, tuple(defaults)).parse_args(argv)
+
+
+@functools.lru_cache(maxsize=32)
+def _parser(command: str | None, lean: bool, defaults: tuple) -> argparse.ArgumentParser:
+    """The full parser: for a known ``command``, its options take the
+    (flag, value, repr) ``defaults``, the repr keying apart equal values that
+    print differently, such as 0.0 and -0.0.  A ``lean`` parser holds only
+    that command's subparser.  All five are built where the output may depend
+    on them: without a known command (an error names the choices), with any
+    argument that may be a help flag (top-level help lists every
+    subcommand's help line), and with a "--" (argparse then reads "--" as
+    the command, an invalid choice).  A stored parser keeps no state between
+    parses, and argparse reads the help width when it formats."""
+    parser = argparse.ArgumentParser(
+        prog="strqkd",
+        description="Simplified trusted relay QKD simulation and key-rate toolkit",
+    )
+    parser.add_argument("--config", help="JSON config file with default values")
+    parser.add_argument("--version", action="version", version=f"strqkd {__version__}")
+    # The metavar keeps every subcommand in a lean parser's usage line.  Only
+    # a lean parser takes it: argparse also names the argument by it in its
+    # "invalid choice" and "required" errors, which say "command".
+    metavar = "{" + ",".join(_COMMANDS) + "}" if lean else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if lean else _COMMANDS:
+        run, help_text, _ = _COMMANDS[name]
+        sub.add_parser(name, help=help_text).set_defaults(func=run)
+    if command is not None:
+        values = {flag: value for flag, value, _ in defaults}
+        for flag, kwargs in _COMMANDS[command][2].items():
+            if flag in values:
+                kwargs = {**kwargs, "default": values[flag], "required": False}
+            sub.choices[command].add_argument(flag, **kwargs)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:

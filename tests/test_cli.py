@@ -4,6 +4,7 @@ handling, determinism."""
 import argparse
 import ast
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -518,6 +519,16 @@ class TestPrintedConfig:
         run_printed(run, tmp_path)
         assert capsys.readouterr().out == run["stdout"]
 
+    def test_replayed_in_one_process_forward_then_reverse(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # Each run finds the parsers the runs before it left cached.
+        for i, run in enumerate([*PRINTED_RUNS, *reversed(PRINTED_RUNS)]):
+            directory = tmp_path / str(i)
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            run_printed(run, directory)
+            assert capsys.readouterr().out == run["stdout"], run["argv"]
+
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_keys_are_the_option_dests(self, command, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -529,24 +540,43 @@ class TestPrintedConfig:
         assert keys == sorted(dests + ["e_end_to_end"] * (command == "qubit-rate"))
 
 
+def parse_outcomes(argv, capsys):
+    """The namespace or exit code, stdout and stderr of the reference parser
+    and of the CLI's, each parsing ``argv``.  The reference is built in this
+    process, so both sides share the interpreter's argparse wording."""
+    outcomes = []
+    for parse in (reference_parse, cli._parse_args):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        outcomes.append((result, *capsys.readouterr()))
+    return outcomes
+
+
 class TestParser:
     @pytest.mark.parametrize("columns", ["60", "100"])
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
     def test_same_as_parser_with_every_subcommand(self, argv, columns, monkeypatch, capsys):
-        # The reference is built in this process, so both sides share the
-        # interpreter's argparse wording.
         monkeypatch.setenv("COLUMNS", columns)
-        outcomes = []
-        for parse in (reference_parse, cli._parse_args):
-            try:
-                result = vars(parse(argv))
-            except SystemExit as exc:
-                result = exc.code
-            outcomes.append((result, *capsys.readouterr()))
-        assert outcomes[0] == outcomes[1]
+        reference, parsed = parse_outcomes(argv, capsys)
+        assert parsed == reference
 
-    def test_known_subcommand_builds_three_parsers(self, monkeypatch, capsys):
-        # The pre-parser, the top-level parser and the chosen subcommand's.
+    @pytest.mark.parametrize("columns", ["60", "100"])
+    def test_same_as_parser_from_cold_and_warm_cache(self, columns, monkeypatch, capsys):
+        # Every argv parsed by parsers built at one width, then by the stored
+        # ones at both: help and usage take their width from COLUMNS at each
+        # call.
+        cli._parser.cache_clear()
+        for width in [columns, "60", "100"]:
+            monkeypatch.setenv("COLUMNS", width)
+            for argv in PARSER_ARGVS:
+                reference, parsed = parse_outcomes(argv, capsys)
+                assert parsed == reference, argv
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The prog of every ArgumentParser built from here on."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -555,8 +585,45 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return built
+
+    def test_known_subcommand_builds_three_parsers(self, built, capsys):
+        # At most the pre-parser, the top-level parser and the chosen
+        # subcommand's, from a cold cache.
+        cli._parser.cache_clear()
         assert cli.main(["qubit-rate", "--e-link", "0.01"]) == 0
         assert len(built) <= 3, built
+
+    def test_repeat_run_builds_no_parser(self, built, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nodes": 2}))
+        for argv in (["qubit-rate", "--e-link", "0.01"],
+                     ["--config", str(config), "qubit-rate", "--e-link", "0.01"]):
+            assert cli.main(argv) == 0
+            built.clear()
+            assert cli.main(argv) == 0
+            assert built == [], argv
+
+    @pytest.mark.parametrize("argv", [
+        ["qubit-rate", "--e-link", "0.01"],
+        ["fig2-sweep", "--output", os.devnull],
+        ["decoy-sweep", "--loss-db", "0:2:1", "--output", os.devnull],
+        ["montecarlo", "--rounds", "1000", "--nodes", "3"],
+        ["verify", "--trials", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_repeat_run_leaves_no_cyclic_garbage(self, argv, capsys):
+        # argparse's help formatters form reference cycles, so a run that
+        # builds a parser leaves cyclic garbage behind.
+        assert cli.main(argv) == 0
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert cli.main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestConfigFile:
@@ -740,9 +807,39 @@ class TestConfigFile:
         outs = [resolved(argv) for argv in runs]
         assert outs[2:] == outs[:2]
         assert "nodes = 3" in outs[0] and "nodes = 1" in outs[1]
+
+    def test_config_reread_on_every_call(self, tmp_path, monkeypatch, capsys):
         # Same path, new content: the new value.
-        config.write_text(json.dumps({"nodes": 2}))
-        assert "nodes = 2" in resolved(runs[0])
+        monkeypatch.chdir(tmp_path)
+        argv = ["--config", "config.json", "qubit-rate", "--e-link", "0.01"]
+        for nodes in (3, 2):
+            Path("config.json").write_text(json.dumps({"nodes": nodes}))
+            assert cli.main(argv) == 0
+            assert f"  nodes = {nodes}\n" in capsys.readouterr().out
+
+    def test_equal_values_keep_their_own_sign(self, tmp_path, capsys):
+        # 0.0 and -0.0 are equal, yet each run prints its own.
+        config = tmp_path / "cfg.json"
+        for flip in ["-0.0", "0.0", "-0.0"]:
+            config.write_text(f'{{"flip": {flip}}}')
+            assert cli.main(["--config", str(config), "montecarlo", "--rounds", "100"]) == 0
+            assert f"  flip_prob = {flip}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("run", [run for run in PRINTED_RUNS if run["config"] is not None],
+                             ids=lambda run: run["argv"][0])
+    def test_run_without_config_after_one_prints_table_defaults(self, run, tmp_path,
+                                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run_printed(run, tmp_path)
+        capsys.readouterr()
+        assert cli.main(run["argv"]) == 0
+        printed = dict(line[2:].split(" = ", 1)
+                       for line in capsys.readouterr().out.splitlines() if line.startswith("  "))
+        command = run["argv"][0]
+        for flag, kwargs in cli._COMMANDS[command][2].items():
+            if flag not in run["argv"]:
+                dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+                assert printed[dest] == str(kwargs.get("default", False)), flag
 
 
 class TestClosedStdout:
