@@ -18,9 +18,9 @@ its fully resolved configuration for reproducibility, after its input has
 been checked.  This module only parses and renders: the subcommands' work
 is done by the library modules, and
 :func:`strqkd.acceptance_checks.run_verification` runs the verify suites.
-Parsers are built once per process for each subcommand and config, a
-known subcommand's parser holding only its own subparser, and CSV rows are
-written with one %-format per row type.
+The parser is built once per process, config values filling each run's
+namespace rather than its defaults, and CSV rows are written with one
+%-format per row type.
 """
 
 from __future__ import annotations
@@ -137,6 +137,28 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return config
 
 
+# The string options that their handler parses, by (command, flag): the
+# parse function, which raises ValueError, and what it accepts.  The config
+# check parses a config value too, so that only a flag's can fail later.
+_PARSED = {
+    ("fig2-sweep", "--nodes"): (lambda text: [int(v) for v in text.split(",")],
+                                "comma-separated integers"),
+    ("decoy-sweep", "--mu"): (lambda text: None if text == "auto" else float(text),
+                              "'auto' or a number"),
+}
+
+
+def _parsed(args: argparse.Namespace, flag: str) -> Any:
+    """The parsed value of ``args.command``'s string option ``flag``; exit
+    with status 2 when its parse function rejects it."""
+    parse, kind = _PARSED[args.command, flag]
+    text = getattr(args, flag[2:].replace("-", "_"))
+    try:
+        return parse(text)
+    except ValueError:
+        _fail(f"{flag} must be {kind}, got {text!r}")
+
+
 def _cmd_qubit_rate(args: argparse.Namespace) -> int:
     report = keyrate.uniform_str_rate(args.e_link, args.nodes, args.p_z, args.f_ec)
     e_end_to_end = keyrate.compound_error([args.e_link] * (args.nodes + 1))
@@ -147,10 +169,7 @@ def _cmd_qubit_rate(args: argparse.Namespace) -> int:
 
 def _cmd_fig2_sweep(args: argparse.Namespace) -> int:
     grid = parse_grid(args.e_link)
-    try:
-        node_counts = [int(v) for v in args.nodes.split(",")]
-    except ValueError:
-        _fail(f"--nodes must be comma-separated integers, got {args.nodes!r}")
+    node_counts = _parsed(args, "--nodes")
     # Computed first, so that rejected input prints no config.
     rows = keyrate.fig2_curves(grid, node_counts=node_counts)
     _print_config(args)
@@ -167,10 +186,7 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
     if not 0 <= args.nodes <= keyrate.MAX_NODES:
         _fail(f"--nodes must lie in [0, {keyrate.MAX_NODES}], got {args.nodes}")
     num_links = 1 if args.scenario == "conventional" else args.nodes + 1
-    try:
-        mu_fixed = None if args.mu == "auto" else float(args.mu)
-    except ValueError:
-        _fail(f"--mu must be 'auto' or a number, got {args.mu!r}")
+    mu_fixed = _parsed(args, "--mu")
     # The report's fields, in column order.
     terms = ["rate", "entropy_term", "leak_term", "holevo_term", "tagged_term"]
     # The rows are computed first, so that rejected input prints no config.
@@ -279,7 +295,7 @@ _COMMANDS = {
         "--eta-det": dict(type=float, default=0.5, dest="detector_efficiency"),
         "--dark": dict(type=float, default=6e-6, dest="dark_count_prob"),
         "--e-det": dict(type=float, default=0.0185, dest="intrinsic_error"),
-        "--conservative": dict(action="store_true"),
+        "--conservative": dict(action="store_true", default=False),
         "--output": dict(default="decoy.csv"),
     }),
     "montecarlo": (_cmd_montecarlo, "protocol Monte Carlo simulation", {
@@ -298,6 +314,16 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def _print_message(self, message: str, file: Any = None) -> None:
+        # argparse ignores a failed write; help and version on a closed
+        # stdout must raise instead, for main to report.
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 # Finds --config and the command ahead of the full parser.
 _PRE_PARSER = argparse.ArgumentParser(add_help=False)
 _PRE_PARSER.add_argument("--config")
@@ -305,36 +331,30 @@ _PRE_PARSER.add_argument("command", nargs="?")
 
 
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse ``argv``.  Only the chosen subcommand's parser gets its options,
-    with the --config values as their defaults, so explicit flags win.  A
-    config key is an option's flag without its dashes or its dest.  A value
-    is read as if given as a flag: its option's type converts str(value).
-    A key that is not an option of the subcommand, one option under both
-    its keys, a null for an option that needs a value, a value that the
-    option's type rejects or outside its choices, or a switch's value other
+    """Parse ``argv`` into a namespace that holds each option of the chosen
+    subcommand at its --config value, else at its table default; argparse
+    sets only the flags given, so explicit flags win.  A config key is an
+    option's flag without its dashes or its dest.  A value is read as if
+    given as a flag: its option's type converts str(value).  A key that is
+    not an option of the subcommand, one option under both its keys, a null
+    for an option that needs a value, a value that the option's type or
+    parse function rejects or outside its choices, or a switch's value other
     than true or false exits with status 2 and one error line, whatever the
-    flags (argparse checks no default against choices, takes any default of
-    a switch as its value, and reports a string default that its type
-    rejects as an error of the flag, with its usage).
-
-    The config file is read and checked on every call; the parsers are
-    built once per process for each subcommand and config (:func:`_parser`)."""
+    flags.  The config file is read and checked on every call."""
     argv = sys.argv[1:] if argv is None else argv
     known, _ = _PRE_PARSER.parse_known_args(argv)
     config = _load_config(known.config)
-    command = known.command if known.command in _COMMANDS else None
-    lean = command is not None and not any(
-        arg == "--" or arg.startswith(("-h", "--h")) for arg in argv
-    )
-    defaults = []
-    if command is not None:
+    command, values, supplied = known.command, {}, []
+    if command in _COMMANDS:
         options = _COMMANDS[command][2]
         # An option's config keys: its flag without the dashes and its dest,
         # the name under which a run prints it.
         names = {}
         for flag, kwargs in options.items():
             name = flag[2:].replace("-", "_")
-            names[flag] = dict.fromkeys((name, kwargs.get("dest", name)))
+            dest = kwargs.get("dest", name)
+            names[flag] = dict.fromkeys((name, dest))
+            values[dest] = kwargs.get("default")
         unknown = sorted(set(config).difference(*names.values()))
         if unknown:
             _fail(f"{command} has no option {', '.join(unknown)}")
@@ -356,50 +376,44 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                               f"false, got {json.dumps(value)}")
                 else:
                     convert, choices = kwargs.get("type", str), kwargs.get("choices")
+                    parse, kind = _PARSED.get((command, flag), (None, None))
                     try:
                         value = convert(str(value))  # read as if given as a flag
+                        if parse:
+                            parse(value)
                         if choices and value not in choices:
                             raise ValueError
                     except ValueError:
-                        kind = (f"one of {', '.join(choices)}" if choices
-                                else "an integer" if convert is int else "a number")
+                        kind = kind or (f"one of {', '.join(choices)}" if choices
+                                        else "an integer" if convert is int else "a number")
                         _fail(f"{command} option {key} must be {kind}, "
                               f"got {json.dumps(config[key])}")
-                defaults.append((flag, value, repr(value)))
-    return _parser(command, lean, tuple(defaults)).parse_args(argv)
+                *_, dest = names[flag]
+                values[dest] = value
+                if kwargs.get("required"):
+                    supplied.append((command, flag))
+    return _parser(tuple(supplied)).parse_args(argv, argparse.Namespace(**values))
 
 
-@functools.lru_cache(maxsize=32)
-def _parser(command: str | None, lean: bool, defaults: tuple) -> argparse.ArgumentParser:
-    """The full parser: for a known ``command``, its options take the
-    (flag, value, repr) ``defaults``, the repr keying apart equal values that
-    print differently, such as 0.0 and -0.0.  A ``lean`` parser holds only
-    that command's subparser.  All five are built where the output may depend
-    on them: without a known command (an error names the choices), with any
-    argument that may be a help flag (top-level help lists every
-    subcommand's help line), and with a "--" (argparse then reads "--" as
-    the command, an invalid choice).  A stored parser keeps no state between
-    parses, and argparse reads the help width when it formats."""
-    parser = argparse.ArgumentParser(
+@functools.cache
+def _parser(supplied: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
+    """Every subcommand's parser, with no option defaults (_parse_args puts
+    them in the namespace) and the required options ``supplied`` by (command,
+    flag) made optional.  A stored parser keeps no state between parses, and
+    argparse reads the help width when it formats."""
+    parser = _ArgumentParser(
         prog="strqkd",
         description="Simplified trusted relay QKD simulation and key-rate toolkit",
     )
     parser.add_argument("--config", help="JSON config file with default values")
     parser.add_argument("--version", action="version", version=f"strqkd {__version__}")
-    # The metavar keeps every subcommand in a lean parser's usage line.  Only
-    # a lean parser takes it: argparse also names the argument by it in its
-    # "invalid choice" and "required" errors, which say "command".
-    metavar = "{" + ",".join(_COMMANDS) + "}" if lean else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [command] if lean else _COMMANDS:
-        run, help_text, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, help_text, options) in _COMMANDS.items():
         sub.add_parser(name, help=help_text).set_defaults(func=run)
-    if command is not None:
-        values = {flag: value for flag, value, _ in defaults}
-        for flag, kwargs in _COMMANDS[command][2].items():
-            if flag in values:
-                kwargs = {**kwargs, "default": values[flag], "required": False}
-            sub.choices[command].add_argument(flag, **kwargs)
+        for flag, kwargs in options.items():
+            required = kwargs.get("required", False) and (name, flag) not in supplied
+            sub.choices[name].add_argument(
+                flag, **{**kwargs, "default": argparse.SUPPRESS, "required": required})
     return parser
 
 

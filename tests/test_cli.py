@@ -587,12 +587,37 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         return built
 
-    def test_known_subcommand_builds_three_parsers(self, built, capsys):
-        # At most the pre-parser, the top-level parser and the chosen
-        # subcommand's, from a cold cache.
+    def test_one_parser_per_process(self, built, tmp_path, capsys):
+        # From a cold cache, every subcommand run without and with a config
+        # builds the top-level parser and the five subparsers once; a config
+        # that sets the required --e-link builds one more set, and repeat
+        # runs build none.
         cli._parser.cache_clear()
-        assert cli.main(["qubit-rate", "--e-link", "0.01"]) == 0
-        assert len(built) <= 3, built
+        runs = {
+            "qubit-rate": (["--e-link", "0.01"], {"nodes": 2}),
+            "fig2-sweep": (["--e-link", "0:0:1", "--output", os.devnull], {"nodes": "1"}),
+            "decoy-sweep": (["--loss-db", "0:0:1", "--mu", "0.3", "--output", os.devnull],
+                            {"nodes": 2}),
+            "montecarlo": (["--rounds", "1000"], {"nodes": 2}),
+            "verify": (["--trials", "1"], {"seed": 3}),
+        }
+        argvs = []
+        for command, (flags, config) in runs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(config))
+            argvs += [[command, *flags], ["--config", str(path), command, *flags]]
+        e_link = tmp_path / "e_link.json"
+        e_link.write_text(json.dumps({"e_link": 0.01}))
+        one_set = ["strqkd", *(f"strqkd {command}" for command in cli._COMMANDS)]
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+        assert built == one_set
+        assert cli.main(["--config", str(e_link), "qubit-rate"]) == 0
+        assert built == one_set * 2
+        built.clear()
+        for argv in [*argvs, ["--config", str(e_link), "qubit-rate"]]:
+            assert cli.main(argv) == 0, argv
+        assert built == []
 
     def test_repeat_run_builds_no_parser(self, built, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -843,8 +868,8 @@ class TestConfigFile:
 
 
 class TestClosedStdout:
-    # Each subcommand with its output on stdout alone, and a sweep that also
-    # writes its CSV there.
+    # Each subcommand with its output on stdout alone, a sweep that also
+    # writes its CSV there, and help and version.
     ARGVS = {
         "qubit-rate": ["qubit-rate", "--e-link", "0.01"],
         "fig2-sweep": ["fig2-sweep", "--output", os.devnull],
@@ -852,6 +877,10 @@ class TestClosedStdout:
         "montecarlo": ["montecarlo", "--rounds", "1000", "--nodes", "3"],
         "verify": ["verify", "--trials", "1"],
         "fig2-sweep-csv": ["fig2-sweep", "--output", "/dev/stdout"],
+        # argparse's own writes, which it once let fail silently unbuffered.
+        "help": ["--help"],
+        "montecarlo-help": ["montecarlo", "--help"],
+        "version": ["--version"],
     }
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
@@ -1188,6 +1217,10 @@ def run_captured(argv):
               {"nodes": "x"}))
 @example(run=(["montecarlo", "--rounds=10"], {"seed": 2.0}))
 @example(run=(["montecarlo", "--rounds=10"], {"nodes": True}))
+# Config values that their handler's parse rejected, once reported as errors
+# of the flag.
+@example(run=(["decoy-sweep", "--loss-db=0:0:1", f"--output={os.devnull}"], {"mu": True}))
+@example(run=(["fig2-sweep", "--e-link=0:0:1", f"--output={os.devnull}"], {"nodes": [0, 1]}))
 @settings(max_examples=500, deadline=None, derandomize=True)
 def test_every_subcommand_exits_0_or_2_with_one_error_line(run):
     argv, config = run
@@ -1204,9 +1237,11 @@ def test_every_subcommand_exits_0_or_2_with_one_error_line(run):
     assert code == 0 or out == "", out
     if code == 0 and "montecarlo" not in argv:  # nan is its unobserved error rate
         assert not re.search(r"\b(nan|inf)\b", out), out
-    # argparse names the flag whose value it rejects, which must be one given.
-    named = re.search(r"error: argument (--[a-z-]+)", err)
-    assert not named or any(arg.startswith(named[1] + "=") for arg in argv), err
+    # An error line names only flags given, but for the required one missing.
+    for line in errors:
+        for flag in re.findall(r"--[a-z][a-z-]*", line):
+            assert ("required" in line
+                    or any(arg == flag or arg.startswith(flag + "=") for arg in argv)), err
     # A failure that the config alone brings about is one line on stderr.
     if code == 2 and config is not None and run_captured(argv[2:])[0] == 0:
         assert len(err.splitlines()) == 1, err
