@@ -324,10 +324,13 @@ class _ArgumentParser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
-# Finds --config and the command ahead of the full parser.
+# Finds --config and the command ahead of the full parser.  What follows the
+# command is left to the full parser, so a --config there is never read: the
+# full parser rejects it whatever the file holds.
 _PRE_PARSER = argparse.ArgumentParser(add_help=False)
 _PRE_PARSER.add_argument("--config")
 _PRE_PARSER.add_argument("command", nargs="?")
+_PRE_PARSER.add_argument("after_command", nargs=argparse.REMAINDER)
 
 
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:

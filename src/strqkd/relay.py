@@ -57,22 +57,31 @@ into his received bit, so Alice's bit XOR Bob's corrected bit is::
     sent_0 ^ (received_0 ^ sent_1) ^ ... ^ (received_{m-1} ^ sent_m) ^ received_m
         = flip_0 ^ flip_1 ^ ... ^ flip_m
 
-and every sent bit cancels.  Each survivor of link l is therefore one
-token: its basis bit at the link's code position (bit m + 1 - l, the first
-link most significant) ORed with its flip as the lowest bit.  A paired
-event's code, bases and error flag, is the XOR of its links' tokens.  The
+and every sent bit cancels.  A paired event's code, its links' bases and
+then its error bit, therefore needs only each link's basis and flip.  The
 sent bits stay in each block's raw draw, so the random stream is that of
 the reference pipeline, but they are never unpacked.
 
-:func:`run_protocol` streams the blocks in order and XORs each link's
-tokens into one buffer of codes, at that link's next unpaired position.
-After each block the complete codes at the head of the buffer are counted
-and the partial ones behind them, the lead of the longer links, move to the
-front.  Pairing by survival order gives the same pairs however the stream is
-cut, so the table is exactly that of the reference pipeline on the whole
-stream.  The memory held is one block and the lead, whatever the number of
-rounds: a random walk whose typical size is at most sqrt(rounds / 2)
-survivors, below a block up to ``MAX_ROUNDS``.
+:func:`run_protocol` keeps bool bit planes with one column per unpaired
+survivor: a basis plane and a flip plane per link, and an error plane.  It
+streams the blocks in order, and each link writes its basis and flip
+decisions straight into its planes, at its next unpaired column.  After
+each block the complete columns at the head are paired: the error plane
+takes the XOR of the flip planes, the codes are counted, and the partial
+columns behind them, the lead of the longer links, move to the front.
+Pairing by survival order gives the same pairs however the stream is cut,
+so the table is exactly that of the reference pipeline on the whole
+stream.  The planes hold one block and the lead, with 1/32 to spare,
+whatever the number of rounds: the lead is a random walk whose typical
+size is at most sqrt(rounds / 2) survivors, below a block up to
+``MAX_ROUNDS``.
+
+Codes of up to four bits, those of up to three links, are counted from the
+planes packed 64 columns to a word: one AND per set of code bits marks the
+columns that have all of them set, ``np.bitwise_count`` counts those, and
+inclusion-exclusion turns these counts into the count of each code.  Longer
+codes are built from the planes and counted by ``np.bincount``, as the
+reference pipeline counts its codes.
 
 Everything runs on one thread: on two cores, neither a thread pool over
 each block's links nor a thread drawing the next block during pairing beat
@@ -81,6 +90,8 @@ drawing serially.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,9 +214,13 @@ def _raw_bytes(bit_generator: np.random.BitGenerator, count: int) -> np.ndarray:
 
 
 def _bernoulli(
-    bit_generator: np.random.BitGenerator, u: np.ndarray, p: float
+    bit_generator: np.random.BitGenerator,
+    u: np.ndarray,
+    p: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact Bernoulli(p) decisions, one per random byte of ``u``.
+    """Exact Bernoulli(p) decisions, one per random byte of ``u``, written
+    to ``out`` if given.
 
     A byte below ``level = int(256 p)`` succeeds and one above it fails; a
     byte equal to it is decided by fresh bytes against ``256 p - level``.
@@ -214,7 +229,7 @@ def _bernoulli(
     """
     scaled = 256.0 * p
     level = int(scaled)
-    success = u < level
+    success = np.less(u, level, out=out)
     remainder = scaled - level
     if remainder > 0.0:
         ties = np.flatnonzero(u == level)
@@ -224,22 +239,29 @@ def _bernoulli(
     return success
 
 
-def _draw(
-    cfg: ChainConfig, link: int, block: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One (link, block) substream: the survivors' bases (True = X), their
-    packed sent bits and their flips."""
+def _substream(cfg: ChainConfig, link: int, block: int) -> tuple[np.random.BitGenerator, int]:
+    """The (link, block) substream and its survivor count, the first value
+    drawn from it."""
     size = cfg.block_rounds
     n = min(size, cfg.rounds - block * size)
     bit_generator = np.random.PCG64DXSM(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(link, block))
     )
-    kept = int(np.random.Generator(bit_generator).binomial(n, cfg.p_keep))
+    return bit_generator, int(np.random.Generator(bit_generator).binomial(n, cfg.p_keep))
+
+
+def _draw(
+    cfg: ChainConfig, bit_generator: np.random.BitGenerator, basis: np.ndarray, flips: np.ndarray
+) -> np.ndarray:
+    """Write the survivors' bases (True = X) into ``basis`` and their flips
+    into ``flips``, bool arrays of one entry per survivor, from the rest of
+    the substream; returns their packed sent bits."""
+    kept = len(basis)
     packed = (kept + 7) // 8
     raw = _raw_bytes(bit_generator, 2 * kept + packed)
-    basis = _bernoulli(bit_generator, raw[:kept], 1.0 - basis_law(cfg.p_z)[1])
-    flips = _bernoulli(bit_generator, raw[kept + packed : 2 * kept + packed], cfg.flip_prob)
-    return basis, raw[kept : kept + packed], flips
+    _bernoulli(bit_generator, raw[:kept], 1.0 - basis_law(cfg.p_z)[1], basis)
+    _bernoulli(bit_generator, raw[kept + packed : 2 * kept + packed], cfg.flip_prob, flips)
+    return raw[kept : kept + packed]
 
 
 def _num_blocks(cfg: ChainConfig) -> int:
@@ -251,12 +273,14 @@ def run_quantum_phase(cfg: ChainConfig) -> list[SiftedLinkData]:
     streams, concatenated per link."""
     streams = []
     for link in range(cfg.num_links):
-        bases, packed, flips = zip(
-            *(_draw(cfg, link, block) for block in range(_num_blocks(cfg)))
-        )
-        sent = np.concatenate(
-            [np.unpackbits(bits, count=len(basis)) for basis, bits in zip(bases, packed)]
-        )
+        bases, sent, flips = [], [], []
+        for block in range(_num_blocks(cfg)):
+            bit_generator, kept = _substream(cfg, link, block)
+            bases.append(np.empty(kept, dtype=bool))
+            flips.append(np.empty(kept, dtype=bool))
+            packed = _draw(cfg, bit_generator, bases[-1], flips[-1])
+            sent.append(np.unpackbits(packed, count=kept))
+        sent = np.concatenate(sent)
         streams.append(SiftedLinkData(
             basis=np.concatenate(bases).view(np.uint8),
             sent=sent,
@@ -293,33 +317,49 @@ def correct_and_estimate(paired: PairedData) -> ErrorRateTable:
     mismatch = paired.alice_bits ^ paired.bob_bits
     for j in range(paired.parities.shape[1]):
         mismatch ^= paired.parities[:, j]
-    # Shift in one base column per link, the first link ending most
-    # significant, then the error flag as the lowest bit.  Doubling is the
-    # shift: numpy's uint8 left shift is about ten times slower than add.
-    codes = paired.bases[:, 0].astype(np.min_scalar_type((2 << links) - 1))
-    for bit in [*paired.bases.T[1:], mismatch]:
+    codes = _codes([*paired.bases.T, mismatch])
+    return _table(np.bincount(codes, minlength=2 << links))
+
+
+def _codes(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """One code per column of the bit ``rows``, the first row most
+    significant.  Doubling is the shift: numpy's uint8 left shift is about
+    ten times slower than add."""
+    codes = rows[0].astype(np.min_scalar_type((1 << len(rows)) - 1))
+    for row in rows[1:]:
         codes += codes
-        codes |= bit
-    return _table(_count_codes(codes, links))
+        codes |= row
+    return codes
 
 
-def _count_codes(codes: np.ndarray, links: int) -> np.ndarray:
-    """How often each code (link bases, then the error flag) occurs."""
-    bits = links + 1
+@functools.cache
+def _inclusion_exclusion(bits: int) -> np.ndarray:
+    """The matrix whose entry (c, s) is (-1)^(|s| - |c|) when the bits of s
+    include those of c, else 0: it maps the number of columns with every bit
+    of s set, for each s, to the number with code c."""
+    return functools.reduce(np.kron, [np.array([[1, -1], [0, 1]])] * bits)
+
+
+def _count_planes(planes: np.ndarray) -> np.ndarray:
+    """How often each code occurs among the columns of the bool ``planes``,
+    row 0 the code's most significant bit."""
+    bits, n = planes.shape
     if bits > 4:
-        return np.bincount(codes, minlength=1 << bits)
-    # Two rows per key: a pair of codes read as one uint16 w keys as
-    # (w | w >> (8 - bits)) & mask, one code above the other.  Summing both
-    # marginals makes the host's byte order irrelevant.
-    words = codes[: len(codes) & -2].view(np.uint16)
-    keys = words >> (8 - bits)
-    keys |= words
-    keys &= (1 << 2 * bits) - 1
-    pairs = np.bincount(keys, minlength=1 << 2 * bits).reshape(1 << bits, -1)
-    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
-    if len(codes) % 2:
-        counts[codes[-1]] += 1
-    return counts
+        return np.bincount(_codes(planes), minlength=1 << bits)
+    # Row s of every marks, one bit per column packed into 64-bit words, the
+    # columns whose code has every bit of s set.  Rows 2^j are the planes,
+    # zero-padded, and each further bit of s is one AND.
+    words = -(-n // 64)
+    every = np.empty((1 << bits, words), dtype=np.uint64)
+    rows = [1 << (bits - 1 - k) for k in range(bits)]
+    every[rows, -1:] = 0
+    every.view(np.uint8)[rows, : -(-n // 8)] = np.packbits(planes, axis=1)
+    for j in range(1, bits):
+        np.bitwise_and(every[1 : 1 << j], every[1 << j], out=every[(1 << j) + 1 : 2 << j])
+    every_set = np.empty(1 << bits, dtype=np.int64)
+    every_set[0] = n
+    np.bitwise_count(every[1:]).sum(axis=1, out=every_set[1:])
+    return _inclusion_exclusion(bits) @ every_set
 
 
 def _table(counts: np.ndarray) -> ErrorRateTable:
@@ -329,35 +369,39 @@ def _table(counts: np.ndarray) -> ErrorRateTable:
 
 def run_protocol(cfg: ChainConfig) -> tuple[ErrorRateTable, list[int]]:
     """Full pipeline: quantum phase, pairing, correction, estimation,
-    streamed block by block as tokens, as the module docstring describes.
+    streamed block by block as bit planes, as the module docstring
+    describes.
 
     Returns the error table and per-link survivor counts, exactly those of
     the reference pipeline on the whole of :func:`run_quantum_phase`.
     """
     links = cfg.num_links
-    dtype = np.min_scalar_type((2 << links) - 1)
     counts = np.zeros(2 << links, dtype=np.int64)
     survivors = [0] * links
-    # codes[i] is the XOR of the tokens of the i-th unpaired survivor of
-    # every link that has drawn it; unwritten entries are zero.
-    codes = np.zeros(0, dtype=dtype)
+    # Column i holds the i-th unpaired survivor of each link that has drawn
+    # it: rows 0 to links - 1 its bases, row links + 1 + l link l's flip.
+    # Row links takes the XOR of the flips, the code's error bit.
+    planes = np.empty((2 * links + 1, 0), dtype=bool)
     paired = 0  # survivors of each link paired so far
     for block in range(_num_blocks(cfg)):
-        for link in range(links):
-            basis, _, flips = _draw(cfg, link, block)
+        draws = [_substream(cfg, link, block) for link in range(links)]
+        need = max(s - paired + kept for s, (_, kept) in zip(survivors, draws))
+        if need > planes.shape[1]:
+            # The lead moves by a random walk, so a little room to spare
+            # saves most later blocks a regrowth.
+            held = max(survivors) - paired
+            grown = np.empty((len(planes), need + need // 32), dtype=bool)
+            grown[:, :held] = planes[:, :held]
+            planes = grown
+        for link, (bit_generator, kept) in enumerate(draws):
             start = survivors[link] - paired
-            survivors[link] += len(basis)
-            end = survivors[link] - paired
-            if end > len(codes):
-                codes = np.pad(codes, (0, max(end - len(codes), len(codes))))
-            token = basis * dtype.type(1 << (links - link))
-            token |= flips
-            segment = codes[start:end]
-            segment ^= token
+            end = start + kept
+            _draw(cfg, bit_generator, planes[link, start:end], planes[links + 1 + link, start:end])
+            survivors[link] += kept
         n = min(survivors) - paired
-        counts += _count_codes(codes[:n], links)
+        np.bitwise_xor.reduce(planes[links + 1 :, :n], axis=0, out=planes[links, :n])
+        counts += _count_planes(planes[: links + 1, :n])
         held = max(survivors) - paired
-        codes[: held - n] = codes[n:held]
-        codes[held - n : held] = 0
+        planes[:, : held - n] = planes[:, n:held]
         paired += n
     return _table(counts), survivors

@@ -288,6 +288,9 @@ class TestMonteCarlo:
             ("montecarlo.csv", "0.01", "150000000", "0.5"),
             # Three blocks that each pair and leave a carry, about 1.1 M rows.
             ("montecarlo_dense.csv", "1", "2200000", "0.5"),
+            # The same with 1 and 2 links, whose codes take 2 and 3 bits.
+            ("montecarlo_dense_nodes0.csv", "1", "2200000", "0.5"),
+            ("montecarlo_dense_nodes1.csv", "1", "2200000", "0.5"),
             # The same with 8 links, the shortest chain whose codes need uint16.
             ("montecarlo_wide.csv", "1", "2200000", "0.5"),
             # The first two with biased bases, where the survival and X-basis
@@ -299,7 +302,8 @@ class TestMonteCarlo:
     def test_stream_matches_golden_csv(self, golden, detect, rounds, p_z, tmp_path, capsys):
         # Pinned byte for byte.
         out = tmp_path / golden
-        nodes = "7" if golden == "montecarlo_wide.csv" else "2"
+        nodes = {"montecarlo_wide.csv": "7", "montecarlo_dense_nodes0.csv": "0",
+                 "montecarlo_dense_nodes1.csv": "1"}.get(golden, "2")
         argv = ["montecarlo", "--nodes", nodes, "--flip", "0.05", "--detect", detect,
                 "--rounds", rounds, "--seed", "5", "--p-z", p_z]
         assert cli.main(argv + ["--output", str(out)]) == 0
@@ -704,6 +708,19 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: montecarlo has no option workers\n"
+
+    @pytest.mark.parametrize("content", [{"bogus": 1}, {"nodes": 3}])
+    def test_config_after_the_command_is_not_read(self, content, tmp_path, capsys):
+        # --config is a top-level option: after the command argparse rejects
+        # it, with the same error whatever the file holds.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(content))
+        assert exit_code(["qubit-rate", "--e-link", "0.01", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"strqkd: error: unrecognized arguments: --config {config}"
+        )
 
     def test_bad_config_rejected(self, tmp_path):
         config = tmp_path / "bad.json"

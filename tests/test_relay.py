@@ -400,8 +400,10 @@ class TestBlockSize:
         cfg = relay.ChainConfig(
             num_nodes=2, rounds=relay.MAX_ROUNDS, flip_prob=0.05, detect_prob=detect
         )
-        draws, draw = [], relay._draw
-        monkeypatch.setattr(relay, "_draw", lambda *args: draws.append(args) or draw(*args))
+        draws, substream = [], relay._substream
+        monkeypatch.setattr(
+            relay, "_substream", lambda *args: draws.append(args) or substream(*args)
+        )
         start = time.perf_counter()
         table, survivors = relay.run_protocol(cfg)
         assert time.perf_counter() - start < 1.0
@@ -421,7 +423,7 @@ class TestStreaming:
         "sparse": (dict(num_nodes=1, detect_prob=1e-3), 3, 777, 4),
         "biased": (dict(num_nodes=3, p_z=0.3, detect_prob=0.37), 2, 55, 3),
     }
-    # Each edge of the token dtype: 7 links fill uint8, 8 links take
+    # Each edge of the code dtype: 7 links fill uint8, 8 links take
     # uint16 and 17 uint32.  The first two blocks each pair; the last one,
     # of 3 rounds, leaves some links without a survivor.
     CASES |= {
@@ -441,21 +443,23 @@ class TestStreaming:
         links = relay.run_quantum_phase(cfg)
         whole = relay.correct_and_estimate(relay.pair_and_announce(links))
         drawn, paired, carries = [], [], []
-        draw, count = relay._draw, relay._count_codes
+        substream, count = relay._substream, relay._count_planes
 
-        def draw_spy(cfg, link, block):
-            basis, packed, flips = draw(cfg, link, block)
-            drawn.append((link, len(basis)))
-            return basis, packed, flips
+        def substream_spy(cfg, link, block):
+            bit_generator, kept = substream(cfg, link, block)
+            drawn.append((link, kept))
+            return bit_generator, kept
 
-        def count_spy(codes, links):
-            paired.append(len(codes))
-            longest = max(sum(k for j, k in drawn if j == link) for link in range(links))
+        def count_spy(planes):
+            paired.append(planes.shape[1])
+            longest = max(
+                sum(k for j, k in drawn if j == link) for link in range(cfg.num_links)
+            )
             carries.append(longest - sum(paired))
-            return count(codes, links)
+            return count(planes)
 
-        monkeypatch.setattr(relay, "_draw", draw_spy)
-        monkeypatch.setattr(relay, "_count_codes", count_spy)
+        monkeypatch.setattr(relay, "_substream", substream_spy)
+        monkeypatch.setattr(relay, "_count_planes", count_spy)
         table, survivors = relay.run_protocol(cfg)
         assert table.errors.tolist() == whole.errors.tolist()
         assert table.samples.tolist() == whole.samples.tolist()
@@ -479,6 +483,36 @@ class TestStreaming:
                 tracemalloc.stop()
 
         assert peak(16) <= 1.25 * peak(4)
+
+    def test_peak_memory_one_block_and_the_lead(self):
+        # Six dense blocks over three links.  The bound is the traced peak,
+        # at this config, of the XOR-ed code buffer that the bit planes
+        # replaced; planes grown by doubling would exceed it.
+        cfg = relay.ChainConfig(num_nodes=2, rounds=6 * relay.BLOCK_SIZE, flip_prob=0.05, seed=13)
+        relay.run_protocol(cfg)  # a first run also loads modules
+        tracemalloc.start()
+        try:
+            relay.run_protocol(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_445_087
+
+
+class TestCountPlanes:
+    # Each plane is packed 64 columns to a word, zero-padded: these counts
+    # end the columns at a word's start, inside and at its end, then one
+    # block's worth.  The planes are the leading columns of longer rows, as
+    # run_protocol passes them, with set bits beyond.
+    @pytest.mark.parametrize("links", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 63, 64, 65, relay.BLOCK_SIZE])
+    def test_equals_bincount(self, links, n):
+        bits = links + 1
+        codes = np.random.default_rng([links, n]).integers(0, 1 << bits, n)
+        planes = np.ones((bits, n + 100), dtype=bool)
+        planes[:, :n] = codes >> np.arange(bits - 1, -1, -1)[:, None] & 1
+        counts = relay._count_planes(planes[:, :n])
+        assert counts.tolist() == np.bincount(codes, minlength=1 << bits).tolist()
 
 
 class TestCompoundError:
