@@ -27,22 +27,27 @@ rounds, with the largest k >= 0 that keeps its expected survivors at most
 for ``p_keep > 1/4``, and for a sparse run a few full blocks, not many
 nearly empty ones at a fixed cost each.
 
-Each basis and flip decision compares one random byte with the leading
-byte of the binary expansion of its probability, and only the 1 in 256
-bytes that tie with it read further bytes against the rest of the
-expansion (Knuth & Yao, 1976).  The decisions are therefore exactly
-Bernoulli(p), with no rounding of p to a grid, at about one byte each.
+Each basis and flip decision reads a b-bit random value: a value below
+``int(2^b p)``, the leading b bits of the binary expansion of its
+probability p, succeeds, one above it fails, and one equal to it reads
+further bytes against the rest of the expansion (Knuth & Yao, 1976).  A
+decision set whose probability is exactly 1/2, as the bases are at p_z =
+1/2, takes b = 1: one bit per decision, read most significant bit first as
+``np.unpackbits`` reads them, where a 0 bit succeeds and none reads on.
+Every other takes b = 8, one byte per decision, of which 1 in 256 ties.
+The decisions are therefore exactly Bernoulli(p), with no rounding of p to
+a grid, at about one byte each, or one bit at p = 1/2.
 
 Randomness is drawn from per-(link, block) PCG64DXSM substreams keyed on
 the scenario seed through ``SeedSequence(entropy=seed, spawn_key=(link,
 block))`` (O'Neill, 2014).  Each block takes its survivor count,
-then one raw draw holding the basis bytes, the packed sent bits and the
-flip bytes in that order, then the bytes that resolve basis ties and then
-flip ties.  Bytes are read from the raw 64-bit words in little-endian
-order on every host, so results are bit-identical on any host for one
-numpy version.  The survivor count comes from ``Generator.binomial``,
-whose stream NEP 19 lets numpy change between versions; the stream
-goldens were drawn with numpy 2.4.6.
+then one raw draw holding the basis values and then the flip values, then
+the bytes that resolve basis ties and then flip ties, and last the packed
+sent bits, which only the reference pipeline draws.  Bytes are read from
+the raw 64-bit words in little-endian order on every host, so results are
+bit-identical on any host for one numpy version.  The survivor count comes
+from ``Generator.binomial``, whose stream NEP 19 lets numpy change between
+versions; the stream goldens were drawn with numpy 2.4.6.
 
 The three stage functions :func:`run_quantum_phase`, :func:`pair_and_announce`
 and :func:`correct_and_estimate` are the reference pipeline: they spell the
@@ -59,8 +64,9 @@ into his received bit, so Alice's bit XOR Bob's corrected bit is::
 
 and every sent bit cancels.  A paired event's code, its links' bases and
 then its error bit, therefore needs only each link's basis and flip.  The
-sent bits stay in each block's raw draw, so the random stream is that of
-the reference pipeline, but they are never unpacked.
+sent bits come last in each substream, after every byte a decision reads,
+so :func:`run_protocol` leaves them undrawn and still reads the stream of
+the reference pipeline.
 
 :func:`run_protocol` keeps bool bit planes with one column per unpaired
 survivor: a basis plane and a flip plane per link, and an error plane.  It
@@ -91,6 +97,7 @@ drawing serially.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -218,16 +225,18 @@ def _bernoulli(
     u: np.ndarray,
     p: float,
     out: np.ndarray | None = None,
+    bits: int = 8,
 ) -> np.ndarray:
-    """Exact Bernoulli(p) decisions, one per random byte of ``u``, written
-    to ``out`` if given.
+    """Exact Bernoulli(p) decisions, one per ``bits``-bit value of ``u``,
+    written to ``out`` if given.
 
-    A byte below ``level = int(256 p)`` succeeds and one above it fails; a
-    byte equal to it is decided by fresh bytes against ``256 p - level``.
-    Both quantities are exact in binary floating point, so the law is
-    exactly Bernoulli(p).  A tie against a zero remainder fails.
+    A value below ``level = int(2^bits p)`` succeeds and one above it
+    fails; a value equal to it is decided by fresh bytes against
+    ``2^bits p - level``.  Both quantities are exact in binary floating
+    point, so the law is exactly Bernoulli(p).  A tie against a zero
+    remainder fails.
     """
-    scaled = 256.0 * p
+    scaled = (1 << bits) * p
     level = int(scaled)
     success = np.less(u, level, out=out)
     remainder = scaled - level
@@ -252,16 +261,22 @@ def _substream(cfg: ChainConfig, link: int, block: int) -> tuple[np.random.BitGe
 
 def _draw(
     cfg: ChainConfig, bit_generator: np.random.BitGenerator, basis: np.ndarray, flips: np.ndarray
-) -> np.ndarray:
+) -> None:
     """Write the survivors' bases (True = X) into ``basis`` and their flips
     into ``flips``, bool arrays of one entry per survivor, from the rest of
-    the substream; returns their packed sent bits."""
+    the substream: one raw draw holding the basis values and then the flip
+    values, then the basis tie bytes and then the flip tie bytes.  A
+    decision set of probability exactly 1/2 takes one bit per survivor, read
+    most significant bit first; any other takes one byte per survivor."""
     kept = len(basis)
-    packed = (kept + 7) // 8
-    raw = _raw_bytes(bit_generator, 2 * kept + packed)
-    _bernoulli(bit_generator, raw[:kept], 1.0 - basis_law(cfg.p_z)[1], basis)
-    _bernoulli(bit_generator, raw[kept + packed : 2 * kept + packed], cfg.flip_prob, flips)
-    return raw[kept : kept + packed]
+    probs = (1.0 - basis_law(cfg.p_z)[1], cfg.flip_prob)
+    split, end = itertools.accumulate((kept + 7) // 8 if p == 0.5 else kept for p in probs)
+    raw = _raw_bytes(bit_generator, end)
+    for out, p, values in zip((basis, flips), probs, (raw[:split], raw[split:end])):
+        if p == 0.5:
+            _bernoulli(bit_generator, np.unpackbits(values, count=kept), p, out, bits=1)
+        else:
+            _bernoulli(bit_generator, values, p, out)
 
 
 def _num_blocks(cfg: ChainConfig) -> int:
@@ -270,7 +285,9 @@ def _num_blocks(cfg: ChainConfig) -> int:
 
 def run_quantum_phase(cfg: ChainConfig) -> list[SiftedLinkData]:
     """Every link's whole sifted stream: the blocks :func:`run_protocol`
-    streams, concatenated per link."""
+    streams, concatenated per link.  Each block draws its decisions as
+    :func:`run_protocol` does, then its packed sent bits, which
+    :func:`run_protocol` leaves undrawn."""
     streams = []
     for link in range(cfg.num_links):
         bases, sent, flips = [], [], []
@@ -278,7 +295,8 @@ def run_quantum_phase(cfg: ChainConfig) -> list[SiftedLinkData]:
             bit_generator, kept = _substream(cfg, link, block)
             bases.append(np.empty(kept, dtype=bool))
             flips.append(np.empty(kept, dtype=bool))
-            packed = _draw(cfg, bit_generator, bases[-1], flips[-1])
+            _draw(cfg, bit_generator, bases[-1], flips[-1])
+            packed = _raw_bytes(bit_generator, (kept + 7) // 8)
             sent.append(np.unpackbits(packed, count=kept))
         sent = np.concatenate(sent)
         streams.append(SiftedLinkData(

@@ -61,26 +61,46 @@ class TestQuantumPhase:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             relay.ChainConfig(num_nodes=0, rounds=10, flip_prob=0.0, seed=-1)
 
-    def test_first_block_rebuilt_from_numpy(self):
+    @pytest.mark.parametrize("p_z", [0.5, 0.3])
+    def test_first_block_rebuilt_from_numpy(self, p_z):
         # The stream the module docstring specifies, rebuilt with numpy
-        # alone.  At p_z = 1/2 and flip 1/16 both decisions compare a byte
-        # with a level and a zero remainder, so no tie bytes are read.
+        # alone.  A flip at 1/16 is a byte below 16, with a zero remainder,
+        # so flips read no tie bytes.  At p_z = 1/2 a basis is X with
+        # probability 1/2: one bit, X when 0.  At p_z = 0.3 it is X with
+        # probability 49/58, 216.28 / 256: a byte below 216 is X, and one
+        # equal to it ties and reads one byte after the main draw, X below
+        # int(256 * 0.2759) = 70.
         seed = 31
         cfg = relay.ChainConfig(
-            num_nodes=1, rounds=20_000, flip_prob=1 / 16, detect_prob=0.8, seed=seed
+            num_nodes=1, rounds=20_000, flip_prob=1 / 16, detect_prob=0.8, p_z=p_z, seed=seed
         )
         for link, data in enumerate(relay.run_quantum_phase(cfg)):
             bit_generator = np.random.PCG64DXSM(
                 np.random.SeedSequence(entropy=seed, spawn_key=(link, 0))
             )
-            kept = int(np.random.Generator(bit_generator).binomial(cfg.rounds, 0.4))
+            p_keep = 0.8 * (p_z * p_z + (1 - p_z) * (1 - p_z))
+            kept = int(np.random.Generator(bit_generator).binomial(cfg.rounds, p_keep))
+
+            def draw(count):
+                words = bit_generator.random_raw((count + 7) // 8)
+                return words.astype("<u8").view(np.uint8)[:count]
+
             packed = (kept + 7) // 8
-            words = bit_generator.random_raw((2 * kept + packed + 7) // 8)
-            raw = words.astype("<u8").view(np.uint8)
-            sent = np.unpackbits(raw[kept : kept + packed], count=kept)
-            flips = raw[kept + packed : 2 * kept + packed] < 16
+            if p_z == 0.5:
+                raw = draw(packed + kept)
+                basis = np.unpackbits(raw[:packed], count=kept) == 0
+                flips = raw[packed:] < 16
+            else:
+                raw = draw(2 * kept)
+                basis = raw[:kept] < 216
+                ties = np.flatnonzero(raw[:kept] == 216)
+                fresh = draw(ties.size)
+                assert ties.size > 0 and not (fresh == 70).any()
+                basis[ties] = fresh < 70
+                flips = raw[kept:] < 16
+            sent = np.unpackbits(draw(packed), count=kept)
             assert len(data) == kept > 0
-            assert (data.basis == (raw[:kept] < 128)).all()
+            assert (data.basis == basis).all()
             assert (data.sent == sent).all()
             assert (data.received == sent ^ flips).all()
 
@@ -469,6 +489,44 @@ class TestStreaming:
             assert min(carries) > 0
         if "links" in case:
             assert any(k == 0 for _, k in drawn)
+
+    @pytest.mark.parametrize("p_z", [0.5, 0.3])
+    def test_draws_only_what_it_reads(self, p_z, monkeypatch):
+        # Each (link, block) draws its decisions in one raw draw: at p_z =
+        # 1/2 a bit per basis, otherwise a byte, and a byte per flip.  Flips
+        # at 1/16 leave no ties, so every later draw resolves basis ties,
+        # one byte for each tie the previous draw left, and no sent bits are
+        # drawn.
+        cfg = relay.ChainConfig(
+            num_nodes=1, rounds=2 * relay.BLOCK_SIZE + 777, flip_prob=1 / 16, p_z=p_z, seed=3
+        )
+        substreams, draws = [], []
+        substream, raw_bytes = relay._substream, relay._raw_bytes
+
+        def substream_spy(*args):
+            substreams.append(substream(*args))
+            return substreams[-1]
+
+        def raw_bytes_spy(bit_generator, count):
+            raw = raw_bytes(bit_generator, count)
+            draws.append((bit_generator, count, raw[:count].copy()))
+            return raw
+
+        monkeypatch.setattr(relay, "_substream", substream_spy)
+        monkeypatch.setattr(relay, "_raw_bytes", raw_bytes_spy)
+        relay.run_protocol(cfg)
+        assert len(substreams) == 2 * 3
+        for bit_generator, kept in substreams:
+            (count, raw), *ties = [(n, r) for g, n, r in draws if g is bit_generator]
+            if p_z == 0.5:
+                assert count == (kept + 7) // 8 + kept and not ties
+                continue
+            assert count == 2 * kept
+            scaled, previous = 256 * 49 / 58, raw[:kept]
+            for count, fresh in [*ties, (0, None)]:
+                assert count == np.count_nonzero(previous == int(scaled))
+                scaled, previous = 256 * (scaled - int(scaled)), fresh
+            assert ties
 
     def test_peak_memory_flat_in_rounds(self):
         def peak(blocks):
