@@ -7,18 +7,20 @@ state onto the Bell-diagonal family, basis-dependent error-rate functionals,
 and a numerical Holevo oracle that certifies the entropic bound used by the
 key-rate formulas.
 
-The security quantities of a Bell-diagonal state all come from one array,
-``_BRANCH_AMPS``: the node's four rotated-Bell bras (a, b) applied to each
-tensored Bell state.  The announcement statistics and the states left on
-Alice's and Bob's qubits (A, B) are linear in the 16 Bell weights, so each is
-a table built from those amplitudes and contracted with the weights.  The
-Holevo oracle never forms Eve's 16x16 states: the canonical purification is
-pure on (A, B, E) for each announcement, also once Alice's bit is fixed, so
-Eve's state has the nonzero spectrum of the branch's state on (A, B).  Each
-tensored Bell state leaves a multiple of one rotated-Bell vector on (A, B)
-(entanglement swapping), and of one of Bob's basis-u2 states on B once
-Alice's bit is fixed, so the branch states are diagonal in fixed bases and
-their spectra are tables as well: the oracle needs no eigensolver.
+The security quantities of a Bell-diagonal state all come from one integer
+map, ``_BRANCH_CELL``.  Projecting the node's qubits onto announcement
+(a, b) leaves each tensored Bell state as one vector of the rotated Bell
+basis on Alice's and Bob's qubits (A, B), with weight 1/4 (entanglement
+swapping); the map names that vector, by an XOR of Bell and announcement
+bits.  The announcement statistics and the states left on (A, B) are linear
+in the 16 Bell weights, so each is a table of constant weights placed by the
+map (0 or 1/4, and 1/8 for Alice's and Bob's outcomes) and contracted with
+the weights.  The Holevo oracle never forms Eve's 16x16 states: the
+canonical purification is pure on (A, B, E) for each announcement, also
+once Alice's bit is fixed, so Eve's state has the nonzero spectrum of the
+branch's state on (A, B), or on B.  Those states are diagonal in the
+rotated Bell basis, and in Bob's basis once Alice's bit is fixed, so their
+spectra are tables as well: the oracle needs no eigensolver.
 
 Every kernel that takes Bell weights also takes a stack of states, an array
 of shape (..., 16), and returns one result per state; a single 16-vector
@@ -150,61 +152,54 @@ _TWIRL_INDEX, _TWIRL_SIGN = _signed_permutation_tables(_TWIRL_UNITARIES)
 # _BB84_BRA[u][x] = <phi^u_x|.
 _BB84_BRA = np.array([[bb84_vector(u, x).conj() for x in (0, 1)] for u in (0, 1)])
 
-# _ROTATED_BELL_BRA[u1, u2, a, b] = the (a, b) rotated-Bell bra on (T, T').
-_ROTATED_BELL_BRA = np.array(
-    [[rotated_bell_basis(u1, u2) for u2 in (0, 1)] for u1 in (0, 1)]
-).conj().reshape(2, 2, 2, 2, 2, 2)
-
-# _BRANCH_AMPS[u1, u2, i, a, b, A, B]: the (a, b) rotated-Bell bra applied to
-# the node's qubits (T, T') of tensored Bell state i, leaving a vector on (A, B).
-_BRANCH_AMPS = np.einsum(
-    "UVabtu,AtuBi->UViabAB",
-    _ROTATED_BELL_BRA,
-    _BELL_BASIS_16.reshape(2, 2, 2, 2, 16),
-    order="C",
-)
+# Entanglement swapping (Zukowski et al., PRL 71, 4287, 1993): the node's
+# (a, b) bra in bases (u1, u2), applied to the node's qubits (T, T') of
+# tensored Bell state i = 8 a1 + 4 b1 + 2 a2 + b2, leaves 1/2 times one
+# vector of the rotated Bell basis of (u1, u2) on (A, B), up to a phase: the
+# (c, d) vector, with (sums mod 2)
+#   c = (u1 ? b1 : a1) + (u2 ? b2 : a2) + a,
+#   d = (u1 ? a1 : b1) + (u2 ? a2 : b2) + b.
+# A Hadamard on both halves of a link exchanges its two Bell bits, and the
+# Pauli frames of the two links and of the announcement compose by XOR.
 
 
-def _outer(amps: np.ndarray) -> np.ndarray:
-    return amps[..., :, None] * amps[..., None, :].conj()
+def _swap_cells() -> np.ndarray:
+    # [u1, u2, i, a, b] -> 2 c + d.
+    u1, u2, a1, b1, a2, b2, a, b = np.indices((2,) * 8)
+    c = np.where(u1, b1, a1) ^ np.where(u2, b2, a2) ^ a
+    d = np.where(u1, a1, b1) ^ np.where(u2, a2, b2) ^ b
+    return (2 * c + d).reshape(2, 2, 16, 2, 2)
 
 
-def _diagonal_weights(amps: np.ndarray) -> np.ndarray:
-    # |amp|^2 over the last axis: the diagonal of each rank-one term
-    # |amp><amp| in the basis the amplitudes are taken in.  Each term must be
-    # diagonal there; then so is every weighted sum of terms, and its
-    # spectrum is the same sum of these diagonals.
-    terms = _outer(amps)
-    assert np.abs(terms[..., ~np.eye(amps.shape[-1], dtype=bool)]).max() <= 1e-12
-    return np.abs(amps) ** 2
+_BRANCH_CELL = _swap_cells()
 
 
-# Tables over (u1, u2, i, ...), each linear in the weights alpha_i:
-# _BRANCH_STATES[..., a, b, AB, A'B'], the unnormalised state on (A, B) left
-# by announcement (a, b); _BRANCH_SPECTRA[..., a, b, c, d], its spectrum, the
-# weight of each term on the (c, d) vector of the rotated Bell basis of
-# (u1, u2) on (A, B), one vector per term (entanglement swapping); and
-# _SIGNAL_PROBS[..., a, b, x, y], the probability of (a, b) with outcomes x, y
-# of Alice and Bob in bases u1, u2.  Once Alice's qubit is projected onto her
-# key bit x, the state on B is diagonal in Bob's basis u2, so
-# _SIGNAL_PROBS[..., a, b, x, :] is also its spectrum.
-_BRANCH_STATES = _outer(_BRANCH_AMPS.reshape(2, 2, 16, 2, 2, 4))
-_BRANCH_SPECTRA = _diagonal_weights(np.einsum(
-    "UVcdAB,UViabAB->UViabcd", _ROTATED_BELL_BRA, _BRANCH_AMPS, order="C"
-).reshape(2, 2, 16, 2, 2, 4))
-_SIGNAL_PROBS = _diagonal_weights(np.einsum(
-    "UxA,VyB,UViabAB->UViabxy", _BB84_BRA, _BB84_BRA, _BRANCH_AMPS, order="C"
-))
+def _branch_tables(cell: np.ndarray) -> tuple[np.ndarray, ...]:
+    # The tables below from a cell map of _BRANCH_CELL's shape.
+    bases = np.array([[rotated_bell_basis(u1, u2) for u2 in (0, 1)] for u1 in (0, 1)])
+    projectors = bases[..., :, None] * bases[..., None, :].conj() / 4
+    u1, u2 = np.indices(cell.shape)[:2]
+    d = cell & 1
+    return (
+        projectors[u1, u2, cell],
+        np.where(cell[..., None] == np.arange(4), 0.25, 0.0),
+        np.where(d[..., None, None] == np.arange(2)[:, None] ^ np.arange(2), 0.125, 0.0),
+        np.stack((np.full(cell.shape, 0.25), 0.25 * (d ^ np.arange(2))), axis=-1),
+    )
 
-# _ODD[b, x, y]: Alice's bit x and Bob's bit y disagree after his b-correction.
-_ODD = np.indices((2, 2, 2)).sum(axis=0) % 2
 
-# _ANNOUNCEMENT_TABLE[u1, u2, i, a, b, k]: for tensored Bell state i, the
-# probability of announcement (a, b) (k = 0) and of (a, b) with Alice's and
-# Bob's corrected bits disagreeing (k = 1).
-_ANNOUNCEMENT_TABLE = np.stack(
-    (_SIGNAL_PROBS.sum(axis=(-2, -1)), (_SIGNAL_PROBS * _ODD).sum(axis=(-2, -1))), axis=-1
-)
+# Tables over (u1, u2, i, a, b, ...), each linear in the weights alpha_i:
+# _BRANCH_STATES[..., AB, A'B'], the unnormalised state on (A, B) left by
+# announcement (a, b), 1/4 times the projector onto the cell's vector;
+# _BRANCH_SPECTRA[..., c, d], its spectrum, 1/4 at the cell;
+# _SIGNAL_PROBS[..., x, y], the probability of (a, b) with outcomes x, y of
+# Alice and Bob in bases u1, u2, 1/8 where x + y = d; and
+# _ANNOUNCEMENT_TABLE[..., k], the probability of (a, b) (k = 0) and of
+# (a, b) with Alice's and Bob's corrected bits disagreeing, x + y + b = d + b
+# odd (k = 1).  Once Alice's qubit is projected onto her key bit x, the state
+# on B is diagonal in Bob's basis u2, so _SIGNAL_PROBS[..., x, :] is also its
+# spectrum.
+_BRANCH_STATES, _BRANCH_SPECTRA, _SIGNAL_PROBS, _ANNOUNCEMENT_TABLE = _branch_tables(_BRANCH_CELL)
 
 
 def _error_operator(u1: int, u2: int) -> np.ndarray:
@@ -278,10 +273,11 @@ def bell_diagonal_to_density(alpha) -> np.ndarray:
     """Four-qubit state sum alpha_{a,b,a',b'} |Phi_{a,b}><Phi_{a,b}| x
     |Phi_{a',b'}><Phi_{a',b'}|; a fixed point of the twirl.
 
-    ``alpha`` is 16 non-negative weights in (a, b, a', b') lex order.
+    ``alpha`` is 16 non-negative weights in (a, b, a', b') lex order; a
+    (..., 16) stack gives a (..., 16, 16) stack of states.
     """
     arr = _as_alpha(alpha)
-    return (_BELL_BASIS_16 * arr) @ _BELL_BASIS_16.conj().T
+    return (_BELL_BASIS_16 * arr[..., None, :]) @ _BELL_BASIS_16.conj().T
 
 
 def basis_error_rate(rho, u1: int, u2: int) -> float | np.ndarray:

@@ -188,6 +188,13 @@ class TestBellDiagonalStates:
         with pytest.raises(ValueError):
             qubit.bell_diagonal_to_density(np.ones(16))
 
+    @pytest.mark.parametrize("n", [1, 16, 17])
+    def test_stack_matches_per_state(self, n):
+        alphas = qubit.random_bell_diagonal(np.random.default_rng(0), n)
+        rho = qubit.bell_diagonal_to_density(alphas)
+        assert rho.shape == (n, 16, 16)
+        assert np.array_equal(rho, [qubit.bell_diagonal_to_density(a) for a in alphas])
+
 
 def pair_weights_from_flip(w):
     """Bell weights of a pair with bit-flip probability w: (a, b) lex."""
@@ -346,6 +353,55 @@ def reference_holevo(alpha, u1, u2):
     return max(0.0, chi)
 
 
+def dense_branch_tables():
+    """The branch tables from dense linear algebra, the reference for the
+    entanglement-swapping map: the node's (a, b) rotated-Bell bra applied to
+    its qubits (T, T') of each tensored Bell state leaves amplitudes on
+    (A, B), and each table is built from them.  Returns the amplitudes,
+    indexed [u1, u2, i, a, b, A, B], and the tables by qubit's names."""
+    bras = np.array(
+        [[qubit.rotated_bell_basis(u1, u2) for u2 in (0, 1)] for u1 in (0, 1)]
+    ).conj().reshape(2, 2, 2, 2, 2, 2)
+    bell = qubit.tensored_bell_basis_matrix().reshape(2, 2, 2, 2, 16)
+    amps = np.einsum("UVabtu,AtuBi->UViabAB", bras, bell)
+    bb84 = np.array([[qubit.bb84_vector(u, x).conj() for x in (0, 1)] for u in (0, 1)])
+    flat = amps.reshape(2, 2, 16, 2, 2, 4)
+    spectra = np.abs(np.einsum("UVcdAB,UViabAB->UViabcd", bras, amps)) ** 2
+    signal = np.abs(np.einsum("UxA,VyB,UViabAB->UViabxy", bb84, bb84, amps)) ** 2
+    odd = np.indices((2, 2, 2)).sum(axis=0) % 2  # [b, x, y]: x + y + b odd
+    return amps, {
+        "_BRANCH_STATES": flat[..., :, None] * flat[..., None, :].conj(),
+        "_BRANCH_SPECTRA": spectra.reshape(2, 2, 16, 2, 2, 4),
+        "_SIGNAL_PROBS": signal,
+        "_ANNOUNCEMENT_TABLE": np.stack(
+            (signal.sum(axis=(-2, -1)), (signal * odd).sum(axis=(-2, -1))), axis=-1
+        ),
+    }
+
+
+DENSE_AMPS, DENSE_TABLES = dense_branch_tables()
+
+
+class TestBranchMap:
+    @pytest.mark.parametrize("name,weights", [
+        ("_BRANCH_SPECTRA", {0.0, 0.25}),
+        ("_SIGNAL_PROBS", {0.0, 0.125}),
+        ("_ANNOUNCEMENT_TABLE", {0.0, 0.25}),
+    ])
+    def test_tables_hold_exact_weights(self, name, weights):
+        assert set(np.unique(getattr(qubit, name)).tolist()) == weights
+
+    @pytest.mark.parametrize("name", sorted(DENSE_TABLES))
+    def test_tables_match_dense_reference(self, name):
+        table, dense = getattr(qubit, name), DENSE_TABLES[name]
+        assert table.shape == dense.shape and table.dtype == dense.dtype
+        assert np.abs(table - dense).max() <= 1e-15
+
+    def test_dense_spectra_peak_at_the_map_cell(self):
+        peak = DENSE_TABLES["_BRANCH_SPECTRA"].argmax(axis=-1)
+        assert np.array_equal(peak, qubit._BRANCH_CELL)
+
+
 class TestHolevoOracle:
     def test_matches_explicit_eve_blocks(self):
         rng = np.random.default_rng(3)
@@ -390,7 +446,7 @@ class TestHolevoOracle:
         keyed_amps = np.einsum(
             "xA,iabAB->iabxB",
             [qubit.bb84_vector(u1, x).conj() for x in (0, 1)],
-            qubit._BRANCH_AMPS[u1, u2],
+            DENSE_AMPS[u1, u2],
         )
         keyed = np.einsum("ni,iabxB,iabxC->nabxBC", alphas, keyed_amps, keyed_amps.conj())
         table = qubit._per_state(alphas, qubit._SIGNAL_PROBS[u1, u2])
