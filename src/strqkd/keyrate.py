@@ -180,9 +180,13 @@ def conventional_relay_rate(e_links: Sequence[float]) -> KeyRateReport:
 
 def compound_error(per_link_errors: Iterable[float]) -> float:
     """Probability of an odd number of independent per-link flips,
-    (1 - prod_i (1 - 2 e_i)) / 2.  Unchecked: decoy rates may pass 1/2."""
+    (1 - prod_i (1 - 2 e_i)) / 2, and a lone link's error itself, which the
+    formula may round away from.  Unchecked: decoy rates may pass 1/2."""
+    errors = list(per_link_errors)
+    if len(errors) == 1:
+        return errors[0]
     prod = 1.0
-    for e in per_link_errors:
+    for e in errors:
         prod = prod * (1.0 - 2.0 * e)  # not in place: arrays may broadcast
     return 0.5 * (1.0 - prod)
 
@@ -251,9 +255,7 @@ def fig2_curves(
                 uniform_str_rate(first, m)
     columns = {"e_link": e_links}
     for m in node_counts:
-        # compound_error([e]) may differ from e in the last bit, so a single
-        # link takes e itself.
-        e_end = e if m == 0 else compound_error([e] * (m + 1))
+        e_end = compound_error([e] * (m + 1))
         weights = _basis_weights(0.5, m + 1)
         h_e = elementwise(binary_entropy, e_end)
         unclamped = _code_order_report(weights, [h_e] * len(weights), 1.0).unclamped

@@ -26,13 +26,17 @@ Every kernel that takes Bell weights also takes a stack of states, an array
 of shape (..., 16), and returns one result per state; a single 16-vector
 gives floats and (2, 2) arrays.  Likewise the density-matrix kernels,
 ``twirl`` and ``basis_error_rate``, take one 16x16 matrix or a (..., 16, 16)
-stack.  Each of the twirl's 16 correlated Pauli conjugations permutes the
-matrix entries and flips some signs, so the twirl gathers the entries with
-a sign per entry for each unitary and sums the terms in the unitaries'
-order, with exactly the result of the matrix products.  The basis error
-rate is linear in the state: it is the trace Tr(rho E) against the error
-operator E of the basis pair, the sum of the projectors onto the 8 outcomes
-that count as errors, built once at import like the tables above.
+stack, and both read a second integer map, ``_PAIR_COL`` with its signs:
+each of the 16 correlated Pauli pairs U_{r,s} x U_{r,s} x U_{r',s'} x
+U_{r',s'} has one entry +-1 per row i, at column p(i).  Conjugation by a
+pair therefore permutes the matrix entries and flips some signs, so the
+twirl gathers the entries with a sign per entry for each pair and sums the
+terms in the pairs' order, with exactly the result of the matrix products.
+The basis error rate is (1 - Tr(rho O)) / 2, where the outcome parity O is
+itself a pair, Z x Z on a Z link and X x X on an X link, so the trace is a
+gather of 16 signed entries of rho.  Two Paulis commute or anticommute, so
+O commutes with every pair (on each link the two signs cancel): each
+conjugation keeps Tr(rho O), and the twirl keeps every basis error rate.
 
 Qubit ordering throughout is (A, T, T', B): Alice's half of the first link,
 the node's receive and send halves, Bob's half of the second link.  All
@@ -40,9 +44,6 @@ functions are pure; logs are base 2.
 """
 
 from __future__ import annotations
-
-import functools
-import itertools
 
 import numpy as np
 
@@ -110,10 +111,6 @@ def rotated_bell_basis(u1: int, u2: int) -> list[np.ndarray]:
     return [rot @ bell_vector(a, b) for a in (0, 1) for b in (0, 1)]
 
 
-def _multi_kron(*mats: np.ndarray) -> np.ndarray:
-    return functools.reduce(np.kron, mats)
-
-
 def tensored_bell_basis_matrix() -> np.ndarray:
     """Unitary whose columns are |Phi_{a,b}>_{A,T} x |Phi_{a',b'}>_{T',B},
     (a, b, a', b') in lex order."""
@@ -123,34 +120,34 @@ def tensored_bell_basis_matrix() -> np.ndarray:
 
 _BELL_BASIS_16 = tensored_bell_basis_matrix()
 
-# Correlated Pauli pairs U_{r,s} x U_{r,s} x U_{r',s'} x U_{r',s'}.
-_TWIRL_UNITARIES = np.array(
-    [
-        _multi_kron(pauli(r, s), pauli(r, s), pauli(rp, sp), pauli(rp, sp))
-        for r, s, rp, sp in itertools.product((0, 1), repeat=4)
-    ]
-)
+def _pauli_pairs() -> tuple[np.ndarray, np.ndarray]:
+    # [k, i] -> p(i) and the sign of row i's entry in correlated Pauli pair
+    # k = 8r + 4s + 2r' + s', U_{r,s} x U_{r,s} x U_{r',s'} x U_{r',s'}:
+    # p(i) = i + (r, r, r', r') bitwise, with sign
+    # (-1)^(s (p_A + p_T) + s' (p_T' + p_B)), p's bits in order (A, T, T', B).
+    r, s, rp, sp, i = np.indices((2, 2, 2, 2, 16)).reshape(5, 16, 16)
+    col = i ^ (12 * r + 3 * rp)
+    parity = (s & ((col >> 3) ^ (col >> 2))) ^ (sp & ((col >> 1) ^ col))
+    return col, 1.0 - 2.0 * (parity & 1)
 
 
-def _signed_permutation_tables(unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Each U has one entry +-1 per row, at column p(i) with sign s_i, so
-    # (U rho U^dag)[i, j] = s_i s_j rho[p(i), p(j)]: per unitary, the flat
-    # index p(i) * n + p(j) and the sign s_i s_j of each flat entry (i, j).
-    nonzero = unitaries != 0
-    assert (nonzero.sum(axis=-1) == 1).all() and (np.abs(unitaries[nonzero]) == 1).all()
-    cols, signs = nonzero.argmax(axis=-1), unitaries.sum(axis=-1).real
-    n = unitaries.shape[-1]
-    index = cols[:, :, None] * n + cols[:, None, :]
-    sign = signs[:, :, None] * signs[:, None, :]
-    return index.reshape(len(unitaries), n * n), sign.reshape(len(unitaries), n * n)
+_PAIR_COL, _PAIR_SIGN = _pauli_pairs()
 
+# _TWIRL_INDEX[k], _TWIRL_SIGN[k]: the conjugation by pair k as a gather of
+# the flattened 16x16 matrix and a sign per entry, since
+# (U rho U^dag)[i, j] = s_i s_j rho[p(i), p(j)].
+_TWIRL_INDEX = (16 * _PAIR_COL[:, :, None] + _PAIR_COL[:, None, :]).reshape(16, 256)
+_TWIRL_SIGN = (_PAIR_SIGN[:, :, None] * _PAIR_SIGN[:, None, :]).reshape(16, 256)
 
-# _TWIRL_INDEX[k], _TWIRL_SIGN[k]: the conjugation by _TWIRL_UNITARIES[k] as a
-# gather of the flattened 16x16 matrix and a sign per entry.
-_TWIRL_INDEX, _TWIRL_SIGN = _signed_permutation_tables(_TWIRL_UNITARIES)
-
-# _BB84_BRA[u][x] = <phi^u_x|.
-_BB84_BRA = np.array([[bb84_vector(u, x).conj() for x in (0, 1)] for u in (0, 1)])
+# _PARITY_INDEX[u1, u2], _PARITY_SIGN[u1, u2]: the outcome parity
+# O = (-1)^(x + t + t' + y) of basis_error_rate, Z x Z on a Z link (u = 0)
+# and X x X on an X link (u = 1), which is pair (u1, 1 - u1, u2, 1 - u2), as
+# the flat index 16 i + p(i) and the sign s_i of its 16 entries: O is
+# Hermitian, so Tr(rho O) = sum_i s_i rho[i, p(i)].  The 8 odd outcomes'
+# projectors sum to (1 - O) / 2.
+_PARITY_PAIR = 5 + 4 * np.arange(2)[:, None] + np.arange(2)
+_PARITY_INDEX = 16 * np.arange(16) + _PAIR_COL[_PARITY_PAIR]
+_PARITY_SIGN = _PAIR_SIGN[_PARITY_PAIR]
 
 # Entanglement swapping (Zukowski et al., PRL 71, 4287, 1993): the node's
 # (a, b) bra in bases (u1, u2), applied to the node's qubits (T, T') of
@@ -202,24 +199,6 @@ def _branch_tables(cell: np.ndarray) -> tuple[np.ndarray, ...]:
 _BRANCH_STATES, _BRANCH_SPECTRA, _SIGNAL_PROBS, _ANNOUNCEMENT_TABLE = _branch_tables(_BRANCH_CELL)
 
 
-def _error_operator(u1: int, u2: int) -> np.ndarray:
-    # Sum of the projectors onto the outcomes (x, t, t', y) with x + t + t'
-    # + y odd, A and T measured in basis u1 and T' and B in basis u2.
-    bras = _multi_kron(_BB84_BRA[u1], _BB84_BRA[u1], _BB84_BRA[u2], _BB84_BRA[u2])
-    odd = bras[np.indices((2,) * 4).sum(axis=0).reshape(16) % 2 == 1]
-    # einsum, not a matrix product: a first BLAS call would allocate its
-    # buffers (about 0.4 MiB resident) at import.
-    return np.einsum("kb,kc->bc", odd.conj(), odd)
-
-
-# _ERROR_OPERATOR_T[u1, u2]: the transpose of the error operator E of
-# basis_error_rate, flattened, so that Tr(rho E) is the sum of the entrywise
-# product with the flattened rho.
-_ERROR_OPERATOR_T = np.array(
-    [[_error_operator(u1, u2).T.reshape(256) for u2 in (0, 1)] for u1 in (0, 1)]
-)
-
-
 def _unstack(x: np.ndarray) -> float | np.ndarray:
     """A float for the result of one state, the array for a stack."""
     return float(x) if np.ndim(x) == 0 else x
@@ -242,9 +221,8 @@ def twirl(rho) -> np.ndarray:
     """
     arr = _as_matrices(rho)
     flat = arr.reshape(arr.shape[:-2] + (256,))
-    # Each conjugation is a signed permutation of the entries, so the terms
-    # and their sum in unitary order are exactly those of the matrix
-    # products.  One gather per unitary holds one term at a time, not 16.
+    # Each term and their sum in pair order are exactly those of the matrix
+    # products.  One gather per pair holds one term at a time, not 16.
     total = np.zeros_like(flat)
     for index, sign in zip(_TWIRL_INDEX, _TWIRL_SIGN):
         term = np.take(flat, index, axis=-1)
@@ -285,13 +263,14 @@ def basis_error_rate(rho, u1: int, u2: int) -> float | np.ndarray:
 
     A and T are measured in basis u1, T' and B in basis u2; the node
     announces b = t + t', Bob corrects y -> y + b, and an error is any
-    outcome quadruple with x + y + t + t' odd (all sums mod 2).  A
-    (..., 16, 16) stack gives one rate per matrix.
+    outcome quadruple with x + y + t + t' odd (all sums mod 2).  rho has
+    unit trace; a (..., 16, 16) stack gives one rate per matrix.
     """
     arr = _as_matrices(rho)
     flat = arr.reshape(arr.shape[:-2] + (256,))
-    errors = np.real((flat * _ERROR_OPERATOR_T[u1, u2]).sum(axis=-1))
-    return _unstack(np.clip(errors, 0.0, 1.0))
+    entries = np.take(flat, _PARITY_INDEX[u1, u2], axis=-1)
+    parity = np.real((entries * _PARITY_SIGN[u1, u2]).sum(axis=-1))
+    return _unstack(np.clip((1.0 - parity) / 2, 0.0, 1.0))
 
 
 def _entropy(eigvals: np.ndarray) -> np.ndarray:

@@ -163,6 +163,10 @@ class TestQubitRate:
         assert "rate=" in out
         assert "seed" not in out  # deterministic command, no RNG involved
 
+    def test_single_link_end_to_end_error_is_the_link_error(self, capsys):
+        assert cli.main(["qubit-rate", "--e-link", "0.05", "--nodes", "0"]) == 0
+        assert "  e_end_to_end = 0.05\n" in capsys.readouterr().out
+
     def test_invalid_error_rate(self, capsys):
         assert cli.main(["qubit-rate", "--e-link", "0.9"]) == 2
         assert "error" in capsys.readouterr().err

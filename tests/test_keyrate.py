@@ -234,6 +234,16 @@ class TestFig2Curves:
         ]
         assert keyrate.fig2_curves(grid, node_counts=nodes) == expected
 
+    def test_single_link_is_not_compounded(self):
+        # (1 - (1 - 2e)) / 2 rounds 0.05 to 0.04999999999999999: a lone link
+        # keeps its own error, so STR-0 and the conventional curve agree.
+        grid = [0.001, 0.0135, 0.05, 0.102, FIG2_TARGETS["conventional"]]
+        assert [keyrate.compound_error([e]) for e in grid] == grid
+        rows = keyrate.fig2_curves(grid, node_counts=[0])
+        assert [row["rate_conventional"] for row in rows] == [
+            keyrate.uniform_str_rate(e, 0).rate for e in grid
+        ]
+
     def test_zero_crossings(self):
         assert fig2_crossing_deviation(fig2_zero_crossings()) <= FIG2_TOLERANCE
 

@@ -293,12 +293,19 @@ class TestBasisErrorRate:
             assert abs(qubit.basis_error_rate(rho, u1, u2) - rate) <= 1e-15
 
     @pytest.mark.parametrize("u1,u2", list(itertools.product((0, 1), repeat=2)))
-    def test_error_operator_is_a_twirl_invariant_projector_sum(self, u1, u2):
-        op = qubit._ERROR_OPERATOR_T[u1, u2].reshape(16, 16).T
-        assert np.array_equal(op, op.conj().T)
-        assert np.trace(op) == pytest.approx(8.0, abs=1e-13)
-        assert np.abs(qubit.twirl(op) - op).max() <= 1e-15
-        assert np.abs(op - sum(odd_outcome_projectors(u1, u2))).max() <= 1e-15
+    def test_parity_tables_are_a_pauli_pair_and_the_odd_projector_sum(self, u1, u2):
+        # The outcome parity O, rebuilt densely from the gather tables, is
+        # Z x Z on a Z link and X x X on an X link, entry for entry.
+        parity = np.zeros(256)
+        parity[qubit._PARITY_INDEX[u1, u2]] = qubit._PARITY_SIGN[u1, u2]
+        parity = parity.reshape(16, 16)
+        link = [qubit.pauli(0, 1), qubit.pauli(1, 0)]
+        assert np.array_equal(parity, kron(link[u1], link[u1], link[u2], link[u2]))
+        assert np.array_equal(qubit.twirl(parity), parity)
+        # (1 - O) / 2 is the odd outcomes' projector sum, with exact entries.
+        odd = (np.eye(16) - parity) / 2
+        assert np.isin(odd, (0.0, 0.5, -0.5, 1.0)).all()
+        assert np.abs(odd - sum(odd_outcome_projectors(u1, u2))).max() <= 1e-15
 
 
 def entropy(rho):
