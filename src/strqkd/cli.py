@@ -20,7 +20,9 @@ is done by the library modules, and
 :func:`strqkd.acceptance_checks.run_verification` runs the verify suites.
 The parser is built once per process, config values filling each run's
 namespace rather than its defaults, and CSV rows are written with one
-%-format per row type.
+%-format per row type.  An existing CSV is rewritten in place, never
+truncated to length 0, so a re-run skips the flush ext4 starts on closing a
+file truncated to 0, and the file keeps its links and permissions.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import json
 import math
 import operator
 import os
+import stat
 import sys
 from typing import Any, Iterable, NoReturn, Sequence
 
@@ -79,9 +82,17 @@ def _row_format(types: tuple[type, ...]) -> str:
 
 
 def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write comma-separated rows: UTF-8, 12 significant digits, LF endings."""
+    """Write comma-separated rows: UTF-8, 12 significant digits, LF endings.
+
+    An existing regular file is shrunk to one byte, which the header
+    overwrites, before the first write, so a failed run leaves a prefix of
+    the new CSV and no old rows; pipes and devices are written as they are."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > 1:
+                os.ftruncate(fd, 1)
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(_row_format(tuple(map(type, row))) % tuple(row))

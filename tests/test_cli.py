@@ -155,6 +155,83 @@ class TestEmitCsv:
             cli.emit_csv(str(tmp_path / "no" / "dir.csv"), ["x"], [])
         assert exc.value.code == 2
 
+    # Rewriting an existing file: the new CSV replaces the old one whole,
+    # through the same inode.
+
+    def test_short_csv_over_long_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        cli.emit_csv(str(path), ["i", "v"], [[i, i / 7] for i in range(1000)])
+        cli.emit_csv(str(path), ["x"], [[0.5]])
+        assert path.read_bytes() == b"x\n0.5\n"
+
+    def test_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        cli.emit_csv(str(path), ["x"], [[1.0], [2.0]])
+        path.chmod(0o640)
+        before = path.stat()
+        cli.emit_csv(str(path), ["y"], [[3.0]])
+        after = path.stat()
+        assert after.st_ino == before.st_ino
+        assert after.st_mode & 0o777 == 0o640
+        assert read_lines(path) == ["y", "3"]
+
+    def test_symlink_kept(self, tmp_path):
+        target = tmp_path / "target.csv"
+        cli.emit_csv(str(target), ["x"], [[i] for i in range(50)])
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        cli.emit_csv(str(link), ["y"], [[1]])
+        assert link.is_symlink()
+        assert read_lines(target) == ["y", "1"]
+
+    def test_hard_link_sees_new_content(self, tmp_path):
+        path = tmp_path / "out.csv"
+        cli.emit_csv(str(path), ["x"], [[i] for i in range(50)])
+        other = tmp_path / "other.csv"
+        os.link(path, other)
+        cli.emit_csv(str(path), ["y"], [[1]])
+        assert read_lines(other) == ["y", "1"]
+
+    def test_failing_rows_leave_a_prefix(self, tmp_path):
+        path = tmp_path / "out.csv"
+        cli.emit_csv(str(path), ["old"], [[i] for i in range(1000)])
+
+        def rows():
+            yield [1.0]
+            yield [2.0]
+            raise OSError("rows failed")
+
+        with pytest.raises(SystemExit) as exc:
+            cli.emit_csv(str(path), ["x"], rows())
+        assert exc.value.code == 2
+        assert path.read_bytes() == b"x\n1\n2\n"
+
+    def test_devnull(self):
+        cli.emit_csv(os.devnull, ["x"], [[1.0]])
+
+    def test_never_truncates_to_zero(self, tmp_path, monkeypatch):
+        # ext4 flushes a file truncated to length 0 when it is closed; the
+        # rewrite opens without O_TRUNC and shrinks the file to one byte.
+        path = tmp_path / "out.csv"
+        cli.emit_csv(str(path), ["x"], [[i] for i in range(100)])
+        flags, lengths = [], []
+        real_open, real_ftruncate = os.open, os.ftruncate
+
+        def recording_open(file, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(file, flag, *args, **kwargs)
+
+        def recording_ftruncate(fd, length):
+            lengths.append(length)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "ftruncate", recording_ftruncate)
+        cli.emit_csv(str(path), ["y"], [[1]])
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+        assert lengths == [1]
+        assert read_lines(path) == ["y", "1"]
+
 
 class TestQubitRate:
     def test_runs(self, capsys):
