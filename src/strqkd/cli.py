@@ -256,7 +256,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         label = keyrate.basis_label(code, cfg.num_links)
         rows.append([label, errors, samples, rate, analytic])
         print(f"u={label}: {errors}/{samples} rate={rate:.6g} (analytic {analytic:.6g})")
-    if args.output:
+    if args.output is not None:
         emit_csv(args.output, header, rows)
         print(f"wrote {len(rows)} rows to {args.output}")
     return 0

@@ -64,7 +64,7 @@ class KeyRateReport:
     value needed for zero-crossing root finds.  ``tagged_term`` is only
     nonzero for decoy rates (multi-photon fraction subtracted outright).
     All terms share the same normalization (per sifted signal, or per clock
-    cycle once scaled by the physical layer).
+    cycle once scaled by the physical layer), and are arrays over a grid.
     """
 
     entropy_term: float
@@ -77,8 +77,10 @@ class KeyRateReport:
         return self.entropy_term - self.leak_term - self.holevo_term - self.tagged_term
 
     @property
-    def rate(self) -> float:
-        return max(0.0, self.unclamped)
+    def rate(self) -> float | np.ndarray:
+        u = self.unclamped
+        # On an array, max(0.0, x) of each entry x, nan included.
+        return np.where(u > 0.0, u, 0.0) if isinstance(u, np.ndarray) else max(0.0, u)
 
     def scaled(self, factor: float) -> "KeyRateReport":
         """Rescale every term by ``factor`` (e.g. per-clock-cycle conversion)."""
@@ -166,16 +168,23 @@ def _code_order_report(
 def conventional_relay_rate(e_links: Sequence[float]) -> KeyRateReport:
     """Conventional trusted-relay baseline: standard asymptotic BB84 rate per
     link with Shannon-limit error correction, the chain limited by its worst
-    link."""
+    link.  Each link's report is ``uniform_str_rate(e, 0)``, whose two terms
+    h(e)/2 sum to h(e), exactly unless h(e) is subnormal."""
     if not e_links:
         raise ValueError("need at least one link")
-    reports = []
     for e in e_links:
-        if not 0.0 <= e <= 0.5:
-            raise ValueError(f"per-link error rate must lie in [0, 1/2], got {e}")
-        h_e = binary_entropy(e)
-        reports.append(KeyRateReport(entropy_term=1.0, leak_term=h_e, holevo_term=h_e))
-    return min(reports, key=lambda r: r.unclamped)
+        _check_half_range("per-link error rate", e)
+    return min((uniform_str_rate(e, 0) for e in e_links), key=lambda r: r.unclamped)
+
+
+def _check_half_range(name: str, e: float | np.ndarray) -> None:
+    # ValueError for a float, or the first entry of a 1-D array, outside
+    # [0, 1/2]; nan lies outside.
+    if isinstance(e, np.ndarray):
+        outside = e[~((e >= 0.0) & (e <= 0.5))]
+        e = outside[0] if outside.size else 0.0
+    if not 0.0 <= e <= 0.5:
+        raise ValueError(f"{name} must lie in [0, 1/2], got {e}")
 
 
 def compound_error(per_link_errors: Iterable[float]) -> float:
@@ -192,19 +201,20 @@ def compound_error(per_link_errors: Iterable[float]) -> float:
 
 
 def uniform_str_rate(
-    e_link: float, num_nodes: int, p_z: float = 0.5, f_ec: float = 1.0
+    e_link: float | np.ndarray, num_nodes: int, p_z: float = 0.5, f_ec: float = 1.0
 ) -> KeyRateReport:
     """STR rate when every link has error rate ``e_link``: all basis-vector
-    error rates are the compound error of the ``num_nodes + 1`` links."""
-    if not 0.0 <= e_link <= 0.5:
-        raise ValueError(f"e_link must lie in [0, 1/2], got {e_link}")
+    error rates are the compound error of the ``num_nodes + 1`` links.
+    Over a 1-D array of link errors each term is an array of the float
+    calls' terms, bit for bit; the first rejected entry raises."""
+    _check_half_range("e_link", e_link)
     if not 0 <= num_nodes <= MAX_NODES:
         raise ValueError(f"num_nodes must lie in [0, {MAX_NODES}], got {num_nodes}")
     check_protocol_parameters(p_z, f_ec)
     links = num_nodes + 1
     weights = _basis_weights(p_z, links)
     # Every basis vector has the compound error, so h(E) is computed once.
-    h_e = binary_entropy(compound_error([e_link] * links))
+    h_e = elementwise(binary_entropy, compound_error([e_link] * links))
     return _code_order_report(weights, [h_e] * len(weights), f_ec)
 
 
@@ -221,47 +231,28 @@ def fig2_curves(
 ) -> list[dict[str, float]]:
     """Rate-vs-link-error curves for the qubit model.
 
-    For each per-link error rate, one curve per node count m: the STR rate
-    over m + 1 equal links, with all basis-vector error rates set to the
-    compound per-link value, uniform bases, and Shannon-limit error
-    correction.  Node count 0 is one link, whose two terms h(e)/2 sum to
-    exactly h(e): the conventional baseline (equal links, so a single-link
-    rate), in the column ``rate_conventional``; node count m >= 1 is
-    ``rate_str{m}``.  Each node count names one curve, so a repeated one is
-    a ValueError.
-
-    Each curve adds its terms in the code order of :func:`str_rate_qubit`,
-    with the whole grid as one array per term, so each point is the value
-    of :func:`conventional_relay_rate` (m = 0) or :func:`uniform_str_rate`;
-    the first point those would reject raises their error.
+    One curve per node count m: :func:`uniform_str_rate` of m nodes over the
+    grid as one array, with uniform bases and Shannon-limit error correction.
+    Node count 0, one link, is the conventional baseline in the column
+    ``rate_conventional``, rejecting with :func:`conventional_relay_rate`'s
+    error text; node count m >= 1 is ``rate_str{m}``.  A repeated node count
+    is a ValueError.  The first rejected grid point raises at the first node
+    count; a node count out of range raises at the grid's first point.
     """
     if len(set(node_counts)) != len(node_counts):
         raise ValueError(f"repeated node count in {list(node_counts)}")
-    grid = list(e_link_grid)
-    if not grid:
+    e_links = [float(e) for e in e_link_grid]
+    if not e_links:
         return []
-    e_links = [float(e) for e in grid]
     e = np.array(e_links)
-    bad = np.flatnonzero(~((e >= 0.0) & (e <= 0.5)))
-    nodes_ok = all(0 <= m <= MAX_NODES for m in node_counts)
-    if bad.size or not nodes_ok:
-        # The scalar functions raise the first point's error; a node count
-        # out of range fails at the first point of the grid.
-        first = grid[bad[0] if nodes_ok else 0]
-        for m in node_counts:
-            if m == 0:
-                conventional_relay_rate([first])
-            else:
-                uniform_str_rate(first, m)
+    if not all(0 <= m <= MAX_NODES for m in node_counts):
+        e = e[:1]  # one of the calls below raises
     columns = {"e_link": e_links}
     for m in node_counts:
-        e_end = compound_error([e] * (m + 1))
-        weights = _basis_weights(0.5, m + 1)
-        h_e = elementwise(binary_entropy, e_end)
-        unclamped = _code_order_report(weights, [h_e] * len(weights), 1.0).unclamped
-        # KeyRateReport.rate, max(0.0, x), on each entry.
-        rates = np.where(unclamped > 0.0, unclamped, 0.0).tolist()
-        columns["rate_conventional" if m == 0 else f"rate_str{m}"] = rates
+        if m == 0:
+            _check_half_range("per-link error rate", e)
+        curve = "rate_conventional" if m == 0 else f"rate_str{m}"
+        columns[curve] = uniform_str_rate(e, m).rate.tolist()
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 

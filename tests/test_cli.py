@@ -411,6 +411,21 @@ class TestMonteCarlo:
         assert "survivors per link: [0, 0]" in out
         assert out.count("0/0 rate=nan") == 4
 
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_empty_output_path_rejected(self, from_config, tmp_path, capsys):
+        # An empty path cannot be written, as for the sweeps; montecarlo once
+        # took it for no --output and exited 0 without a CSV.
+        argv = ["montecarlo", "--rounds", "1000"]
+        if from_config:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"output": ""}))
+            argv = ["--config", str(config), *argv]
+        else:
+            argv += ["--output", ""]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write : ") and err.count("\n") == 1
+
     def test_summary_printed(self, capsys):
         assert cli.main(
             ["montecarlo", "--rounds", "20000", "--seed", "1", "--nodes", "1"]
@@ -1110,6 +1125,12 @@ class TestBoundary:
             (["--nodes", "2,17", "--e-link", "0:0.6:0.1"], "num_nodes must lie in [0, 16], got 17"),
             (["--nodes", "0,-1", "--e-link", "0.6:0.6:1"],
              "per-link error rate must lie in [0, 1/2], got 0.6"),
+            # A bad node count first: the grid's first point is checked
+            # before the count, and a later bad point never is.
+            (["--nodes", "17,0", "--e-link", "0.6:0.6:1"],
+             "e_link must lie in [0, 1/2], got 0.6"),
+            (["--nodes", "17,0", "--e-link", "0:0.6:0.1"],
+             "num_nodes must lie in [0, 16], got 17"),
         ],
     )
     def test_fig2_error_line(self, argv, error, capsys):

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +176,38 @@ class TestStrRateQubit:
         rates = [0.0, 0.0, e, 0.0]
         with pytest.raises(ValueError, match=re.escape(f"basis vector 2 not in [0, 1]: {e}")):
             keyrate.str_rate_qubit(rates)
+
+
+class TestUniformStrRate:
+    # Both ends of the range, a negative zero and the three crossings.
+    GRID = [0.0, -0.0, 0.5, *FIG2_TARGETS.values()]
+
+    # 16 nodes take 2^17 terms per call, so only with both values off their
+    # defaults; fig2_curves covers them at the defaults.
+    @pytest.mark.parametrize(
+        "nodes,p_z,f_ec",
+        [(m, p_z, f_ec) for m in (0, 1, 2) for p_z in (0.5, 0.3) for f_ec in (1.0, 1.2)]
+        + [(16, 0.3, 1.2)],
+    )
+    def test_array_terms_equal_float_calls(self, nodes, p_z, f_ec):
+        # Equal, not close: each entry is the float call's, to the last bit.
+        report = keyrate.uniform_str_rate(np.array(self.GRID), nodes, p_z, f_ec)
+        expected = [keyrate.uniform_str_rate(e, nodes, p_z, f_ec) for e in self.GRID]
+        for term in ("entropy_term", "leak_term", "holevo_term", "rate"):
+            values = np.broadcast_to(getattr(report, term), len(self.GRID)).tolist()
+            assert values == [getattr(r, term) for r in expected], term
+
+    @pytest.mark.parametrize("bad", [0.6, math.nan, -0.1])
+    def test_array_raises_float_message_of_first_rejected_entry(self, bad):
+        with pytest.raises(ValueError) as float_error:
+            keyrate.uniform_str_rate(bad, 1)
+        with pytest.raises(ValueError) as array_error:
+            keyrate.uniform_str_rate(np.array([0.01, bad, 0.7]), 1)
+        assert str(array_error.value) == str(float_error.value)
+
+    @pytest.mark.parametrize("e", GRID)
+    def test_conventional_link_is_one_link_str_rate(self, e):
+        assert keyrate.conventional_relay_rate([e]) == keyrate.uniform_str_rate(e, 0)
 
 
 class TestConventionalRelayRate:
