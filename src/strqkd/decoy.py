@@ -19,7 +19,8 @@ floats; the public functions take and return floats.  Floats go through
 ``math``.  The reports of a sweep are one array evaluation of the same
 formulas at the chosen intensities, with each exponential and entropy taken
 through ``math`` entry by entry, so every reported value equals its
-evaluation on floats.
+evaluation on floats.  A sweep checks its links once, at the lowest
+intensity, and names its first dead (zero-gain) link in sweep order.
 
 Dark-count coincidences carry error 1/2 (a dark click is an uncorrelated
 bit); the dark-count error term is weighted by the probability that no
@@ -138,11 +139,6 @@ class DecoyFractions:
     e_s_vs: float
 
 
-def _all(cond) -> bool:
-    """Whether ``cond`` holds everywhere; one reduction for an array cond."""
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else cond
-
-
 def _select(cond, a, b):
     """``a`` where ``cond`` holds, else ``b``; elementwise for an array cond."""
     if isinstance(cond, np.ndarray):
@@ -191,9 +187,12 @@ def _statistics(link: _Link, mu: float | np.ndarray, exact: bool = True) -> Link
     # from cancelling at high loss, where the gain rests on it alone if y0 = 0.
     signal = -expm1(-mu * link.eta)
     gain = link.y0 + (1.0 - link.y0) * signal
-    # Without dark counts the gain is zero once mu * eta underflows.
-    if not _all(gain > 0.0):
-        raise ValueError(f"link with loss {link.loss_db} dB has zero gain")
+    # Without dark counts the gain is zero once mu * eta underflows.  A nan
+    # gain counts as dead too; the first dead entry, in C order, is named.
+    dead = ~np.greater(gain, 0.0)
+    if dead.any():
+        loss = np.broadcast_to(link.loss_db, dead.shape)[dead][0]
+        raise ValueError(f"link with loss {loss} dB has zero gain")
     qber = (E_DARK * link.y0 * vac + link.intrinsic_error * signal) / gain
     poisson = exp(-mu)
     return LinkStatistics(
@@ -424,21 +423,12 @@ def _optimize_block(
     # equal links are within one chain.
     slot: dict[tuple[LinkPhysics, ...], int] = {}
     index = [slot.setdefault(column, len(slot)) for column in zip(*chains)]
+    per_position = [_Link(*map(np.array, zip(*map(_link, column)))) for column in slot]
     # The gain is smallest at the lowest intensity, so one exact evaluation
-    # there per position covers the whole scan.  On a dead link, or one
-    # without transmittance, the links are checked again one at a time on
-    # floats and in sweep order, so that a sweep fails on its first such
-    # link, as the scan of that chain alone would.
-    try:
-        per_chain = [[_link(phys) for phys in chain] for chain in zip(*slot)]
-        per_position = [_Link(*map(np.array, zip(*links))) for links in zip(*per_chain)]
-        for link in per_position:
-            _statistics(link, lo)
-    except ValueError:
-        for chain in zip(*slot):
-            for phys in chain:
-                _statistics(_link(phys), lo)
-        raise
+    # there of every distinct link covers the whole scan.  The links are
+    # stacked chain by chain, so the sweep fails on its first dead link, as
+    # optimizing its chains one by one would.
+    _statistics(_Link(*(np.column_stack(f).ravel() for f in zip(*per_position))), lo)
 
     def report(links: Sequence[_Link], mu, exact: bool = False) -> KeyRateReport:
         stats = [_statistics(link, mu, exact) for link in links]

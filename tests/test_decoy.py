@@ -407,6 +407,17 @@ def _chain(kind, loss, num_links):
     return mixed[:num_links]
 
 
+def _dark_free(loss):
+    """A link without dark counts, dead at mu = 1e-4 from 3200 dB on."""
+    return LinkPhysics(loss_db=loss, dark_count_prob=0.0)
+
+
+def _one_link_sweep(num_chains, dead):
+    """One-link chains, alive at 100 dB but for chain i in ``dead``, which
+    is dead at 3200 + i dB."""
+    return [[_dark_free(3200.0 + i if i in dead else 100.0)] for i in range(num_chains)]
+
+
 class TestArrayIntensities:
     @pytest.mark.parametrize("kind", ["equal", "mixed"])
     @pytest.mark.parametrize("loss", [0.0, 17.0, 60.0])
@@ -448,8 +459,23 @@ class TestArrayIntensities:
         # At 3200 dB without dark counts mu * eta underflows at mu = 1e-4 only.
         link = decoy._link(LinkPhysics(loss_db=3200.0, dark_count_prob=0.0))
         assert (decoy._statistics(link, np.array([0.5, 1.0]), exact=False).gain > 0.0).all()
-        with pytest.raises(ValueError, match="zero gain"):
+        with pytest.raises(ValueError, match="^link with loss 3200.0 dB has zero gain$"):
             decoy._statistics(link, np.array([0.5, 1e-4]), exact=False)
+
+    def test_zero_gain_names_the_first_dead_entry(self):
+        # Without dark counts, at mu = 1e-4 the links die from 3200 dB on.
+        # The error names the first dead entry of the broadcast gain in C
+        # order, not the whole loss array.
+        links = [_dark_free(loss) for loss in (100.0, 3210.0, 3220.0)]
+        row = decoy._Link(*map(np.array, zip(*map(decoy._link, links))))
+        with pytest.raises(ValueError, match="^link with loss 3210.0 dB has zero gain$"):
+            decoy._statistics(row, 1e-4)
+        # A (2, 1) column against two intensities: 3200 dB dies at mu = 1e-4
+        # only, 3300 dB at both, so row-major order meets 3200 dB first.
+        links = [_dark_free(loss) for loss in (3200.0, 3300.0)]
+        column = decoy._Link(*(np.array(f)[:, None] for f in zip(*map(decoy._link, links))))
+        with pytest.raises(ValueError, match="^link with loss 3200.0 dB has zero gain$"):
+            decoy._statistics(column, np.array([0.5, 1e-4]), exact=False)
 
 
 def _golden_section_reference(fn, a, b):
@@ -548,14 +574,27 @@ class TestOptimizeIntensities:
         with pytest.raises(ValueError, match="equal lengths"):
             decoy.optimize_intensities([[link], [link, link]])
 
-    def test_first_dead_link_in_sweep_order(self):
-        # Chain 1 dies at its second link, chain 2 at its first: the sweep
-        # fails on chain 1, as optimizing the chains one by one would.
-        alive = LinkPhysics(loss_db=100.0, dark_count_prob=0.0)
-        chains = [
-            [alive, alive],
-            [alive, LinkPhysics(loss_db=3210.0, dark_count_prob=0.0)],
-            [LinkPhysics(loss_db=3220.0, dark_count_prob=0.0), alive],
-        ]
-        with pytest.raises(ValueError, match="loss 3210.0 dB has zero gain"):
+    @pytest.mark.parametrize(
+        "chains,named",
+        [
+            # Chain 1 dies at its second link, chain 2 at its first.
+            ([[_dark_free(100.0)] * 2,
+              [_dark_free(100.0), _dark_free(3210.0)],
+              [_dark_free(3220.0), _dark_free(100.0)]], 3210.0),
+            # Positions 1 and 2 hold one link in every chain, so the sweep
+            # computes them once; chain 0 still dies there before chain 1's
+            # first link.
+            ([[_dark_free(100.0)] + [_dark_free(3202.0)] * 2,
+              [_dark_free(3201.0)] + [_dark_free(3202.0)] * 2], 3202.0),
+            # Both dead chains in the second block of SWEEP_BLOCK chains, and
+            # one on either side of its first chain.
+            (_one_link_sweep(130, (decoy.SWEEP_BLOCK, decoy.SWEEP_BLOCK + 1)), 3328.0),
+            (_one_link_sweep(130, (decoy.SWEEP_BLOCK - 1, decoy.SWEEP_BLOCK)), 3327.0),
+        ],
+        ids=["chain-order", "shared-position", "second-block", "across-blocks"],
+    )
+    def test_first_dead_link_in_sweep_order(self, chains, named):
+        # The sweep fails on its first dead link, as optimizing the chains
+        # one by one would.
+        with pytest.raises(ValueError, match=f"^link with loss {named} dB has zero gain$"):
             decoy.optimize_intensities(chains)
