@@ -18,6 +18,10 @@ its fully resolved configuration for reproducibility, after its input has
 been checked.  This module only parses and renders: the subcommands' work
 is done by the library modules, and
 :func:`strqkd.acceptance_checks.run_verification` runs the verify suites.
+Only fig2-sweep, decoy-sweep, montecarlo and verify load numpy: their
+library code computes on arrays.  ``--version``, ``--help``, qubit-rate
+and rejected arguments, config or decoy-sweep input run on floats,
+without numpy's import, most of a fresh process's start-up time.
 The parser is built once per process, config values filling each run's
 namespace rather than its defaults, and CSV rows are written with one
 %-format per row type.  An existing CSV is rewritten in place, never
@@ -37,8 +41,10 @@ import stat
 import sys
 from typing import Any, Iterable, NoReturn, Sequence
 
-from . import __version__
-from . import decoy, keyrate, relay
+# Each handler imports the library modules other than keyrate that it needs
+# (decoy, relay, acceptance_checks: numpy, and qubit's branch tables), so
+# that a run which needs none of them starts without them.
+from . import __version__, keyrate
 
 __all__ = ["main", "emit_csv", "parse_grid"]
 
@@ -198,6 +204,8 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
         _fail(f"--nodes must lie in [0, {keyrate.MAX_NODES}], got {args.nodes}")
     num_links = 1 if args.scenario == "conventional" else args.nodes + 1
     mu_fixed = _parsed(args, "--mu")
+    from . import decoy  # after the checks above, which need no numpy
+
     # The report's fields, in column order.
     terms = ["rate", "entropy_term", "leak_term", "holevo_term", "tagged_term"]
     # The rows are computed first, so that rejected input prints no config.
@@ -237,6 +245,8 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
+    from . import relay
+
     cfg = relay.ChainConfig(
         num_nodes=args.nodes,
         rounds=args.rounds,
@@ -263,8 +273,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # Imported here: the checks import qubit, which builds its branch tables
-    # at import, and no other subcommand needs them.
     from .acceptance_checks import run_verification
 
     # Run first, so that a rejected --trials or --seed prints no config.

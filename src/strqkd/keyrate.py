@@ -9,11 +9,14 @@ comparison curves.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "KeyRateReport",
@@ -37,7 +40,8 @@ def binary_entropy(e: float | np.ndarray) -> float | np.ndarray:
     Endpoints e = 0 and e = 1 return 0.  An array is taken elementwise; a
     float goes through ``math.log2``, whose last bit numpy's may not match.
     """
-    if not isinstance(e, np.ndarray):
+    np = _numpy_if_array(e)
+    if np is None:
         if e < 0.0 or e > 1.0:
             raise ValueError(f"binary_entropy argument must lie in [0, 1], got {e}")
         if e == 0.0 or e == 1.0:
@@ -54,6 +58,13 @@ def binary_entropy(e: float | np.ndarray) -> float | np.ndarray:
 
 def _entropy_bits(e, log2):
     return -e * log2(e) - (1.0 - e) * log2(1.0 - e)
+
+
+def _numpy_if_array(x):
+    # numpy when x is an ndarray, else None.  An ndarray exists only once
+    # numpy is in sys.modules: looked up on each call, never imported.
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else None
 
 
 @dataclass(frozen=True)
@@ -79,8 +90,9 @@ class KeyRateReport:
     @property
     def rate(self) -> float | np.ndarray:
         u = self.unclamped
+        np = _numpy_if_array(u)
         # On an array, max(0.0, x) of each entry x, nan included.
-        return np.where(u > 0.0, u, 0.0) if isinstance(u, np.ndarray) else max(0.0, u)
+        return max(0.0, u) if np is None else np.where(u > 0.0, u, 0.0)
 
     def scaled(self, factor: float) -> "KeyRateReport":
         """Rescale every term by ``factor`` (e.g. per-clock-cycle conversion)."""
@@ -122,6 +134,12 @@ def _basis_weights(p_z: float, links: int) -> list[float]:
     return weights
 
 
+@functools.lru_cache(maxsize=64)
+def _weight_sum(p_z: float, links: int) -> float:
+    # The basis weights' exact sum, rounded once: 1 at p_z = 1/2.
+    return math.fsum(_basis_weights(p_z, links))
+
+
 def str_rate_qubit(
     error_rates: Sequence[float], p_z: float = 0.5, f_ec: float = 1.0
 ) -> KeyRateReport:
@@ -135,7 +153,8 @@ def str_rate_qubit(
 
     rate = sum_u p_u H(K^u) - f_EC sum_u p_u h(e^u) - sum_u p_~u h(e^u),
     where ~u complements every link's basis choice, p_u is the product of
-    per-link basis weights and H(K^u) is one bit.
+    per-link basis weights and H(K^u) is one bit.  Each sum is taken exactly
+    (``math.fsum``) over the codes that share h(e^u), then over those groups.
     """
     check_protocol_parameters(p_z, f_ec)
     for code, e in enumerate(error_rates):
@@ -148,21 +167,12 @@ def str_rate_qubit(
             f"links, got {len(error_rates)}"
         )
     weights = _basis_weights(p_z, links)
-    return _code_order_report(weights, map(binary_entropy, error_rates), f_ec)
-
-
-def _code_order_report(
-    weights: list[float], entropies: Iterable[float], f_ec: float
-) -> KeyRateReport:
-    # The terms of str_rate_qubit from each basis vector's h(e^u), added up
-    # in code order.
-    entropy = leak = holevo = 0.0
-    for code, h_e in enumerate(entropies):
-        p_u = weights[code]
-        entropy += p_u
-        leak += f_ec * p_u * h_e
-        holevo += weights[-1 - code] * h_e
-    return KeyRateReport(entropy_term=entropy, leak_term=leak, holevo_term=holevo)
+    codes = {}  # each h(e^u), with the codes u that share it
+    for code, e in enumerate(error_rates):
+        codes.setdefault(binary_entropy(e), []).append(code)
+    leak = math.fsum(h * math.fsum(weights[u] for u in us) for h, us in codes.items())
+    holevo = math.fsum(h * math.fsum(weights[~u] for u in us) for h, us in codes.items())
+    return KeyRateReport(_weight_sum(p_z, links), f_ec * leak, holevo)
 
 
 def conventional_relay_rate(e_links: Sequence[float]) -> KeyRateReport:
@@ -180,7 +190,7 @@ def conventional_relay_rate(e_links: Sequence[float]) -> KeyRateReport:
 def _check_half_range(name: str, e: float | np.ndarray) -> None:
     # ValueError for a float, or the first entry of a 1-D array, outside
     # [0, 1/2]; nan lies outside.
-    if isinstance(e, np.ndarray):
+    if _numpy_if_array(e) is not None:
         outside = e[~((e >= 0.0) & (e <= 0.5))]
         e = outside[0] if outside.size else 0.0
     if not 0.0 <= e <= 0.5:
@@ -204,7 +214,8 @@ def uniform_str_rate(
     e_link: float | np.ndarray, num_nodes: int, p_z: float = 0.5, f_ec: float = 1.0
 ) -> KeyRateReport:
     """STR rate when every link has error rate ``e_link``: all basis-vector
-    error rates are the compound error of the ``num_nodes + 1`` links.
+    error rates are the compound error E of the ``num_nodes + 1`` links,
+    and the terms are S, f_EC h(E) S and h(E) S for the weight sum S.
     Over a 1-D array of link errors each term is an array of the float
     calls' terms, bit for bit; the first rejected entry raises."""
     _check_half_range("e_link", e_link)
@@ -212,10 +223,9 @@ def uniform_str_rate(
         raise ValueError(f"num_nodes must lie in [0, {MAX_NODES}], got {num_nodes}")
     check_protocol_parameters(p_z, f_ec)
     links = num_nodes + 1
-    weights = _basis_weights(p_z, links)
-    # Every basis vector has the compound error, so h(E) is computed once.
     h_e = elementwise(binary_entropy, compound_error([e_link] * links))
-    return _code_order_report(weights, [h_e] * len(weights), f_ec)
+    total = _weight_sum(p_z, links)
+    return KeyRateReport(total, f_ec * (h_e * total), h_e * total)
 
 
 def elementwise(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
@@ -223,7 +233,8 @@ def elementwise(fn: Callable[[float], float], x: float | np.ndarray) -> float | 
     floats, so that each entry is bit for bit ``fn`` of that float: numpy's
     ``log2``, ``exp`` and ``expm1`` differ from ``math``'s in the last bit
     on some inputs."""
-    return np.array(list(map(fn, x.tolist()))) if isinstance(x, np.ndarray) else fn(x)
+    np = _numpy_if_array(x)
+    return fn(x) if np is None else np.array(list(map(fn, x.tolist())))
 
 
 def fig2_curves(
@@ -241,6 +252,8 @@ def fig2_curves(
     """
     if len(set(node_counts)) != len(node_counts):
         raise ValueError(f"repeated node count in {list(node_counts)}")
+    import numpy as np
+
     e_links = [float(e) for e in e_link_grid]
     if not e_links:
         return []

@@ -436,18 +436,39 @@ class TestMonteCarlo:
 
 
 class TestImports:
-    def test_cli_import_leaves_qubit_unloaded(self):
-        # qubit builds its branch tables at import; only verify needs them,
-        # and the checks that verify runs import qubit.
+    # A fresh interpreter imports the CLI and runs argv, then prints its exit
+    # status and the modules below that it loaded.  numpy's import is most of
+    # a one-shot run's start-up; qubit builds its branch tables at import,
+    # and only verify needs them, through acceptance_checks.
+    RUN_AND_LIST = """if True:
+        import sys, strqkd.cli
+        try:
+            status = strqkd.cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            status = exc.code
+        modules = ("numpy", "strqkd.decoy", "strqkd.relay", "strqkd.qubit",
+                   "strqkd.acceptance_checks")
+        print(status, [m for m in modules if m in sys.modules])
+    """
+
+    FLOAT_RUNS = [  # (argv, exit status)
+        (["--version"], 0),
+        (["--help"], 0),
+        (["qubit-rate", "--help"], 0),
+        (["qubit-rate", "--e-link", "0.03", "--nodes", "2"], 0),
+        (["montecarlo", "--rounds", "x"], 2),
+        (["decoy-sweep", "--loss-db", "x"], 2),
+        (["--config", "missing.json", "qubit-rate", "--e-link", "0.03"], 2),
+    ]
+
+    @pytest.mark.parametrize("argv,status", FLOAT_RUNS, ids=[" ".join(a) for a, _ in FLOAT_RUNS])
+    def test_cli_import_leaves_qubit_unloaded(self, argv, status, tmp_path):
         src = str(Path(strqkd.__file__).resolve().parent.parent)
-        code = ("import sys, strqkd.cli; "
-                "print([m for m in ('strqkd.qubit', 'strqkd.acceptance_checks') "
-                "if m in sys.modules])")
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
+            [sys.executable, "-c", self.RUN_AND_LIST, *argv], capture_output=True,
+            text=True, check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
         )
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.splitlines()[-1] == f"{status} []"
 
     @pytest.mark.parametrize(
         "module", ["acceptance_checks", "cli", "decoy", "keyrate", "qubit", "relay"]

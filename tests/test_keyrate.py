@@ -1,13 +1,21 @@
 """Tests for the asymptotic key-rate formulas."""
 
+import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strqkd
 from strqkd import decoy, keyrate, relay
 from strqkd.acceptance_checks import (
     FIG2_TARGETS,
@@ -152,6 +160,28 @@ class TestStrRateQubit:
         assert report.leak_term == pytest.approx(f_ec * weight(code) * h, rel=1e-12)
         assert report.holevo_term == pytest.approx(weight(3 - code) * h, rel=1e-12)
 
+    @pytest.mark.parametrize("nodes,p_z", [(9, 0.5), (9, 0.3), (16, 0.3)])
+    def test_entropy_term_is_the_rounded_weight_sum(self, nodes, p_z):
+        # The exact sum of the weights, each the product of its links' shares
+        # taken left to right, rounded once: 1 at p_z = 1/2.  A sum in code
+        # order drifts by 7.8e-16 at 10 links and 3.8e-13 at 17 (p_z = 0.3).
+        w_z = keyrate.basis_law(p_z)[1]
+        weights = map(math.prod, itertools.product((w_z, 1 - w_z), repeat=nodes + 1))
+        exact = float(sum(map(Fraction, weights)))
+        assert keyrate.uniform_str_rate(0.01, nodes, p_z).entropy_term == exact
+
+    def test_longest_chain_rate_is_correctly_rounded(self):
+        # fig2_long.csv's STR-16 point at e_link = 0.005: with uniform bases
+        # the rate is 1 - 2 h(E), here against h(E) to 50 digits.  A sum in
+        # code order read 0.206054833384, 1.3e-12 low.
+        rate = keyrate.uniform_str_rate(0.005, 16).rate
+        e = Decimal(keyrate.compound_error([0.005] * 17))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = 1 - 2 * (-(e * e.ln() + (1 - e) * (1 - e).ln()) / Decimal(2).ln())
+        assert f"{exact:.12g}" == f"{rate:.12g}" == "0.206054833385"
+        assert rate == pytest.approx(float(exact), abs=1e-15)
+
     @pytest.mark.parametrize("size", [0, 1, 3, 6, 2**18])
     def test_table_length_not_a_chain_rejected(self, size):
         # A table holds 2^links entries for 1 to MAX_NODES + 1 links.
@@ -182,12 +212,9 @@ class TestUniformStrRate:
     # Both ends of the range, a negative zero and the three crossings.
     GRID = [0.0, -0.0, 0.5, *FIG2_TARGETS.values()]
 
-    # 16 nodes take 2^17 terms per call, so only with both values off their
-    # defaults; fig2_curves covers them at the defaults.
     @pytest.mark.parametrize(
         "nodes,p_z,f_ec",
-        [(m, p_z, f_ec) for m in (0, 1, 2) for p_z in (0.5, 0.3) for f_ec in (1.0, 1.2)]
-        + [(16, 0.3, 1.2)],
+        [(m, p_z, f_ec) for m in (0, 1, 2, 16) for p_z in (0.5, 0.3) for f_ec in (1.0, 1.2)],
     )
     def test_array_terms_equal_float_calls(self, nodes, p_z, f_ec):
         # Equal, not close: each entry is the float call's, to the last bit.
@@ -208,6 +235,33 @@ class TestUniformStrRate:
     @pytest.mark.parametrize("e", GRID)
     def test_conventional_link_is_one_link_str_rate(self, e):
         assert keyrate.conventional_relay_rate([e]) == keyrate.uniform_str_rate(e, 0)
+
+    def test_array_made_after_import_takes_array_path(self):
+        # keyrate does not import numpy, so it must recognise an array of a
+        # numpy imported after it, in a fresh interpreter.
+        code = """if True:
+            import sys
+            from strqkd.keyrate import KeyRateReport, binary_entropy, uniform_str_rate
+            assert "numpy" not in sys.modules
+            import numpy as np
+            grid = [0.0, 0.0037, 0.11, 0.5]
+            e = np.array(grid)
+            assert binary_entropy(e).tolist() == [binary_entropy(x) for x in grid]
+            for m in (0, 1, 16):
+                report = uniform_str_rate(e, m, 0.3, 1.2)
+                for i, x in enumerate(grid):
+                    float_report = uniform_str_rate(x, m, 0.3, 1.2)
+                    assert report.leak_term[i] == float_report.leak_term
+                    assert report.holevo_term[i] == float_report.holevo_term
+                    assert report.rate[i] == float_report.rate
+            u = [-0.25, 0.0, 0.25]
+            assert KeyRateReport(np.array(u), 0.0, 0.0).rate.tolist() == [
+                KeyRateReport(x, 0.0, 0.0).rate for x in u]
+        """
+        src = str(Path(strqkd.__file__).resolve().parent.parent)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
 
 
 class TestConventionalRelayRate:
@@ -253,8 +307,8 @@ class TestFig2Curves:
         assert row["rate_str2"] == pytest.approx(1.0)
 
     def test_rows_equal_pointwise_rates(self):
-        # The curves add the scalar rates' terms in their order, with arrays
-        # over the grid: equal, not close, at 0, 1/2 and the three crossings.
+        # The curves take the scalar rates' terms with arrays over the grid:
+        # equal, not close, at 0, 1/2 and the three crossings.
         # numpy's log2 differs from math's in the last bit of the rate at
         # 0.02569 itself and at the (1 - 2e)-compounds of 0.0135 (4 links),
         # 0.053 (2 links) and 0.102 (1 link).
