@@ -222,20 +222,15 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
         * num_links
         for loss in grid
     ]
-    if mu_fixed is None:
-        results = decoy.optimize_intensities(
-            chains,
-            f_ec=args.f_ec,
-            p_z=args.p_z,
-            mode=args.scenario,
-            conservative=args.conservative,
-        )
-    else:
-        rate = (
-            decoy.conventional_decoy_rate if args.scenario == "conventional"
-            else functools.partial(decoy.decoy_rate, conservative=args.conservative)
-        )
-        results = [(mu_fixed, rate(links, f_ec=args.f_ec, p_z=args.p_z)) for links in chains]
+    # A fixed intensity is the one-point bracket: no search, the same reports.
+    results = decoy.optimize_intensities(
+        chains,
+        f_ec=args.f_ec,
+        p_z=args.p_z,
+        mu_bounds=decoy.MU_BOUNDS if mu_fixed is None else (mu_fixed, mu_fixed),
+        mode=args.scenario,
+        conservative=args.conservative,
+    )
     values = operator.attrgetter(*terms)
     rows = [[loss, mu, *values(report)] for loss, (mu, report) in zip(grid, results)]
     _print_config(args)

@@ -20,7 +20,9 @@ floats; the public functions take and return floats.  Floats go through
 formulas at the chosen intensities, with each exponential and entropy taken
 through ``math`` entry by entry, so every reported value equals its
 evaluation on floats.  A sweep checks its links once, at the lowest
-intensity, and names its first dead (zero-gain) link in sweep order.
+intensity, and names its first dead (zero-gain) link in sweep order.  A
+fixed-intensity sweep is the one-point bracket ``(mu, mu)``: every chain is
+evaluated at ``mu``, with no scan or refinement.
 
 Dark-count coincidences carry error 1/2 (a dark click is an uncorrelated
 bit); the dark-count error term is weighted by the probability that no
@@ -69,6 +71,7 @@ MU_TOL = 1e-4
 # optimize_intensities: chains optimized together, which bounds the scan's
 # arrays at SWEEP_BLOCK x GRID_POINTS values each.
 SWEEP_BLOCK = 128
+MU_BOUNDS = (1e-4, 2.0)  # the optimisers' default intensity bracket
 
 
 @dataclass(frozen=True)
@@ -368,7 +371,7 @@ def optimize_intensities(
     chains: Sequence[Sequence[LinkPhysics]],
     f_ec: float = 1.2,
     p_z: float = 0.5,
-    mu_bounds: tuple[float, float] = (1e-4, 2.0),
+    mu_bounds: tuple[float, float] = MU_BOUNDS,
     mode: str = "str",
     conservative: bool = False,
 ) -> list[tuple[float, KeyRateReport]]:
@@ -379,10 +382,11 @@ def optimize_intensities(
     bracketing interval, both as array steps over the chains.  Returns
     (mu_star, report) per chain, the report computed on floats; a chain
     with no positive rate anywhere gets the lower bound with its (zero) rate.
-    Each chain's result is the one it gets when optimized alone.
+    Each chain's result is the one it gets when optimized alone.  Bounds
+    (mu, mu) evaluate every chain at mu, with no search.
     """
     lo, hi = mu_bounds
-    if not (0.0 < lo < hi and hi / lo < math.inf):
+    if not (0.0 < lo <= hi and hi / lo < math.inf):
         raise ValueError(f"invalid mu bounds {mu_bounds}")
     if mode not in ("str", "conventional"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -402,7 +406,7 @@ def optimize_intensity(
     links: Sequence[LinkPhysics],
     f_ec: float = 1.2,
     p_z: float = 0.5,
-    mu_bounds: tuple[float, float] = (1e-4, 2.0),
+    mu_bounds: tuple[float, float] = MU_BOUNDS,
     mode: str = "str",
     conservative: bool = False,
 ) -> tuple[float, KeyRateReport]:
@@ -438,16 +442,17 @@ def _optimize_block(
         links = [_Link(*(f[which] for f in link)) for link in per_position]
         return report(links, mu).unclamped
 
-    grid = _mu_grid(lo, hi)
-    # Each chain's quantities as a column against the grid: one row per chain.
-    values = unclamped((slice(None), None), grid)
-    best = values.argmax(axis=1)  # the first maximum, as max() picks it
-    live = np.flatnonzero(values.max(axis=1) > 0.0)
     mus = np.full(len(chains), lo)
-    if live.size:
-        a = grid[np.maximum(best[live] - 1, 0)]
-        b = grid[np.minimum(best[live] + 1, GRID_POINTS - 1)]
-        mus[live] = _refine(unclamped, live, a, b)
+    if lo < hi:  # a one-point bracket has nothing to search
+        grid = _mu_grid(lo, hi)
+        # Each chain's quantities as a column against the grid: one row per chain.
+        values = unclamped((slice(None), None), grid)
+        best = values.argmax(axis=1)  # the first maximum, as max() picks it
+        live = np.flatnonzero(values.max(axis=1) > 0.0)
+        if live.size:
+            a = grid[np.maximum(best[live] - 1, 0)]
+            b = grid[np.minimum(best[live] + 1, GRID_POINTS - 1)]
+            mus[live] = _refine(unclamped, live, a, b)
     # Reported values: the formulas of decoy_rate at every chain's optimum in
     # one evaluation, each entry equal to its evaluation on floats.
     terms = report(per_position, mus, exact=True)

@@ -1,11 +1,12 @@
 """Exact finite-dimensional qubit algebra for the relay security analysis.
 
 Everything here is dense, exact linear algebra on at most four qubits plus a
-16-dimensional purifying register: BB84 signal states, Bell states and their
-basis-rotated variants, the correlated-Pauli twirl that projects a four-qubit
-state onto the Bell-diagonal family, basis-dependent error-rate functionals,
-and a numerical Holevo oracle that certifies the entropic bound used by the
-key-rate formulas.
+16-dimensional purifying register: Bell states and their basis-rotated
+variants, the correlated-Pauli twirl that projects a four-qubit state onto
+the Bell-diagonal family, basis-dependent error-rate functionals, and a
+numerical Holevo oracle that certifies the entropic bound used by the
+key-rate formulas.  The dense Pauli unitaries and BB84 signal states are
+the tests' reference constructions.
 
 The security quantities of a Bell-diagonal state all come from one integer
 map, ``_BRANCH_CELL``.  Projecting the node's qubits onto announcement
@@ -50,9 +51,7 @@ import numpy as np
 from .keyrate import binary_entropy
 
 __all__ = [
-    "pauli",
     "bell_vector",
-    "bb84_vector",
     "rotated_bell_basis",
     "twirl",
     "bell_diagonal_to_density",
@@ -72,30 +71,12 @@ PSD_TOL = 1e-10
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
-def pauli(r: int, s: int) -> np.ndarray:
-    """Pauli unitary U_{r,s} = sum_k (-1)^{ks} |k+r><k| (addition mod 2)."""
-    out = np.zeros((2, 2), dtype=complex)
-    for k in (0, 1):
-        out[k ^ r, k] = (-1.0) ** (k * s)
-    return out
-
-
 def bell_vector(a: int, b: int) -> np.ndarray:
     """Bell state |Phi_{a,b}> = (1/sqrt 2) sum_k (-1)^{ak} |k+b>|k>."""
     out = np.zeros(4, dtype=complex)
     for k in (0, 1):
         out[2 * (k ^ b) + k] = (-1.0) ** (a * k)
     return out / np.sqrt(2.0)
-
-
-def bb84_vector(u: int, x: int) -> np.ndarray:
-    """BB84 signal state |phi^u_x>: computational for u=0, Hadamard-rotated
-    for u=1."""
-    ket = np.zeros(2, dtype=complex)
-    ket[x] = 1.0
-    if u:
-        ket = HADAMARD @ ket
-    return ket
 
 
 def rotated_bell_basis(u1: int, u2: int) -> list[np.ndarray]:

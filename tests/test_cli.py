@@ -286,6 +286,31 @@ class TestDecoySweep:
         assert len(lines) == 4
         assert lines[0].startswith("loss_db,mu,rate")
 
+    @pytest.mark.parametrize("flags", [[], ["--scenario", "conventional"]])
+    def test_fixed_mu_is_one_optimize_call(self, flags, monkeypatch):
+        # A fixed intensity is the one-point bracket of the batched optimiser,
+        # not one float rate call per loss point.
+        from strqkd import decoy
+
+        calls = []
+        optimize = decoy.optimize_intensities
+
+        def spy(chains, **kwargs):
+            calls.append(kwargs["mu_bounds"])
+            return optimize(chains, **kwargs)
+
+        def float_rate(*args, **kwargs):
+            calls.append("float rate")
+            raise AssertionError("a sweep must not call the float rates")
+
+        monkeypatch.setattr(decoy, "optimize_intensities", spy)
+        monkeypatch.setattr(decoy, "decoy_rate", float_rate)
+        monkeypatch.setattr(decoy, "conventional_decoy_rate", float_rate)
+        argv = ["decoy-sweep", "--loss-db", "0:4:2", "--mu", "0.3", *flags,
+                "--output", os.devnull]
+        assert cli.main(argv) == 0
+        assert calls == [(0.3, 0.3)]
+
     def test_optimized_conventional(self, tmp_path):
         out = tmp_path / "conv.csv"
         code = cli.main(

@@ -341,10 +341,12 @@ class TestOptimizeIntensity:
         assert report.rate == 0.0
 
     def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            decoy.optimize_intensity(
-                [LinkPhysics(loss_db=0.0)], mu_bounds=(1.0, 0.5)
-            )
+        # A one-point bracket is valid, but not at zero or nan.
+        for mu_bounds in [(1.0, 0.5), (0.0, 0.0), (math.nan, math.nan), (2.0, 1.0)]:
+            with pytest.raises(ValueError):
+                decoy.optimize_intensity(
+                    [LinkPhysics(loss_db=0.0)], mu_bounds=mu_bounds
+                )
 
     @pytest.mark.parametrize("mu_bounds", [(1e-4, math.inf), (1e-300, 1e10)])
     def test_bounds_with_infinite_grid_rejected(self, mu_bounds):
@@ -552,6 +554,40 @@ class TestOptimizeIntensities:
                 assert report == decoy.conventional_decoy_rate(at_mu)
             else:
                 assert report == decoy.decoy_rate(at_mu, conservative=conservative)
+
+    @pytest.mark.parametrize("kind", ["equal", "mixed"])
+    @pytest.mark.parametrize("num_links", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "mode,conservative", [("str", False), ("str", True), ("conventional", False)]
+    )
+    @pytest.mark.parametrize("mu", [1e-4, 0.3, 5.0])
+    def test_one_point_bracket_is_the_float_rate(
+        self, kind, num_links, mode, conservative, mu
+    ):
+        # A fixed-intensity sweep: every chain at mu, each report the float
+        # rate there on every term.
+        chains = [_chain(kind, loss, num_links) for loss in self.LOSSES]
+        results = decoy.optimize_intensities(
+            chains, mu_bounds=(mu, mu), mode=mode, conservative=conservative
+        )
+        expected = []
+        for chain in chains:
+            at_mu = [replace(p, mu=mu) for p in chain]
+            if mode == "conventional":
+                expected.append((mu, decoy.conventional_decoy_rate(at_mu)))
+            else:
+                expected.append((mu, decoy.decoy_rate(at_mu, conservative=conservative)))
+        assert results == expected
+
+    def test_one_point_bracket_runs_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a one-point bracket must not search")
+
+        monkeypatch.setattr(decoy, "_mu_grid", no_search)
+        monkeypatch.setattr(decoy, "_refine", no_search)
+        chains = [_chain("mixed", loss, 3) for loss in self.LOSSES]
+        results = decoy.optimize_intensities(chains, mu_bounds=(0.3, 0.3))
+        assert [mu for mu, _ in results] == [0.3] * len(chains)
 
     def test_sweep_covers_grid_ends_and_dead_points(self):
         # The equivalence cases above include a point without positive rate

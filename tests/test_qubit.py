@@ -13,6 +13,24 @@ from strqkd.acceptance_checks import holevo_gap, relabeling_deviation, twirl_dev
 RNG = np.random.default_rng(20240819)
 
 
+def pauli(r, s):
+    """Pauli unitary U_{r,s} = sum_k (-1)^{ks} |k+r><k| (addition mod 2)."""
+    out = np.zeros((2, 2), dtype=complex)
+    for k in (0, 1):
+        out[k ^ r, k] = (-1.0) ** (k * s)
+    return out
+
+
+def bb84_vector(u, x):
+    """BB84 signal state |phi^u_x>: computational for u=0, Hadamard-rotated
+    for u=1."""
+    ket = np.zeros(2, dtype=complex)
+    ket[x] = 1.0
+    if u:
+        ket = qubit.HADAMARD @ ket
+    return ket
+
+
 def kron(*vs):
     out = vs[0]
     for v in vs[1:]:
@@ -27,24 +45,24 @@ def same_up_to_phase(v, w, tol=1e-12):
 
 class TestPauli:
     def test_identity(self):
-        assert np.allclose(qubit.pauli(0, 0), np.eye(2))
+        assert np.allclose(pauli(0, 0), np.eye(2))
 
     def test_bit_flip(self):
-        assert np.allclose(qubit.pauli(1, 0), [[0, 1], [1, 0]])
+        assert np.allclose(pauli(1, 0), [[0, 1], [1, 0]])
 
     def test_phase_flip(self):
-        assert np.allclose(qubit.pauli(0, 1), [[1, 0], [0, -1]])
+        assert np.allclose(pauli(0, 1), [[1, 0], [0, -1]])
 
     def test_unitarity(self):
         for r, s in itertools.product((0, 1), repeat=2):
-            u = qubit.pauli(r, s)
+            u = pauli(r, s)
             assert np.allclose(u @ u.conj().T, np.eye(2))
 
     def test_bit_flip_permutes_z_signal_states(self):
-        x_gate = qubit.pauli(1, 0)
+        x_gate = pauli(1, 0)
         for x in (0, 1):
             assert np.allclose(
-                x_gate @ qubit.bb84_vector(0, x), qubit.bb84_vector(0, x ^ 1)
+                x_gate @ bb84_vector(0, x), bb84_vector(0, x ^ 1)
             )
 
 
@@ -66,12 +84,12 @@ class TestBellStates:
 
 class TestBB84States:
     def test_z_basis(self):
-        assert np.allclose(qubit.bb84_vector(0, 0), [1, 0])
-        assert np.allclose(qubit.bb84_vector(0, 1), [0, 1])
+        assert np.allclose(bb84_vector(0, 0), [1, 0])
+        assert np.allclose(bb84_vector(0, 1), [0, 1])
 
     def test_x_basis(self):
         s = 1 / math.sqrt(2)
-        assert np.allclose(qubit.bb84_vector(1, 1), [s, -s])
+        assert np.allclose(bb84_vector(1, 1), [s, -s])
 
 
 class TestRotatedBellBasis:
@@ -148,7 +166,7 @@ class TestTwirl:
         # of U rho U^dagger, built here from pauli().
         stack = qubit.random_density_matrix(np.random.default_rng(18), size=4)
         unitaries = [
-            kron(qubit.pauli(r, s), qubit.pauli(r, s), qubit.pauli(rp, sp), qubit.pauli(rp, sp))
+            kron(pauli(r, s), pauli(r, s), pauli(rp, sp), pauli(rp, sp))
             for r, s, rp, sp in itertools.product((0, 1), repeat=4)
         ]
         for rho, got in zip(stack, qubit.twirl(stack)):
@@ -230,8 +248,8 @@ def odd_outcome_projectors(u1, u2):
     projectors = []
     for x, t, t_send, y in itertools.product((0, 1), repeat=4):
         if (x + t + t_send + y) % 2:
-            ket = kron(qubit.bb84_vector(u1, x), qubit.bb84_vector(u1, t),
-                       qubit.bb84_vector(u2, t_send), qubit.bb84_vector(u2, y))
+            ket = kron(bb84_vector(u1, x), bb84_vector(u1, t),
+                       bb84_vector(u2, t_send), bb84_vector(u2, y))
             projectors.append(np.outer(ket, ket.conj()))
     return projectors
 
@@ -299,7 +317,7 @@ class TestBasisErrorRate:
         parity = np.zeros(256)
         parity[qubit._PARITY_INDEX[u1, u2]] = qubit._PARITY_SIGN[u1, u2]
         parity = parity.reshape(16, 16)
-        link = [qubit.pauli(0, 1), qubit.pauli(1, 0)]
+        link = [pauli(0, 1), pauli(1, 0)]
         assert np.array_equal(parity, kron(link[u1], link[u1], link[u2], link[u2]))
         assert np.array_equal(qubit.twirl(parity), parity)
         # (1 - O) / 2 is the odd outcomes' projector sum, with exact entries.
@@ -343,7 +361,7 @@ def reference_holevo(alpha, u1, u2):
         amp = cond.reshape(4, 16)
         blocks[None].append(amp.T @ amp.conj())
         for x in (0, 1):
-            amp = np.einsum("a,abe->be", qubit.bb84_vector(u1, x).conj(), cond)
+            amp = np.einsum("a,abe->be", bb84_vector(u1, x).conj(), cond)
             blocks[x].append(amp.T @ amp.conj())
 
     def weight_and_entropy(mats):
@@ -371,7 +389,7 @@ def dense_branch_tables():
     ).conj().reshape(2, 2, 2, 2, 2, 2)
     bell = qubit.tensored_bell_basis_matrix().reshape(2, 2, 2, 2, 16)
     amps = np.einsum("UVabtu,AtuBi->UViabAB", bras, bell)
-    bb84 = np.array([[qubit.bb84_vector(u, x).conj() for x in (0, 1)] for u in (0, 1)])
+    bb84 = np.array([[bb84_vector(u, x).conj() for x in (0, 1)] for u in (0, 1)])
     flat = amps.reshape(2, 2, 16, 2, 2, 4)
     spectra = np.abs(np.einsum("UVcdAB,UViabAB->UViabcd", bras, amps)) ** 2
     signal = np.abs(np.einsum("UxA,VyB,UViabAB->UViabxy", bb84, bb84, amps)) ** 2
@@ -437,7 +455,7 @@ class TestHolevoOracle:
                     err = 0.0
                     for x, y in itertools.product((0, 1), repeat=2):
                         if x ^ y ^ b:
-                            v = kron(qubit.bb84_vector(u1, x), qubit.bb84_vector(u2, y))
+                            v = kron(bb84_vector(u1, x), bb84_vector(u2, y))
                             err += np.real(np.vdot(v, rho @ v))
                     assert e[a, b] == pytest.approx(err, abs=1e-12)
 
@@ -452,7 +470,7 @@ class TestHolevoOracle:
         # States on B once Alice's qubit is projected onto her bit x too.
         keyed_amps = np.einsum(
             "xA,iabAB->iabxB",
-            [qubit.bb84_vector(u1, x).conj() for x in (0, 1)],
+            [bb84_vector(u1, x).conj() for x in (0, 1)],
             DENSE_AMPS[u1, u2],
         )
         keyed = np.einsum("ni,iabxB,iabxC->nabxBC", alphas, keyed_amps, keyed_amps.conj())
