@@ -20,10 +20,14 @@ is done by the library modules, and
 :func:`strqkd.acceptance_checks.run_verification` runs the verify suites.
 Only fig2-sweep, decoy-sweep, montecarlo and verify load numpy: their
 library code computes on arrays.  ``--version``, ``--help``, qubit-rate
-and rejected arguments, config or decoy-sweep input run on floats,
-without numpy's import, most of a fresh process's start-up time.
-The parser is built once per process, config values filling each run's
-namespace rather than its defaults, and CSV rows are written with one
+and rejected arguments, config, fig2-sweep or decoy-sweep input run on
+floats, without numpy's import, most of a fresh process's start-up time.
+Neither cli nor keyrate loads dataclasses or inspect, only a config loads
+json, and only a handler loads keyrate, so ``--version``, ``--help`` and
+rejected arguments or config load no library module.
+The parser is built once per process, each subcommand's options the first
+time it is parsed, config values filling each run's namespace rather than
+its defaults, and CSV rows are written with one
 %-format per row type.  An existing CSV is rewritten in place, never
 truncated to length 0, so a re-run skips the flush ext4 starts on closing a
 file truncated to 0, and the file keeps its links and permissions.
@@ -33,18 +37,21 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import operator
 import os
 import stat
 import sys
-from typing import Any, Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
 
-# Each handler imports the library modules other than keyrate that it needs
-# (decoy, relay, acceptance_checks: numpy, and qubit's branch tables), so
-# that a run which needs none of them starts without them.
-from . import __version__, keyrate
+# Each handler imports the library modules that it needs (keyrate; decoy,
+# relay, acceptance_checks: numpy, and qubit's branch tables), and json is
+# imported where a config is read or echoed, so that a run which needs none
+# of them starts without them.
+from . import __version__
+
+if TYPE_CHECKING:
+    from . import keyrate
 
 __all__ = ["main", "emit_csv", "parse_grid"]
 
@@ -130,6 +137,8 @@ def _load_config(path: str | None) -> dict[str, Any]:
     read as underscores; exit with status 2 when two keys read the same."""
     if path is None:
         return {}
+    import json
+
     objects = []  # each object's key-value pairs, in the order objects close
 
     def keep_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -177,6 +186,8 @@ def _parsed(args: argparse.Namespace, flag: str) -> Any:
 
 
 def _cmd_qubit_rate(args: argparse.Namespace) -> int:
+    from . import keyrate
+
     report = keyrate.uniform_str_rate(args.e_link, args.nodes, args.p_z, args.f_ec)
     e_end_to_end = keyrate.compound_error([args.e_link] * (args.nodes + 1))
     _print_config(args, e_end_to_end=e_end_to_end)
@@ -185,6 +196,8 @@ def _cmd_qubit_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2_sweep(args: argparse.Namespace) -> int:
+    from . import keyrate
+
     grid = parse_grid(args.e_link)
     node_counts = _parsed(args, "--nodes")
     # Computed first, so that rejected input prints no config.
@@ -197,6 +210,8 @@ def _cmd_fig2_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
+    from . import keyrate
+
     grid = parse_grid(args.loss_db)
     # Checked for both scenarios, although a conventional sweep of equal
     # links computes only one of them.
@@ -240,7 +255,7 @@ def _cmd_decoy_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    from . import relay
+    from . import keyrate, relay
 
     cfg = relay.ChainConfig(
         num_nodes=args.nodes,
@@ -389,8 +404,7 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                         _fail(f"{command} option {key} needs a value, got null")
                 elif kwargs.get("action") == "store_true":
                     if not isinstance(value, bool):
-                        _fail(f"{command} option {key} must be true or "
-                              f"false, got {json.dumps(value)}")
+                        _reject_config_value(command, key, "true or false", value)
                 else:
                     convert, choices = kwargs.get("type", str), kwargs.get("choices")
                     parse, kind = _PARSED.get((command, flag), (None, None))
@@ -403,21 +417,39 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                     except ValueError:
                         kind = kind or (f"one of {', '.join(choices)}" if choices
                                         else "an integer" if convert is int else "a number")
-                        _fail(f"{command} option {key} must be {kind}, "
-                              f"got {json.dumps(config[key])}")
+                        _reject_config_value(command, key, kind, config[key])
                 *_, dest = names[flag]
                 values[dest] = value
                 if kwargs.get("required"):
                     supplied.append((command, flag))
-    return _parser(tuple(supplied)).parse_args(argv, argparse.Namespace(**values))
+    parser, optionless = _parser(tuple(supplied))
+    if command in optionless:  # the first parse of command with this parser
+        subparser = optionless.pop(command)
+        for flag, kwargs in _COMMANDS[command][2].items():
+            required = kwargs.get("required", False) and (command, flag) not in supplied
+            subparser.add_argument(
+                flag, **{**kwargs, "default": argparse.SUPPRESS, "required": required})
+    return parser.parse_args(argv, argparse.Namespace(**values))
+
+
+def _reject_config_value(command: str, key: str, kind: str, value: Any) -> NoReturn:
+    """Exit with status 2: ``command``'s option ``key`` must be ``kind``, and
+    the config gave ``value``, echoed as JSON."""
+    import json
+
+    _fail(f"{command} option {key} must be {kind}, got {json.dumps(value)}")
 
 
 @functools.cache
-def _parser(supplied: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
-    """Every subcommand's parser, with no option defaults (_parse_args puts
-    them in the namespace) and the required options ``supplied`` by (command,
-    flag) made optional.  A stored parser keeps no state between parses, and
-    argparse reads the help width when it formats."""
+def _parser(
+    supplied: tuple[tuple[str, str], ...],
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser with every subcommand's parser, and those
+    subcommand parsers by name that have no options yet.  _parse_args adds a
+    subcommand's options the first time it parses that subcommand with this
+    parser, with no defaults (it puts them in the namespace) and the
+    required options ``supplied`` by (command, flag) made optional; argparse
+    reads the help width when it formats."""
     parser = _ArgumentParser(
         prog="strqkd",
         description="Simplified trusted relay QKD simulation and key-rate toolkit",
@@ -425,13 +457,9 @@ def _parser(supplied: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file with default values")
     parser.add_argument("--version", action="version", version=f"strqkd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (run, help_text, options) in _COMMANDS.items():
+    for name, (run, help_text, _) in _COMMANDS.items():
         sub.add_parser(name, help=help_text).set_defaults(func=run)
-        for flag, kwargs in options.items():
-            required = kwargs.get("required", False) and (name, flag) not in supplied
-            sub.choices[name].add_argument(
-                flag, **{**kwargs, "default": argparse.SUPPRESS, "required": required})
-    return parser
+    return parser, dict(sub.choices)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,9 +66,8 @@ def _numpy_if_array(x):
     return np if np is not None and isinstance(x, np.ndarray) else None
 
 
-@dataclass(frozen=True)
-class KeyRateReport:
-    """Key rate with its decomposition.
+class KeyRateReport(NamedTuple):
+    """Key rate with its decomposition, an immutable named tuple.
 
     ``rate`` clamps at zero for reporting; ``unclamped`` keeps the signed
     value needed for zero-crossing root finds.  ``tagged_term`` is only
@@ -94,14 +92,9 @@ class KeyRateReport:
         # On an array, max(0.0, x) of each entry x, nan included.
         return max(0.0, u) if np is None else np.where(u > 0.0, u, 0.0)
 
-    def scaled(self, factor: float) -> "KeyRateReport":
+    def scaled(self, factor: float) -> KeyRateReport:
         """Rescale every term by ``factor`` (e.g. per-clock-cycle conversion)."""
-        return KeyRateReport(
-            entropy_term=self.entropy_term * factor,
-            leak_term=self.leak_term * factor,
-            holevo_term=self.holevo_term * factor,
-            tagged_term=self.tagged_term * factor,
-        )
+        return KeyRateReport._make(term * factor for term in self)
 
 
 def check_protocol_parameters(p_z: float, f_ec: float = 1.0) -> None:
@@ -219,13 +212,17 @@ def uniform_str_rate(
     Over a 1-D array of link errors each term is an array of the float
     calls' terms, bit for bit; the first rejected entry raises."""
     _check_half_range("e_link", e_link)
-    if not 0 <= num_nodes <= MAX_NODES:
-        raise ValueError(f"num_nodes must lie in [0, {MAX_NODES}], got {num_nodes}")
+    _check_node_count(num_nodes)
     check_protocol_parameters(p_z, f_ec)
     links = num_nodes + 1
     h_e = elementwise(binary_entropy, compound_error([e_link] * links))
     total = _weight_sum(p_z, links)
     return KeyRateReport(total, f_ec * (h_e * total), h_e * total)
+
+
+def _check_node_count(num_nodes: int) -> None:
+    if not 0 <= num_nodes <= MAX_NODES:
+        raise ValueError(f"num_nodes must lie in [0, {MAX_NODES}], got {num_nodes}")
 
 
 def elementwise(fn: Callable[[float], float], x: float | np.ndarray) -> float | np.ndarray:
@@ -249,21 +246,26 @@ def fig2_curves(
     error text; node count m >= 1 is ``rate_str{m}``.  A repeated node count
     is a ValueError.  The first rejected grid point raises at the first node
     count; a node count out of range raises at the grid's first point.
+    Input is checked on floats, so that a rejected one never loads numpy.
     """
     if len(set(node_counts)) != len(node_counts):
         raise ValueError(f"repeated node count in {list(node_counts)}")
-    import numpy as np
-
     e_links = [float(e) for e in e_link_grid]
     if not e_links:
         return []
+    # The grid at the first node count, whose name the error takes, then
+    # each node count; only the grid's first point when a count is bad.
+    checked = e_links if all(0 <= m <= MAX_NODES for m in node_counts) else e_links[:1]
+    for m in node_counts[:1]:
+        for e in checked:
+            _check_half_range("per-link error rate" if m == 0 else "e_link", e)
+    for m in node_counts:
+        _check_node_count(m)
+    import numpy as np
+
     e = np.array(e_links)
-    if not all(0 <= m <= MAX_NODES for m in node_counts):
-        e = e[:1]  # one of the calls below raises
     columns = {"e_link": e_links}
     for m in node_counts:
-        if m == 0:
-            _check_half_range("per-link error rate", e)
         curve = "rate_conventional" if m == 0 else f"rate_str{m}"
         columns[curve] = uniform_str_rate(e, m).rate.tolist()
     return [dict(zip(columns, values)) for values in zip(*columns.values())]

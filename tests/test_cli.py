@@ -464,36 +464,42 @@ class TestImports:
     # A fresh interpreter imports the CLI and runs argv, then prints its exit
     # status and the modules below that it loaded.  numpy's import is most of
     # a one-shot run's start-up; qubit builds its branch tables at import,
-    # and only verify needs them, through acceptance_checks.
+    # and only verify needs them, through acceptance_checks.  dataclasses
+    # (with inspect) and json are the standard library's costliest imports
+    # that a run on floats can do without, and only a handler needs keyrate.
     RUN_AND_LIST = """if True:
         import sys, strqkd.cli
         try:
             status = strqkd.cli.main(sys.argv[1:])
         except SystemExit as exc:
             status = exc.code
-        modules = ("numpy", "strqkd.decoy", "strqkd.relay", "strqkd.qubit",
-                   "strqkd.acceptance_checks")
+        modules = ("numpy", "strqkd.keyrate", "strqkd.decoy", "strqkd.relay", "strqkd.qubit",
+                   "strqkd.acceptance_checks", "dataclasses", "inspect", "json")
         print(status, [m for m in modules if m in sys.modules])
     """
 
-    FLOAT_RUNS = [  # (argv, exit status)
-        (["--version"], 0),
-        (["--help"], 0),
-        (["qubit-rate", "--help"], 0),
-        (["qubit-rate", "--e-link", "0.03", "--nodes", "2"], 0),
-        (["montecarlo", "--rounds", "x"], 2),
-        (["decoy-sweep", "--loss-db", "x"], 2),
-        (["--config", "missing.json", "qubit-rate", "--e-link", "0.03"], 2),
+    FLOAT_RUNS = [  # (argv, exit status, the modules above loaded)
+        (["--version"], 0, []),
+        (["--help"], 0, []),
+        (["qubit-rate", "--help"], 0, []),
+        (["qubit-rate", "--e-link", "0.03", "--nodes", "2"], 0, ["strqkd.keyrate"]),
+        (["montecarlo", "--rounds", "x"], 2, []),
+        (["decoy-sweep", "--loss-db", "x"], 2, ["strqkd.keyrate"]),
+        (["fig2-sweep", "--nodes", "17"], 2, ["strqkd.keyrate"]),
+        (["fig2-sweep", "--e-link", "0:0.7:0.1"], 2, ["strqkd.keyrate"]),
+        # Only a config needs json.
+        (["--config", "missing.json", "qubit-rate", "--e-link", "0.03"], 2, ["json"]),
     ]
 
-    @pytest.mark.parametrize("argv,status", FLOAT_RUNS, ids=[" ".join(a) for a, _ in FLOAT_RUNS])
-    def test_cli_import_leaves_qubit_unloaded(self, argv, status, tmp_path):
+    @pytest.mark.parametrize("argv,status,loaded", FLOAT_RUNS,
+                             ids=[" ".join(argv) for argv, *_ in FLOAT_RUNS])
+    def test_cli_import_leaves_qubit_unloaded(self, argv, status, loaded, tmp_path):
         src = str(Path(strqkd.__file__).resolve().parent.parent)
         result = subprocess.run(
             [sys.executable, "-c", self.RUN_AND_LIST, *argv], capture_output=True,
             text=True, check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
         )
-        assert result.stdout.splitlines()[-1] == f"{status} []"
+        assert result.stdout.splitlines()[-1] == f"{status} {loaded}"
 
     @pytest.mark.parametrize(
         "module", ["acceptance_checks", "cli", "decoy", "keyrate", "qubit", "relay"]

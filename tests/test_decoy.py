@@ -2,7 +2,7 @@
 rates, and intensity optimization."""
 
 import math
-from dataclasses import asdict, replace
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -28,7 +28,7 @@ def per_sifted_signal(report, links):
     the basis match probability."""
     match = keyrate.basis_law(0.5)[0]
     scale = math.prod(decoy.link_statistics(phys).gain * match for phys in links)
-    return keyrate.KeyRateReport(**{term: v / scale for term, v in asdict(report).items()})
+    return keyrate.KeyRateReport(**{term: v / scale for term, v in report._asdict().items()})
 
 
 class TestLinkStatistics:

@@ -70,6 +70,19 @@ class TestKeyRateReport:
         assert report.entropy_term == 0.5
         assert report.unclamped == pytest.approx(0.2)
 
+    def test_immutable_with_its_repr_default_and_field_order(self):
+        report = KeyRateReport(entropy_term=1.0, leak_term=0.8, holevo_term=0.5)
+        assert repr(report) == (
+            "KeyRateReport(entropy_term=1.0, leak_term=0.8, holevo_term=0.5, tagged_term=0.0)"
+        )
+        with pytest.raises(AttributeError):
+            report.leak_term = 0.1
+        assert report.tagged_term == 0.0
+        assert report.scaled(2.0) == KeyRateReport(2.0, 1.6, 1.0, 0.0)
+        assert list(report._asdict().items()) == [
+            ("entropy_term", 1.0), ("leak_term", 0.8), ("holevo_term", 0.5), ("tagged_term", 0.0)
+        ]
+
 
 class TestStrRateQubit:
     def test_error_free(self):
