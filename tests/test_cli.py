@@ -25,9 +25,8 @@ from hypothesis import strategies as st
 import strqkd
 from strqkd import cli
 
-DATA = Path(__file__).parent / "data"
-# The numpy whose Generator.binomial stream the Monte Carlo goldens were drawn with.
-GOLDEN_NUMPY = "2.4.6"
+from goldens import DATA, GOLDENS, PRINTED_RUNS, numpy_note, printed_argv
+
 
 
 def read_lines(path):
@@ -262,17 +261,6 @@ class TestFig2Sweep:
         assert len(lines) == 62  # header + 61 grid points
         assert all(len(line.split(",")) == 4 for line in lines[1:])
 
-    def test_benchmark_sweep_matches_golden_csv(self, tmp_path, capsys):
-        # The fig2 sweep of the rate-curves benchmark, pinned byte for byte,
-        # and one over both ends of the link error range, with unsorted node
-        # counts and the longest chain (2^17 terms per point).
-        for golden, e_link, nodes in [("fig2.csv", "0:0.12:0.0005", "0,1,2"),
-                                      ("fig2_long.csv", "0:0.5:0.005", "3,0,16")]:
-            out = tmp_path / golden
-            argv = ["fig2-sweep", "--e-link", e_link, "--nodes", nodes]
-            assert cli.main(argv + ["--output", str(out)]) == 0
-            assert out.read_bytes() == (DATA / golden).read_bytes(), golden
-
 
 class TestDecoySweep:
     def test_fixed_mu(self, tmp_path):
@@ -321,25 +309,6 @@ class TestDecoySweep:
         rows = [line.split(",") for line in read_lines(out)[1:]]
         assert float(rows[0][2]) > 0.0
 
-    @pytest.mark.parametrize(
-        "name,flags",
-        [("conventional", ["--mu", "auto", "--scenario", "conventional"]),
-         ("str1", ["--mu", "auto", "--nodes", "1"]),
-         ("str2", ["--mu", "auto", "--nodes", "2"]),
-         ("fixed_str2", ["--mu", "0.3", "--nodes", "2"]),
-         ("fixed_conventional", ["--mu", "0.3", "--scenario", "conventional"]),
-         ("str2_pz03", ["--mu", "auto", "--nodes", "2", "--p-z", "0.3", "--f-ec", "1.1"])],
-    )
-    def test_optimized_sweep_matches_golden_csv(self, name, flags, tmp_path, capsys):
-        # The decoy sweeps of the rate-curves benchmark, at a fixed
-        # intensity those of the public float rates, and one with biased
-        # bases, whose sifting factor is not a power of two, pinned byte for
-        # byte.
-        out = tmp_path / "decoy.csv"
-        argv = ["decoy-sweep", "--loss-db", "0:40:0.5", *flags]
-        assert cli.main(argv + ["--output", str(out)]) == 0
-        assert out.read_bytes() == (DATA / f"decoy_{name}.csv").read_bytes()
-
     @pytest.mark.parametrize("mu", ["auto", "0.3"])
     def test_dark_count_free_link_far_out(self, mu, tmp_path):
         out = tmp_path / "decoy.csv"
@@ -385,39 +354,6 @@ class TestMonteCarlo:
         assert cli.main(base + ["--output", str(out1)]) == 0
         assert cli.main(base + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    @pytest.mark.parametrize(
-        "golden,detect,rounds,p_z",
-        [
-            # Three 2^26-round blocks per link, the last one partial, each
-            # paired: at detect 0.01 a block holds about 3.4e5 survivors.
-            ("montecarlo.csv", "0.01", "150000000", "0.5"),
-            # Three blocks that each pair and leave a carry, about 1.1 M rows.
-            ("montecarlo_dense.csv", "1", "2200000", "0.5"),
-            # The same with 1 and 2 links, whose codes take 2 and 3 bits.
-            ("montecarlo_dense_nodes0.csv", "1", "2200000", "0.5"),
-            ("montecarlo_dense_nodes1.csv", "1", "2200000", "0.5"),
-            # The same with 8 links, the shortest chain whose codes need uint16.
-            ("montecarlo_wide.csv", "1", "2200000", "0.5"),
-            # The first two with biased bases, where the survival and X-basis
-            # probabilities are not dyadic and their float forms round.
-            ("montecarlo_pz03.csv", "0.01", "150000000", "0.3"),
-            ("montecarlo_pz03_dense.csv", "1", "2200000", "0.3"),
-        ],
-    )
-    def test_stream_matches_golden_csv(self, golden, detect, rounds, p_z, tmp_path, capsys):
-        # Pinned byte for byte.
-        out = tmp_path / golden
-        nodes = {"montecarlo_wide.csv": "7", "montecarlo_dense_nodes0.csv": "0",
-                 "montecarlo_dense_nodes1.csv": "1"}.get(golden, "2")
-        argv = ["montecarlo", "--nodes", nodes, "--flip", "0.05", "--detect", detect,
-                "--rounds", rounds, "--seed", "5", "--p-z", p_z]
-        assert cli.main(argv + ["--output", str(out)]) == 0
-        # The survivor counts come from Generator.binomial, whose stream NEP 19
-        # lets numpy change between versions.
-        assert out.read_bytes() == (DATA / golden).read_bytes(), (
-            f"{golden} was drawn with numpy {GOLDEN_NUMPY}; this run has numpy {np.__version__}"
-        )
 
     def test_basis_vector_without_samples_has_nan_rate(self, capsys):
         assert cli.main(
@@ -647,18 +583,26 @@ PARSER_ARGVS = [
 ]
 
 
-# Runs pinned with their stdout, their resolved config included, as the CLI
-# printed them before the config was rendered from the parsed options.  Each
-# runs in an empty directory, where a --config run finds its config.json.
-PRINTED_RUNS = json.loads((DATA / "printed_config.json").read_text(encoding="utf-8"))
-
-
 def run_printed(run, directory):
-    argv = run["argv"]
-    if run["config"] is not None:
-        (directory / "config.json").write_text(json.dumps(run["config"]), encoding="utf-8")
-        argv = ["--config", "config.json", *argv]
-    assert cli.main(argv) == 0
+    # Each printed-config run starts in an empty directory, where a --config
+    # run finds its config.json.
+    assert cli.main(printed_argv(run, directory)) == 0
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("golden", list(GOLDENS))
+    def test_run_matches_golden(self, golden, tmp_path, capsys):
+        out = tmp_path / golden
+        csv = golden.endswith(".csv")
+        assert cli.main(GOLDENS[golden] + ["--output", str(out)] * csv) == 0
+        got = out.read_bytes() if csv else capsys.readouterr().out.encode("utf-8")
+        assert got == (DATA / golden).read_bytes(), f"{golden} differs{numpy_note(golden)}"
+
+    def test_every_data_file_is_listed(self):
+        # Both runners read one list: a data file left off it would go
+        # unchecked, and a listed golden without its file fails only here.
+        names = sorted(path.name for path in DATA.iterdir())
+        assert names == sorted([*GOLDENS, "printed_config.json"])
 
 
 class TestPrintedConfig:
@@ -1079,14 +1023,6 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert "suites passed" in out
-
-    def test_reference_run_matches_golden(self, capsys):
-        # verify's reference run, pinned byte for byte: a change that moves
-        # one of its lines regenerates the file and names the line.
-        assert cli.main(["verify", "--trials", "200", "--seed", "2024"]) == 0
-        golden = (DATA / "verify_reference.txt").read_text(encoding="utf-8")
-        assert capsys.readouterr().out == golden
-
 
 
 def exit_code(argv):
